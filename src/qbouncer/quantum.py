@@ -5,12 +5,16 @@ closed-form semiclassical series for <x>(t).
 Eigenfunctions are psi_n(x) = (N_n / sqrt(l_g)) * Ai(x/l_g - x_n) with
 N_n = 1 / |Ai'(-x_n)|, which is unit-normalized on [0, inf) because
 integral of Ai(u - x_n)^2 from 0 equals Ai'(-x_n)^2 when Ai(-x_n) = 0.
+
+The position matrix elements have closed forms in the zeros x_n alone
+(Goodmanson, Am. J. Phys. 68, 866 (2000); Gea-Banacloche, Am. J. Phys. 67,
+776 (1999)); quadrature only checks the norms at build time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +77,7 @@ class PacketSpec:
 
 @dataclass(eq=False)
 class Eigenbasis:
-    """Truncated Airy eigenbasis with cached position matrix elements."""
+    """Truncated Airy eigenbasis with its position matrix elements."""
 
     n_max: int
     units: UnitSystem
@@ -81,7 +85,6 @@ class Eigenbasis:
     energies: np.ndarray      # e_g * x_n
     norms: np.ndarray          # N_n = 1/|Ai'(-x_n)|
     x_matrix: np.ndarray       # <m|x|n>, length units
-    _x2_matrix: np.ndarray | None = field(default=None, repr=False)
 
     def eigenfunction(self, n: int, x):
         """psi_n evaluated at physical heights x (n is 1-based)."""
@@ -90,11 +93,9 @@ class Eigenbasis:
         l_g = self.units.l_g
         return self.norms[n - 1] / math.sqrt(l_g) * airy_ai(np.asarray(x) / l_g - self.zeros[n - 1])
 
-    def x2_matrix(self, quad: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:
-        """<m|x^2|n> in length^2 units, built on first use and cached."""
-        if self._x2_matrix is None:
-            self._x2_matrix = self.units.l_g**2 * _weighted_matrix(self, power=2, quad=quad)
-        return self._x2_matrix
+    def x2_matrix(self) -> np.ndarray:
+        """<m|x^2|n> in length^2 units."""
+        return self.units.l_g**2 * _position_matrix(self.zeros, power=2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +120,24 @@ def _dimensionless_eigenfunction(zeros, norms, n_index, x_star):
     return norms[n_index] * airy_ai(x_star - zeros[n_index])
 
 
+def _position_matrix(zeros: np.ndarray, power: int) -> np.ndarray:
+    """Dimensionless <m|(x*)^power|n> for power 1 or 2, in closed form:
+
+        <n|x|n>   = 2 x_n / 3        <m|x|n>   =  2 (-1)^(m-n+1) / (x_m - x_n)^2
+        <n|x^2|n> = 8 x_n^2 / 15     <m|x^2|n> = 24 (-1)^(m-n+1) / (x_m - x_n)^4
+    """
+    off, diag = {1: (2.0, 2.0 / 3.0), 2: (24.0, 8.0 / 15.0)}[power]
+    idx = np.arange(zeros.size)
+    sign = np.where((idx[:, None] - idx[None, :]) % 2, 1.0, -1.0)
+    gap = zeros[:, None] - zeros[None, :]
+    np.fill_diagonal(gap, 1.0)
+    out = off * sign / gap ** (2 * power)
+    np.fill_diagonal(out, diag * zeros**power)
+    return out
+
+
 def _weighted_matrix(basis: Eigenbasis, power: int, quad: QuadratureSpec) -> np.ndarray:
-    """Dimensionless matrix of integral psi_m psi_n (x*)^power on [0, inf)."""
+    """Dimensionless matrix of integral psi_m psi_n (x*)^power on [0, inf), by quadrature."""
     zeros, norms = basis.zeros, basis.norms
     n = basis.n_max
     upper = float(zeros[-1]) + _TAIL_MARGIN
@@ -144,7 +161,7 @@ def build_basis(n_max: int, u: UnitSystem, quad: QuadratureSpec = DEFAULT_QUAD) 
     """Construct the first n_max eigenstates and their position matrix.
 
     Each N_n is verified against the quadrature norm to 1e-8 before the
-    matrix elements are filled.
+    closed-form matrix elements are filled.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -166,7 +183,7 @@ def build_basis(n_max: int, u: UnitSystem, quad: QuadratureSpec = DEFAULT_QUAD) 
         nrm = integrate_1d(sq, 0.0, upper, quad, initial_panels=panels)
         if abs(nrm - 1.0) > _NORM_CHECK_TOL:
             raise NumericalError(f"norm of eigenstate {i + 1} is {nrm}, off by >{_NORM_CHECK_TOL}")
-    basis.x_matrix = u.l_g * _weighted_matrix(basis, power=1, quad=quad)
+    basis.x_matrix = u.l_g * _position_matrix(zeros, power=1)
     return basis
 
 
@@ -218,11 +235,11 @@ def project_packet(p: PacketSpec, basis: Eigenbasis, quad: QuadratureSpec = DEFA
     return state
 
 
-def evolve(s: SpectralState, t: float, u: UnitSystem | None = None) -> SpectralState:
+def evolve(s: SpectralState, t: float) -> SpectralState:
     """Advance a state by duration t: c_n -> c_n * exp(-i E_n t / hbar)."""
     if t < 0:
         raise DomainError("evolution duration must be >= 0")
-    hbar = (u or s.basis.units).hbar
+    hbar = s.basis.units.hbar
     phases = np.exp(-1j * s.basis.energies * (t / hbar))
     return SpectralState(basis=s.basis, coefficients=s.coefficients * phases, time=s.time + t)
 
@@ -240,34 +257,48 @@ def expectation_x(s: SpectralState) -> float:
     return _quadratic_form(s, s.basis.x_matrix, s.basis.units.l_g)
 
 
-def variance_x(s: SpectralState, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Var(x) = <x^2> - <x>^2 (>= 0 up to quadrature noise)."""
+def _check_variance(var, l_g: float) -> None:
+    if np.any(var < -1e-10 * l_g**2):
+        raise NumericalError(f"variance {np.min(var)} is negative beyond tolerance")
+
+
+def variance_x(s: SpectralState) -> float:
+    """Var(x) = <x^2> - <x>^2 (>= 0 up to rounding)."""
     mean = expectation_x(s)
-    var = _quadratic_form(s, s.basis.x2_matrix(quad), s.basis.units.l_g**2) - mean * mean
-    if var < -1e-10 * s.basis.units.l_g**2:
-        raise NumericalError(f"variance {var} is negative beyond tolerance")
+    var = _quadratic_form(s, s.basis.x2_matrix(), s.basis.units.l_g**2) - mean * mean
+    _check_variance(var, s.basis.units.l_g)
     return var
 
 
-def _phase_table(s: SpectralState, times, u: UnitSystem | None):
-    hbar = (u or s.basis.units).hbar
+def _phase_table(s: SpectralState, times):
     times = np.asarray(times, dtype=float)
-    return np.exp(-1j * np.outer(times / hbar, s.basis.energies)) * s.coefficients[None, :]
+    if (times < 0).any():
+        raise DomainError("evolution duration must be >= 0")
+    return np.exp(-1j * np.outer(times / s.basis.units.hbar, s.basis.energies)) * s.coefficients[None, :]
 
 
-def expectation_x_evolution(s: SpectralState, times, u: UnitSystem | None = None) -> np.ndarray:
+def _quadratic_forms(ph: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Re(c^dagger M c) for every row c of ph, M real symmetric.
+
+    With c = a + ib this is a^T M a + b^T M b: two real BLAS products, where
+    the complex form would hold a second complex table at once.
+    """
+    re, im = ph.real, ph.imag
+    return np.einsum("ti,ti->t", re @ matrix, re) + np.einsum("ti,ti->t", im @ matrix, im)
+
+
+def expectation_x_evolution(s: SpectralState, times) -> np.ndarray:
     """<x>(s.time + t) for an array of durations t (vectorized evolve + expectation)."""
-    ph = _phase_table(s, times, u)
-    return np.einsum("tm,mn,tn->t", ph.conj(), s.basis.x_matrix, ph).real
+    return _quadratic_forms(_phase_table(s, times), s.basis.x_matrix)
 
 
-def variance_x_evolution(
-    s: SpectralState, times, quad: QuadratureSpec = DEFAULT_QUAD, u: UnitSystem | None = None
-) -> np.ndarray:
-    ph = _phase_table(s, times, u)
-    mean = np.einsum("tm,mn,tn->t", ph.conj(), s.basis.x_matrix, ph).real
-    second = np.einsum("tm,mn,tn->t", ph.conj(), s.basis.x2_matrix(quad), ph).real
-    return second - mean * mean
+def variance_x_evolution(s: SpectralState, times) -> np.ndarray:
+    """Var(x)(s.time + t) for an array of durations t."""
+    ph = _phase_table(s, times)
+    mean = _quadratic_forms(ph, s.basis.x_matrix)
+    var = _quadratic_forms(ph, s.basis.x2_matrix()) - mean * mean
+    _check_variance(var, s.basis.units.l_g)
+    return var
 
 
 def reconstruct(s: SpectralState, x) -> np.ndarray:
