@@ -33,6 +33,11 @@ def packet_state(basis26):
     return project_packet(PACKET, basis26)
 
 
+@pytest.fixture(scope="module")
+def x_by_quadrature(basis26, units):
+    return _weighted_matrix(basis26, 1, DEFAULT_QUAD) * units.l_g
+
+
 class TestBasis:
     def test_zeros_ascending_positive(self, basis12):
         assert (basis12.zeros > 0).all()
@@ -49,13 +54,25 @@ class TestBasis:
         m = basis12.x_matrix
         assert np.abs(m - m.T).max() == 0.0
 
-    @pytest.mark.parametrize("power,tol", [(1, 5e-13), (2, 1e-11)])
+    def test_diagonal_elements(self, basis26, x_by_quadrature):
+        # closed-form <n|x|n> = 2 x_n / 3 against adaptive quadrature of
+        # psi_n^2 x; measured gap 5.6e-14 l_g over the full matrix at N = 26
+        gap = basis26.x_matrix.diagonal() - x_by_quadrature.diagonal()
+        assert np.abs(gap).max() < 5e-13
+
+    def test_off_diagonal_closed_form(self, basis26, x_by_quadrature):
+        # closed-form <m|x|n> = 2 (-1)^(m-n+1) / (x_m - x_n)^2 against
+        # adaptive quadrature of psi_m psi_n x, every m != n at N = 26
+        off = ~np.eye(basis26.n_max, dtype=bool)
+        gap = basis26.x_matrix[off] - x_by_quadrature[off]
+        assert np.abs(gap).max() < 5e-13
+
+    @pytest.mark.parametrize("power,tol", [(2, 1e-11)])
     def test_closed_forms_match_quadrature(self, basis26, units, power, tol):
-        # the closed-form <m|x|n> and <m|x^2|n> against adaptive quadrature of
-        # psi_m psi_n x^power; measured gaps 5.6e-14 (x) and 1.6e-12 (x^2)
-        closed = basis26.x_matrix if power == 1 else basis26.x2_matrix()
+        # the closed-form <m|x^2|n> against adaptive quadrature of
+        # psi_m psi_n x^2; measured gap 1.6e-12 l_g^2 at N = 26
         oracle = _weighted_matrix(basis26, power, DEFAULT_QUAD) * units.l_g**power
-        assert np.abs(closed - oracle).max() < tol
+        assert np.abs(basis26.x2_matrix() - oracle).max() < tol
 
     def test_orthonormal(self, basis12):
         gram = overlap_matrix(basis12)
