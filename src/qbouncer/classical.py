@@ -34,9 +34,10 @@ class BounceSpec:
 
 
 def _check_times(t):
+    """t as a float array; raises DomainError for negative or non-finite times."""
     t = np.asarray(t, dtype=float)
-    if (t < 0).any():
-        raise DomainError("time must be >= 0")
+    if (t < 0).any() or not np.isfinite(t).all():
+        raise DomainError("time must be finite and >= 0")
     return t
 
 
@@ -66,6 +67,24 @@ def bounce_trajectory(spec: BounceSpec, t):
     return float(out) if out.ndim == 0 else out
 
 
+def _bounce_series(x0: float, T: float, t, n_terms: int, damping: float = 0.0):
+    """(2/3) x0 + (4 x0 / pi^2) * sum_{n=1..n_terms} (-1)^(n+1)/n^2
+                 * exp(-damping n^2) * cos(pi n t / T)
+
+    The bounce Fourier series (damping = 0) and its Gaussian-damped
+    semiclassical form; T > 0 is the drop time.
+    """
+    if n_terms < 1:
+        raise DomainError("n_terms must be >= 1")
+    t = _check_times(t)
+    acc = np.zeros_like(t)
+    for n in range(1, n_terms + 1):
+        sign = 1.0 if n % 2 else -1.0
+        acc += sign / (n * n) * math.exp(-damping * n * n) * np.cos((math.pi * n / T) * t)
+    out = (2.0 / 3.0) * x0 + (4.0 * x0 / math.pi**2) * acc
+    return float(out) if out.ndim == 0 else out
+
+
 def bounce_fourier(spec: BounceSpec, t, n_terms: int):
     """Truncated Fourier series of the bounce train.
 
@@ -78,16 +97,5 @@ def bounce_fourier(spec: BounceSpec, t, n_terms: int):
     """
     if spec.v0 != 0.0:
         raise DomainError("bounce_fourier supports only v0 = 0")
-    if n_terms < 1:
-        raise DomainError("n_terms must be >= 1")
-    t = _check_times(t)
-    if spec.x0 == 0.0:
-        out = np.zeros_like(t)
-        return float(out) if out.ndim == 0 else out
-    T = spec.drop_time
-    acc = np.zeros_like(t)
-    for n in range(1, n_terms + 1):
-        sign = 1.0 if n % 2 else -1.0
-        acc += sign / (n * n) * np.cos((math.pi * n / T) * t)
-    out = (2.0 / 3.0) * spec.x0 + (4.0 * spec.x0 / math.pi**2) * acc
-    return float(out) if out.ndim == 0 else out
+    # x0 = 0 zeroes every term, so any T > 0 serves for its zero drop time
+    return _bounce_series(spec.x0, spec.drop_time or 1.0, t, n_terms)

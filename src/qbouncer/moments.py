@@ -17,8 +17,8 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .classical import BounceSpec, bounce_trajectory
-from .errors import DomainError
+from .classical import BounceSpec, _check_times, bounce_trajectory
+from .errors import DomainError, NumericalError
 from .scaling import UnitSystem
 
 __all__ = [
@@ -233,6 +233,7 @@ def integrate(
     1e-6 (relative) below its reference value - hbar^2/4 when hbar is given,
     otherwise the initial product - a warning is attached to the trajectory
     (truncation of a nonlinear hierarchy can do this; it is not fatal).
+    A non-finite state is fatal: NumericalError names its step and time.
     """
     if dt <= 0:
         raise DomainError("dt must be > 0")
@@ -251,7 +252,7 @@ def integrate(
     states = [s0]
     reference = hbar * hbar / 4.0 if hbar is not None else uncertainty_product(s0)
     worst = 0.0
-    for _ in range(n_steps):
+    for step in range(1, n_steps + 1):
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * dt * k1)
         k3 = rhs(y + 0.5 * dt * k2)
@@ -261,6 +262,8 @@ def integrate(
         total = y + term
         comp = (total - y) - term
         y = total
+        if not np.isfinite(y).all():
+            raise NumericalError(f"moment state is not finite at step {step} (t = {times[step]:.6g})")
         state = _unpack(y, pairs, order)
         states.append(state)
         if reference > 0:
@@ -287,9 +290,7 @@ def closed_form_linear(ic, m: float, t):
         c0, c1, c2 = ic.c0, ic.c1, ic.c2
     else:
         c0, c1, c2 = ic
-    t = np.asarray(t, dtype=float)
-    if (t < 0).any():
-        raise DomainError("time must be >= 0")
+    t = _check_times(t)
     g20 = np.broadcast_to(c0, t.shape).copy() if t.ndim else c0
     g11 = (c0 / m) * t + c1
     g02 = (c0 / (m * m)) * t * t + (2.0 * c1 / m) * t + c2

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import BounceSpec, bounce_fourier
+from .classical import _bounce_series, _check_times
 from .errors import DomainError, InsufficientBasisError, NumericalError
 from .scaling import UnitSystem
 from .specfun import DEFAULT_QUAD, QuadratureSpec, airy_ai, airy_ai_prime, airy_zeros, integrate_1d
@@ -108,8 +108,8 @@ class SpectralState:
 
     def __post_init__(self):
         total = float(np.sum(np.abs(self.coefficients) ** 2))
-        if total > 1.0 + 1e-9:
-            raise NumericalError(f"coefficient norm {total} exceeds 1")
+        if not total <= 1.0 + 1e-9:
+            raise NumericalError(f"coefficient norm {total} exceeds 1 or is not finite")
 
     @property
     def truncation_loss(self) -> float:
@@ -235,46 +235,20 @@ def project_packet(p: PacketSpec, basis: Eigenbasis, quad: QuadratureSpec = DEFA
     return state
 
 
+def _phase_table(s: SpectralState, times):
+    """Row k holds c_n * exp(-i E_n t_k / hbar) for the k-th duration t_k."""
+    times = _check_times(times)
+    return np.exp(-1j * np.outer(times / s.basis.units.hbar, s.basis.energies)) * s.coefficients[None, :]
+
+
 def evolve(s: SpectralState, t: float) -> SpectralState:
     """Advance a state by duration t: c_n -> c_n * exp(-i E_n t / hbar)."""
-    if t < 0:
-        raise DomainError("evolution duration must be >= 0")
-    hbar = s.basis.units.hbar
-    phases = np.exp(-1j * s.basis.energies * (t / hbar))
-    return SpectralState(basis=s.basis, coefficients=s.coefficients * phases, time=s.time + t)
-
-
-def _quadratic_form(state: SpectralState, matrix: np.ndarray, scale: float) -> float:
-    c = state.coefficients
-    val = complex(np.conj(c) @ (matrix @ c))
-    if abs(val.imag) > 1e-10 * (abs(val.real) + scale):
-        raise NumericalError(f"expectation value has imaginary residue {val.imag}")
-    return val.real
-
-
-def expectation_x(s: SpectralState) -> float:
-    """<x> in physical length units."""
-    return _quadratic_form(s, s.basis.x_matrix, s.basis.units.l_g)
+    return SpectralState(basis=s.basis, coefficients=_phase_table(s, [t])[0], time=s.time + t)
 
 
 def _check_variance(var, l_g: float) -> None:
     if np.any(var < -1e-10 * l_g**2):
         raise NumericalError(f"variance {np.min(var)} is negative beyond tolerance")
-
-
-def variance_x(s: SpectralState) -> float:
-    """Var(x) = <x^2> - <x>^2 (>= 0 up to rounding)."""
-    mean = expectation_x(s)
-    var = _quadratic_form(s, s.basis.x2_matrix(), s.basis.units.l_g**2) - mean * mean
-    _check_variance(var, s.basis.units.l_g)
-    return var
-
-
-def _phase_table(s: SpectralState, times):
-    times = np.asarray(times, dtype=float)
-    if (times < 0).any():
-        raise DomainError("evolution duration must be >= 0")
-    return np.exp(-1j * np.outer(times / s.basis.units.hbar, s.basis.energies)) * s.coefficients[None, :]
 
 
 def _quadratic_forms(ph: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -301,6 +275,16 @@ def variance_x_evolution(s: SpectralState, times) -> np.ndarray:
     return var
 
 
+def expectation_x(s: SpectralState) -> float:
+    """<x> in physical length units: the time-array kernel at duration 0."""
+    return float(expectation_x_evolution(s, [0.0])[0])
+
+
+def variance_x(s: SpectralState) -> float:
+    """Var(x) = <x^2> - <x>^2 (>= 0 up to rounding), at duration 0."""
+    return float(variance_x_evolution(s, [0.0])[0])
+
+
 def reconstruct(s: SpectralState, x) -> np.ndarray:
     """Wave function at physical heights x from the truncated expansion."""
     l_g = s.basis.units.l_g
@@ -320,23 +304,5 @@ def expectation_x_series(p: PacketSpec, t, n_terms: int):
     convention of classical.bounce_fourier and reduces to it term by term
     when the damping factors are 1 (sigma -> inf).
     """
-    if n_terms < 1:
-        raise DomainError("n_terms must be >= 1")
-    t = np.asarray(t, dtype=float)
-    if (t < 0).any():
-        raise DomainError("time must be >= 0")
-    x0 = p.x0
-    T = math.sqrt(x0)
-    damp_scale = math.pi**2 * x0 / (2.0 * p.sigma**2)
-    acc = np.zeros_like(t)
-    for n in range(1, n_terms + 1):
-        sign = 1.0 if n % 2 else -1.0
-        acc += sign / (n * n) * math.exp(-damp_scale * n * n) * np.cos((math.pi * n / T) * t)
-    out = (2.0 / 3.0) * x0 + (4.0 * x0 / math.pi**2) * acc
-    return float(out) if out.ndim == 0 else out
-
-
-def classical_series_limit(p: PacketSpec, t, n_terms: int):
-    """bounce_fourier evaluated with the gravitational-unit conventions of
-    expectation_x_series (g = 2, so T = sqrt(x0))."""
-    return bounce_fourier(BounceSpec(x0=p.x0, g=2.0), t, n_terms)
+    damping = math.pi**2 * p.x0 / (2.0 * p.sigma**2)
+    return _bounce_series(p.x0, math.sqrt(p.x0), t, n_terms, damping)

@@ -26,7 +26,6 @@ from qbouncer.moments import (
 from qbouncer.quantum import (
     PacketSpec,
     build_basis,
-    classical_series_limit,
     expectation_x_evolution,
     expectation_x_series,
     overlap_matrix,
@@ -169,7 +168,7 @@ def test_criterion_07_semiclassical_series_limit():
         ts = np.linspace(0.0, 4.0 * math.sqrt(x0), 4001)
         dev = np.abs(
             expectation_x_series(packet, ts, n_terms)
-            - classical_series_limit(packet, ts, n_terms)
+            - bounce_fourier(BounceSpec(x0=packet.x0, g=2.0), ts, n_terms)
         ).max()
         worst = max(worst, dev)
     ok = worst <= 1e-3 * x0

@@ -4,14 +4,27 @@ A Gaussian packet is exactly a saturated moment state (c2 = sigma^2/4,
 c0 = hbar^2/sigma^2, c1 = 0), so before the mirror interferes the spectral
 solver and the linear-potential moment closed form must agree on Var(x)(t)
 through entirely different code paths.
+
+Every entry point that takes times shares one check, so the rejection of
+negative and non-finite times is tested here across all three.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from qbouncer.classical import BounceSpec, bounce_trajectory
+from qbouncer.classical import BounceSpec, bounce_fourier, bounce_trajectory, free_fall
+from qbouncer.errors import DomainError
 from qbouncer.moments import SaturatedIC, closed_form_linear, envelope
-from qbouncer.quantum import PacketSpec, expectation_x_evolution, project_packet, variance_x_evolution
+from qbouncer.quantum import (
+    PacketSpec,
+    evolve,
+    expectation_x_evolution,
+    expectation_x_series,
+    project_packet,
+    variance_x_evolution,
+)
 
 X0 = 10.0
 SIGMA = 1.5
@@ -59,3 +72,23 @@ def test_envelope_brackets_spectral_mean(packet_state, units):
     mean = expectation_x_evolution(packet_state, ts)
     lo, hi = envelope(X0, ic, units.m, units.g, ts)
     assert ((lo <= mean) & (mean <= hi)).all()
+
+
+TIME_ENTRY_POINTS = {
+    "free_fall": lambda state, units, t: free_fall(BounceSpec(X0, units.g), t),
+    "bounce_trajectory": lambda state, units, t: bounce_trajectory(BounceSpec(X0, units.g), t),
+    "bounce_fourier": lambda state, units, t: bounce_fourier(BounceSpec(X0, units.g), t, 20),
+    "evolve": lambda state, units, t: evolve(state, t),
+    "expectation_x_evolution": lambda state, units, t: expectation_x_evolution(state, [0.0, t]),
+    "variance_x_evolution": lambda state, units, t: variance_x_evolution(state, [0.0, t]),
+    "expectation_x_series": lambda state, units, t: expectation_x_series(PacketSpec(X0, SIGMA), t, 20),
+    "closed_form_linear": lambda state, units, t: closed_form_linear(matched_ic(units), units.m, t),
+    "envelope": lambda state, units, t: envelope(X0, matched_ic(units), units.m, units.g, [0.0, t]),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("entry", sorted(TIME_ENTRY_POINTS))
+def test_bad_times_rejected(packet_state, units, entry, t):
+    with pytest.raises(DomainError, match="finite and >= 0"):
+        TIME_ENTRY_POINTS[entry](packet_state, units, t)

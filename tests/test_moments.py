@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbouncer.classical import BounceSpec, bounce_trajectory
-from qbouncer.errors import DomainError
+from qbouncer.errors import DomainError, NumericalError
 from qbouncer.moments import (
     MomentState,
     PolynomialPotential,
@@ -329,6 +329,15 @@ class TestIntegrate:
             integrate(s0, V, self.u.m, 1.0, 0.0)
         with pytest.raises(DomainError):
             integrate(s0, V, self.u.m, 0.0, 0.1)
+
+    def test_non_finite_state_raises(self):
+        # V = x^2/2 + 0.1 x^4 at order 4 from Gaussian moments blows up; the
+        # first non-finite state is the one after step 553 (t = 5.53)
+        V = PolynomialPotential((0.0, 0.0, 0.5, 0.0, 0.1))
+        G = {(2, 0): 0.25, (0, 2): 1.0, (4, 0): 0.1875, (0, 4): 3.0, (2, 2): 0.25}
+        s0 = MomentState.make(x=1.0, p=0.0, order=4, G=G)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match=r"step 553 \(t = 5\.53\)"):
+            integrate(s0, V, 1.0, 10.0, 0.01)
 
     def test_trajectory_iterates_pairs(self):
         _, V, s0 = self.linear_setup()
