@@ -11,8 +11,11 @@ around the classical bounce all live here.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
+from types import MappingProxyType, SimpleNamespace
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -47,6 +50,8 @@ class PolynomialPotential:
     def __post_init__(self):
         if not self.coefficients:
             raise DomainError("potential needs at least one coefficient")
+        # a tuple keeps the potential hashable, so moment_eom can cache its tables
+        object.__setattr__(self, "coefficients", tuple(self.coefficients))
 
     @property
     def degree(self) -> int:
@@ -85,37 +90,80 @@ def moment_pairs(order: int) -> list[tuple[int, int]]:
     return [(a, total - a) for total in range(2, order + 1) for a in range(total + 1)]
 
 
-@dataclass(frozen=True)
+def _slot(a: int, b: int) -> int:
+    """Position of G^{a,b} in the flat state vector [x, p, G...] (moment_pairs order)."""
+    total = a + b
+    return total * (total + 1) // 2 - 1 + a
+
+
 class MomentState:
     """Expectation values (x, p) plus central moments up to a truncation order.
 
-    First moments are not stored: G^{1,0} = G^{0,1} = 0 by construction.
-    The same container carries time derivatives inside the integrator.
+    The values live in one read-only float vector [x, p, G..., 0] with G in
+    moment_pairs(order) order; G is a read-only mapping view of it.  The
+    trailing slot is always 0: first moments (G^{1,0} = G^{0,1} = 0 by
+    construction) and moments beyond the order read from it.  The same
+    container carries time derivatives inside the integrator.
     """
 
-    x: float
-    p: float
-    G: Mapping[tuple[int, int], float]
-    order: int = 2
+    __slots__ = ("_y", "_order")
+
+    def __init__(self, x: float, p: float, G: Mapping[tuple[int, int], float], order: int = 2):
+        """Every moment up to `order` not in G is 0; keys outside it are rejected."""
+        pairs = moment_pairs(order)
+        y = np.zeros(len(pairs) + 3)
+        y[0], y[1] = x, p
+        for key, val in G.items():
+            if key not in pairs:
+                raise DomainError(f"moment index {key} outside 2 <= a+b <= {order}")
+            y[_slot(*key)] = val
+        y.flags.writeable = False
+        self._y, self._order = y, order
+
+    @classmethod
+    def _wrap(cls, y: np.ndarray, order: int) -> "MomentState":
+        """A state over an existing vector [x, p, G..., 0], without copying or checks."""
+        s = object.__new__(cls)
+        s._y, s._order = y, order
+        return s
 
     @classmethod
     def make(cls, x: float, p: float, order: int = 2, G: Mapping[tuple[int, int], float] | None = None):
         """Build a state with every moment up to `order` present (missing -> 0)."""
-        table = dict.fromkeys(moment_pairs(order), 0.0)
-        for key, val in (G or {}).items():
-            if key not in table:
-                raise DomainError(f"moment index {key} outside 2 <= a+b <= {order}")
-            table[key] = float(val)
-        return cls(x=float(x), p=float(p), G=table, order=order)
+        return cls(x, p, G or {}, order)
+
+    @property
+    def x(self) -> float:
+        return float(self._y[0])
+
+    @property
+    def p(self) -> float:
+        return float(self._y[1])
+
+    @property
+    def order(self) -> int:
+        return self._order
+
+    @property
+    def G(self) -> Mapping[tuple[int, int], float]:
+        return MappingProxyType(dict(zip(moment_pairs(self._order), self._y[2:-1].tolist())))
 
     def moment(self, a: int, b: int) -> float:
         """G^{a,b} with the closure convention: first moments and moments
         beyond the truncation order read as zero."""
         if a < 0 or b < 0:
             raise DomainError("moment indices must be >= 0")
-        if a + b < 2 or a + b > self.order:
+        if a + b < 2 or a + b > self._order:
             return 0.0
-        return self.G[(a, b)]
+        return float(self._y[_slot(a, b)])
+
+    def __eq__(self, other):
+        if not isinstance(other, MomentState):
+            return NotImplemented
+        return self._order == other._order and np.array_equal(self._y, other._y)
+
+    def __repr__(self):
+        return f"MomentState(x={self.x!r}, p={self.p!r}, G={dict(self.G)!r}, order={self._order})"
 
 
 @dataclass(frozen=True)
@@ -151,14 +199,54 @@ def effective_hamiltonian(s: MomentState, V: PolynomialPotential, m: float) -> f
     (mixed p-x derivatives of a separable Hamiltonian vanish, and the kinetic
     term contributes only at a = 2).
     """
-    if s.order < 2:
-        raise DomainError("moment order must be >= 2")
     h = s.p * s.p / (2.0 * m) + V.value(s.x) + s.moment(2, 0) / (2.0 * m)
     for b in range(2, s.order + 1):
         if b > V.degree:
             break
         h += V.derivative(s.x, b) / math.factorial(b) * s.moment(0, b)
     return h
+
+
+@functools.lru_cache(maxsize=64)
+def _eom_tables(order: int, V: PolynomialPotential, m: float) -> SimpleNamespace:
+    """Index and weight tables of moment_eom for one (order, V, m).
+
+    Index arrays point into the state vector [x, p, G..., 0]; first moments
+    and moments beyond the truncation order point at its trailing zero slot.
+    Per-slot tables span the whole vector, with weight 0 outside G.  Entries
+    of `i0` and rows of `hi` run over n = 2..degree.  `horner` is the matrix
+    taking the powers of x to V^(n)(x), n = 1..degree, stored for Horner's
+    rule, which PolynomialPotential.derivative also uses: both agree bit for bit.
+    """
+    pairs = moment_pairs(order)
+    zero = len(pairs) + 2
+
+    def at(a, b):
+        return _slot(a, b) if a >= 0 and b >= 0 and 2 <= a + b <= order else zero
+
+    def per_slot(f, fill):
+        return [fill, fill] + [f(a, b) for a, b in pairs] + [fill]
+
+    ns = range(2, V.degree + 1)
+    deg = max(V.degree, 1)
+    derivs = np.zeros((deg, deg))  # row n-1, column k: weight of x^k in V^(n)(x)
+    for n in range(1, V.degree + 1):
+        for j in range(n, V.degree + 1):
+            derivs[n - 1, j - n] = V.coefficients[j] * math.perm(j, n)
+    tables = SimpleNamespace(
+        horner=tuple(derivs.T[::-1].copy()),  # item k: weights of x^(deg-1-k)
+        factorials=np.array([float(math.factorial(n - 1)) for n in range(1, deg + 1)]),
+        shift=np.array(per_slot(lambda a, b: at(a + 1, b - 1), zero)),
+        b_over_m=np.array(per_slot(lambda a, b: b / m, 0.0)),
+        a=np.array(per_slot(lambda a, b: float(a), 0.0)),
+        lo=np.array(per_slot(lambda a, b: at(a - 1, b), zero)),
+        i0=np.array([at(0, n - 1) for n in ns], dtype=int),
+        hi=tuple(np.array(per_slot(lambda a, b: at(a - 1, b + n - 1), zero)) for n in ns),
+    )
+    for table in (*vars(tables).values(), *tables.horner, *tables.hi):
+        if isinstance(table, np.ndarray):
+            table.flags.writeable = False
+    return tables
 
 
 def moment_eom(s: MomentState, V: PolynomialPotential, m: float) -> MomentState:
@@ -173,46 +261,71 @@ def moment_eom(s: MomentState, V: PolynomialPotential, m: float) -> MomentState:
 
     Moments outside the truncation are closed to zero.
     """
-    if s.order < 2:
-        raise DomainError("moment order must be >= 2")
-    dx = s.p / m
-    dp = -V.derivative(s.x, 1)
-    for b in range(2, s.order + 1):
-        if b + 1 > V.degree:
-            break
-        dp -= V.derivative(s.x, b + 1) / math.factorial(b) * s.moment(0, b)
-    dG = {}
-    for a, b in moment_pairs(s.order):
-        val = (b / m) * s.moment(a + 1, b - 1) if b > 0 else 0.0
-        if a > 0:
-            for n in range(2, V.degree + 1):
-                vn = V.derivative(s.x, n) / math.factorial(n - 1)
-                val += a * vn * (s.moment(0, n - 1) * s.moment(a - 1, b) - s.moment(a - 1, b + n - 1))
-        dG[(a, b)] = val
-    return MomentState(x=dx, p=dp, G=dG, order=s.order)
+    t = _eom_tables(s.order, V, m)
+    y = s._y
+    x = y[0]
+    vn, *lower = t.horner
+    for column in lower:
+        vn = vn * x + column
+    vn = (vn / t.factorials).tolist()  # V^(n)(x)/(n-1)!, n = 1..degree
+    g0 = y[t.i0].tolist()  # G^{0,n-1}, n = 2..degree
+    out = t.b_over_m * y[t.shift]
+    if g0:
+        # slots with a = 0 (and x, p, the zero slot) add a signed zero: a no-op but on -0.0
+        g_lo = y[t.lo]
+        for v, g, hi in zip(vn[1:], g0, t.hi):
+            out += (v * t.a) * (g * g_lo - y[hi])
+    out[0] = y[1] / m
+    dp = -vn[0]
+    for v, g in zip(vn[2:], g0[1:]):
+        dp -= v * g
+    out[1] = dp
+    return MomentState._wrap(out, s.order)
+
+
+class _StateRows(SequenceABC):
+    """MomentState views of the rows of a (T, k) trajectory array, built on
+    access; row 0 is the initial state object itself."""
+
+    def __init__(self, first: MomentState, rows: np.ndarray):
+        self._first, self._rows = first, rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        j = range(len(self))[i]
+        return self._first if j == 0 else MomentState._wrap(self._rows[j], self._first.order)
+
+    def __iter__(self) -> Iterator[MomentState]:
+        yield self._first
+        for row in self._rows[1:]:
+            yield MomentState._wrap(row, self._first.order)
 
 
 @dataclass(frozen=True, eq=False)
 class MomentTrajectory:
-    """Sampled output of integrate(); iterating yields (t, MomentState)."""
+    """Sampled output of integrate(); iterating yields (t, MomentState).
+
+    states is backed by one (T, k) array; its MomentState objects are views
+    of its rows, built when they are read.  worst_uncertainty_deficit is the
+    largest relative drop of the uncertainty product below its reference
+    over the samples after the first (0 when it never drops): the number
+    behind the warning.
+    """
 
     times: np.ndarray
     states: Sequence[MomentState]
     warnings: tuple[str, ...] = field(default=())
+    worst_uncertainty_deficit: float = 0.0
 
     def __iter__(self) -> Iterator[tuple[float, MomentState]]:
         return zip(self.times, self.states)
 
     def __len__(self) -> int:
         return len(self.states)
-
-
-def _pack(s: MomentState, pairs) -> np.ndarray:
-    return np.array([s.x, s.p] + [s.G[k] for k in pairs])
-
-
-def _unpack(y: np.ndarray, pairs, order: int) -> MomentState:
-    return MomentState(x=y[0], p=y[1], G=dict(zip(pairs, y[2:])), order=order)
 
 
 def integrate(
@@ -239,19 +352,16 @@ def integrate(
         raise DomainError("dt must be > 0")
     if t_end <= 0:
         raise DomainError("t_end must be > 0")
-    pairs = moment_pairs(s0.order)
     order = s0.order
 
     def rhs(y: np.ndarray) -> np.ndarray:
-        return _pack(moment_eom(_unpack(y, pairs, order), V, m), pairs)
+        return moment_eom(MomentState._wrap(y, order), V, m)._y
 
     n_steps = max(1, int(round(t_end / dt)))
-    y = _pack(s0, pairs)
-    comp = np.zeros_like(y)
     times = dt * np.arange(n_steps + 1)
-    states = [s0]
-    reference = hbar * hbar / 4.0 if hbar is not None else uncertainty_product(s0)
-    worst = 0.0
+    rows = np.empty((n_steps + 1, s0._y.size))
+    rows[0] = y = s0._y
+    comp = np.zeros_like(y)
     for step in range(1, n_steps + 1):
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * dt * k1)
@@ -264,18 +374,22 @@ def integrate(
         y = total
         if not np.isfinite(y).all():
             raise NumericalError(f"moment state is not finite at step {step} (t = {times[step]:.6g})")
-        state = _unpack(y, pairs, order)
-        states.append(state)
-        if reference > 0:
-            deficit = (reference - uncertainty_product(state)) / reference
-            worst = max(worst, deficit)
+        rows[step] = y
+    rows.flags.writeable = False
+    # uncertainty product G02 G20 - G11^2 of every sample (slots 2, 3, 4)
+    product = rows[:, 2] * rows[:, 4] - rows[:, 3] ** 2
+    reference = hbar * hbar / 4.0 if hbar is not None else product[0]
+    worst = 0.0
+    if reference > 0:
+        worst = max(0.0, float(((reference - product[1:]) / reference).max()))
     warnings = ()
     if worst > 1e-6:
         warnings = (
             f"uncertainty product fell {worst:.2e} (relative) below its reference; "
             "likely a truncation artifact of the closed hierarchy",
         )
-    return MomentTrajectory(times=times, states=states, warnings=warnings)
+    return MomentTrajectory(times=times, states=_StateRows(s0, rows), warnings=warnings,
+                            worst_uncertainty_deficit=worst)
 
 
 def closed_form_linear(ic, m: float, t):
@@ -301,8 +415,6 @@ def closed_form_linear(ic, m: float, t):
 
 def uncertainty_product(s: MomentState) -> float:
     """G^{0,2} G^{2,0} - (G^{1,1})^2; compare against hbar^2/4."""
-    if s.order < 2:
-        raise DomainError("moment order must be >= 2")
     return s.moment(0, 2) * s.moment(2, 0) - s.moment(1, 1) ** 2
 
 

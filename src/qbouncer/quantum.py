@@ -129,7 +129,7 @@ def _position_matrix(zeros: np.ndarray, power: int) -> np.ndarray:
     off, diag = {1: (2.0, 2.0 / 3.0), 2: (24.0, 8.0 / 15.0)}[power]
     idx = np.arange(zeros.size)
     sign = np.where((idx[:, None] - idx[None, :]) % 2, 1.0, -1.0)
-    gap = zeros[:, None] - zeros[None, :]
+    gap = np.abs(zeros[:, None] - zeros[None, :])  # abs: numpy's pow rounds (-d)^4 and d^4 apart
     np.fill_diagonal(gap, 1.0)
     out = off * sign / gap ** (2 * power)
     np.fill_diagonal(out, diag * zeros**power)
@@ -214,7 +214,8 @@ def project_packet(p: PacketSpec, basis: Eigenbasis, quad: QuadratureSpec = DEFA
     The full-line Gaussian is clipped to x >= 0 and renormalized; the clipped
     mass must be below 1e-6 (x0 >= 4 sigma guarantees that comfortably).
     Raises InsufficientBasisError when more than 1e-3 of the norm falls
-    outside the truncated basis.
+    outside the truncated basis; before any quadrature when more than that
+    much of the packet lies where every basis state has decayed.
     """
     if not math.isfinite(p.sigma):
         raise DomainError("projection needs a finite packet width")
@@ -222,6 +223,16 @@ def project_packet(p: PacketSpec, basis: Eigenbasis, quad: QuadratureSpec = DEFA
     if clip > _HALF_LINE_CLIP_LIMIT:
         raise DomainError(
             f"packet mass {clip:.2e} at x < 0 exceeds {_HALF_LINE_CLIP_LIMIT}; need x0 >~ 4 sigma"
+        )
+    # the packet mass beyond the top state's turning point plus _TAIL_MARGIN is
+    # lost to any projection, so it bounds the truncation loss from below; this
+    # also keeps the quadrature below from sizing itself to a far-away packet
+    top = (float(basis.zeros[-1]) + _TAIL_MARGIN) * basis.units.l_g
+    beyond = 0.5 * math.erfc(math.sqrt(2.0) * (top - p.x0) / p.sigma)
+    if beyond > _TRUNCATION_LIMIT:
+        raise InsufficientBasisError(
+            f"packet mass {beyond:.2e} lies above the top state's turning point; "
+            f"increase n_max beyond {basis.n_max}"
         )
     rescale = 1.0 / math.sqrt(1.0 - clip)
     lo = max(0.0, p.x0 - 9.0 * p.sigma)

@@ -1,0 +1,66 @@
+"""Reference moment equations: the dict-loop right-hand side the array form in
+qbouncer.moments replaced, and a plain RK4 driven by it.
+
+Both read states only through MomentState's public accessors (x, p,
+moment(a, b)) and evaluate V^(n) with PolynomialPotential.derivative, so
+they share no index table or weight with the code under test.
+"""
+
+import math
+
+import numpy as np
+
+from qbouncer.moments import MomentState, PolynomialPotential, moment_pairs
+
+
+def moment_eom(s: MomentState, V: PolynomialPotential, m: float) -> MomentState:
+    """Time derivative of s, one moment at a time:
+
+        dx/dt = p/m
+        dp/dt = -V'(x) - sum_b V^(b+1)(x)/b! * G^{0,b}
+        dG^{a,b}/dt = (b/m) G^{a+1,b-1}
+                      + a * sum_{n>=2} V^(n)(x)/(n-1)! *
+                        [G^{0,n-1} G^{a-1,b} - G^{a-1,b+n-1}]
+
+    Moments outside the truncation read as zero through s.moment.
+    """
+    dx = s.p / m
+    dp = -V.derivative(s.x, 1)
+    for b in range(2, s.order + 1):
+        if b + 1 > V.degree:
+            break
+        dp -= V.derivative(s.x, b + 1) / math.factorial(b) * s.moment(0, b)
+    dG = {}
+    for a, b in moment_pairs(s.order):
+        val = (b / m) * s.moment(a + 1, b - 1) if b > 0 else 0.0
+        if a > 0:
+            for n in range(2, V.degree + 1):
+                vn = V.derivative(s.x, n) / math.factorial(n - 1)
+                val += a * vn * (s.moment(0, n - 1) * s.moment(a - 1, b) - s.moment(a - 1, b + n - 1))
+        dG[(a, b)] = val
+    return MomentState(dx, dp, dG, s.order)
+
+
+def as_vector(s: MomentState) -> np.ndarray:
+    """[x, p, G...] in moment_pairs(s.order) order."""
+    return np.array([s.x, s.p] + [s.moment(a, b) for a, b in moment_pairs(s.order)])
+
+
+def rk4(s0: MomentState, V: PolynomialPotential, m: float, dt: float, steps: int) -> np.ndarray:
+    """Classical RK4 (no compensated sum) on moment_eom above; row k is the
+    state after k steps, as as_vector gives it."""
+    pairs = moment_pairs(s0.order)
+
+    def rhs(y):
+        s = MomentState(y[0], y[1], dict(zip(pairs, y[2:])), s0.order)
+        return as_vector(moment_eom(s, V, m))
+
+    rows = [as_vector(s0)]
+    for _ in range(steps):
+        y = rows[-1]
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        rows.append(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return np.array(rows)

@@ -1,6 +1,7 @@
 """CLI scenarios: CSV output, config handling, exit codes, determinism."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -97,6 +98,17 @@ class TestQuantumScenario:
         ])
         assert rc == 3
         assert "n_max" in capsys.readouterr().err
+
+    def test_far_packet_refused_before_quadrature(self, tmp_path, capsys):
+        # the neutron preset reads the default --x0 10 --sigma 2 as metres
+        # (~1.7e6 l_g), far above every basis state; a projection quadrature
+        # sized to that packet would need ~1 GiB of nodes
+        start = time.perf_counter()
+        rc = main(["quantum", "--preset", "neutron", "--out", str(tmp_path / "q.csv")])
+        elapsed = time.perf_counter() - start
+        assert rc == 3
+        assert "turning point" in capsys.readouterr().err
+        assert elapsed < 1.0
 
 
 class TestMomentsScenario:

@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moment_oracle
 from qbouncer.classical import BounceSpec, bounce_trajectory
 from qbouncer.errors import DomainError, NumericalError
 from qbouncer.moments import (
@@ -57,6 +58,9 @@ class TestMomentState:
     def test_make_fills_and_validates(self):
         s = MomentState.make(1.0, 2.0, order=3, G={(0, 2): 0.5})
         assert s.moment(0, 2) == 0.5 and s.moment(3, 0) == 0.0
+        assert list(s.G) == moment_pairs(3) and s.G[(0, 2)] == 0.5
+        with pytest.raises(TypeError):
+            s.G[(0, 2)] = 1.0
         with pytest.raises(DomainError):
             MomentState.make(0.0, 0.0, order=2, G={(0, 3): 1.0})
 
@@ -140,6 +144,26 @@ class TestEquationsOfMotion:
         d = moment_eom(s, V, 1.0)
         # dp/dt = -V'(x) - V'''(x)/2 * G02
         assert d.p == pytest.approx(-V.derivative(1.2, 1) - 0.5 * V.derivative(1.2, 3) * 0.3, rel=1e-14)
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize(
+        "coefficients",
+        [(0.3, -1.2), (0.1, 0.4, 0.9), (0.0, -0.2, 0.5, 0.35), (0.2, 0.1, -0.3, 0.25, 0.125)],
+        ids=["linear", "quadratic", "cubic", "quartic"],
+    )
+    def test_matches_dict_loop_oracle(self, order, coefficients):
+        # random non-Gaussian states: odd moments and G^{0,n-1} for n >= 3 are
+        # nonzero, so the quadratic closure term G^{0,n-1} G^{a-1,b} and the
+        # index (a-1, b+n-1) both show; the harmonic and gravity tests above
+        # cannot see them (G^{0,1} = 0 and V''' = 0 there).  Measured: equal.
+        rng = np.random.default_rng(order)
+        V = PolynomialPotential(coefficients)
+        for _ in range(5):
+            G = {key: rng.uniform(-1.0, 1.0) for key in moment_pairs(order)}
+            s = MomentState.make(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), order, G)
+            got = moment_oracle.as_vector(moment_eom(s, V, 0.7))
+            want = moment_oracle.as_vector(moment_oracle.moment_eom(s, V, 0.7))
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 class TestClosedForm:
@@ -229,6 +253,7 @@ class TestIntegrate:
         traj = integrate(s0, V, self.u.m, 10 * 2 * T, T / 1000, hbar=self.u.hbar)
         ups = np.array([uncertainty_product(s) for _, s in traj])
         assert np.abs(ups / (self.u.hbar**2 / 4.0) - 1).max() < 1e-12
+        assert 0.0 <= traj.worst_uncertainty_deficit <= 1e-12
 
     def test_momentum_dispersion_constant(self):
         ic, V, s0 = self.linear_setup()
@@ -322,6 +347,8 @@ class TestIntegrate:
         # reference hbar chosen so hbar^2/4 exceeds the actual product
         traj = integrate(s0, V, self.u.m, 0.1, 0.01, hbar=2.0)
         assert traj.warnings and "uncertainty" in traj.warnings[0]
+        assert traj.worst_uncertainty_deficit > 1e-6
+        assert f"{traj.worst_uncertainty_deficit:.2e}" in traj.warnings[0]
 
     def test_invalid_steps(self):
         _, V, s0 = self.linear_setup()
@@ -339,12 +366,35 @@ class TestIntegrate:
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match=r"step 553 \(t = 5\.53\)"):
             integrate(s0, V, 1.0, 10.0, 0.01)
 
+    @pytest.mark.parametrize("order", [4, 6])
+    def test_quartic_run_matches_oracle_rk4(self, order):
+        # 200 steps of V = x^2/2 + 0.05 x^3 + 0.1 x^4 from Gaussian moments
+        # against plain RK4 on the dict-loop equations; the compensated and
+        # plain sums part by a few eps per step (measured 3e-15 at order 4,
+        # 9e-15 at order 6, relative to each moment's largest value)
+        V = PolynomialPotential((0.0, 0.0, 0.5, 0.05, 0.1))
+
+        def gaussian(a, b, spp=0.25, sxx=1.0):
+            if a % 2 or b % 2:
+                return 0.0
+            return math.prod(range(a - 1, 0, -2)) * spp ** (a // 2) * math.prod(range(b - 1, 0, -2)) * sxx ** (b // 2)
+
+        s0 = MomentState.make(1.0, 0.0, order, {key: gaussian(*key) for key in moment_pairs(order)})
+        traj = integrate(s0, V, 1.0, 2.0, 0.01)
+        want = moment_oracle.rk4(s0, V, 1.0, 0.01, 200)
+        got = np.array([moment_oracle.as_vector(s) for s in traj.states])
+        assert got.shape == want.shape
+        assert (np.abs(got - want) / np.abs(want).max(axis=0)).max() < 1e-13
+
     def test_trajectory_iterates_pairs(self):
         _, V, s0 = self.linear_setup()
         traj = integrate(s0, V, self.u.m, 0.1, 0.05)
         pairs = list(traj)
         assert len(pairs) == len(traj) == 3
         assert pairs[0][0] == 0.0 and pairs[0][1] is s0
+        # states are built from the trajectory array on each read
+        assert traj.states[0] is s0 and traj.states[-1] == pairs[-1][1]
+        assert traj.states[1:] == [s for _, s in pairs[1:]]
 
 
 class TestUncertaintyProduct:

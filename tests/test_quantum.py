@@ -54,13 +54,13 @@ class TestBasis:
     def test_x_matrix_symmetric(self, basis12):
         # the imaginary part of c^dagger X c is a^T (X - X^T) b, so symmetry
         # is what lets the observables take the real form a^T X a + b^T X b
-        # with no residue check.  <m|x|n> is symmetric exactly; numpy's
-        # vectorized pow does not give (-d)^4 and d^4 the same last bit, so
-        # <m|x^2|n> is symmetric to 2 ulp (measured 1.6 eps relative, N <= 200)
+        # with no residue check.  Both are symmetric exactly: the gaps enter
+        # as |x_m - x_n|, since numpy's vectorized pow rounds (-d)^4 and d^4
+        # apart (by up to 1.6 eps, N <= 200)
         m = basis12.x_matrix
         assert np.abs(m - m.T).max() == 0.0
         m2 = basis12.x2_matrix()
-        assert (np.abs(m2 - m2.T) <= 2 * np.finfo(float).eps * np.abs(m2)).all()
+        assert np.array_equal(m2, m2.T)
 
     def test_diagonal_elements(self, basis26, x_by_quadrature):
         # closed-form <n|x|n> = 2 x_n / 3 against adaptive quadrature of
