@@ -41,11 +41,9 @@ from .quantum import (
 )
 from .scaling import (
     UnitSystem,
-    from_dimensionless,
     make_units,
     natural_units,
     neutron_units,
-    to_dimensionless,
 )
 from .specfun import (
     AiryValue,

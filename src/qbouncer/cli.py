@@ -253,6 +253,8 @@ def run_compare(cfg: ScenarioConfig):
     Sub-scenarios are disabled by zeroing their controls (nmax=0 or sigma=0
     for the spectral column, sigma=0 for the series, alpha=0 for the
     envelope/moment columns); disabled or failed columns are left empty.
+    The envelope x_cl +- sqrt(G02) describes the packet on the first arc
+    [0, T] only: its moment clock runs straight through each bounce.
     """
     u = cfg.units
     grid = _time_grid(cfg)

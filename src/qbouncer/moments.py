@@ -348,10 +348,9 @@ def integrate(
     (truncation of a nonlinear hierarchy can do this; it is not fatal).
     A non-finite state is fatal: NumericalError names its step and time.
     """
-    if dt <= 0:
-        raise DomainError("dt must be > 0")
-    if t_end <= 0:
-        raise DomainError("t_end must be > 0")
+    for name, value in (("dt", dt), ("t_end", t_end)):
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be finite and > 0, got {value!r}")
     order = s0.order
 
     def rhs(y: np.ndarray) -> np.ndarray:

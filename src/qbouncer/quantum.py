@@ -8,7 +8,8 @@ integral of Ai(u - x_n)^2 from 0 equals Ai'(-x_n)^2 when Ai(-x_n) = 0.
 
 The position matrix elements have closed forms in the zeros x_n alone
 (Goodmanson, Am. J. Phys. 68, 866 (2000); Gea-Banacloche, Am. J. Phys. 67,
-776 (1999)); quadrature only checks the norms at build time.
+776 (1999)); quadrature checks the norms at build time and projects packets
+onto the basis, one vector-valued integral over all states per projection.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .classical import _bounce_series, _check_times
 from .errors import DomainError, InsufficientBasisError, NumericalError
 from .scaling import UnitSystem
-from .specfun import DEFAULT_QUAD, QuadratureSpec, airy_ai, airy_ai_prime, airy_zeros, integrate_1d
+from .specfun import airy_ai, airy_ai_prime, airy_zeros, integrate_1d
 
 __all__ = [
     "PacketSpec",
@@ -30,7 +31,6 @@ __all__ = [
     "build_basis",
     "project_packet",
     "project_function",
-    "overlap_matrix",
     "evolve",
     "expectation_x",
     "expectation_x_evolution",
@@ -116,8 +116,18 @@ class SpectralState:
         return 1.0 - float(np.sum(np.abs(self.coefficients) ** 2))
 
 
-def _dimensionless_eigenfunction(zeros, norms, n_index, x_star):
-    return norms[n_index] * airy_ai(x_star - zeros[n_index])
+def _initial_panels(span_star: float) -> int:
+    """Starting panel count for integrate_1d over span_star l_g: panels of at
+    most 0.6 l_g, at least 8."""
+    return max(8, int(math.ceil(span_star / 0.6)))
+
+
+def _eigenfunction_table(basis: Eigenbasis, x) -> np.ndarray:
+    """(points x n_max) table psi_n(x_k) = N_n Ai(x_k/l_g - x_n) / sqrt(l_g)."""
+    l_g = basis.units.l_g
+    x_star = np.atleast_1d(np.asarray(x, dtype=float)) / l_g
+    table = basis.norms[None, :] * airy_ai(x_star[:, None] - basis.zeros[None, :])
+    return table / math.sqrt(l_g)
 
 
 def _position_matrix(zeros: np.ndarray, power: int) -> np.ndarray:
@@ -136,28 +146,7 @@ def _position_matrix(zeros: np.ndarray, power: int) -> np.ndarray:
     return out
 
 
-def _weighted_matrix(basis: Eigenbasis, power: int, quad: QuadratureSpec) -> np.ndarray:
-    """Dimensionless matrix of integral psi_m psi_n (x*)^power on [0, inf), by quadrature."""
-    zeros, norms = basis.zeros, basis.norms
-    n = basis.n_max
-    upper = float(zeros[-1]) + _TAIL_MARGIN
-    panels = max(8, int(math.ceil(upper / 0.6)))
-    out = np.empty((n, n))
-    for mi in range(n):
-        for ni in range(mi, n):
-            def integrand(x, mi=mi, ni=ni):
-                val = _dimensionless_eigenfunction(zeros, norms, mi, x)
-                val = val * _dimensionless_eigenfunction(zeros, norms, ni, x)
-                return val * x**power if power else val
-            try:
-                v = integrate_1d(integrand, 0.0, upper, quad, initial_panels=panels)
-            except NumericalError as exc:
-                raise NumericalError(f"matrix element ({mi + 1}, {ni + 1}) failed: {exc}") from exc
-            out[mi, ni] = out[ni, mi] = v
-    return out
-
-
-def build_basis(n_max: int, u: UnitSystem, quad: QuadratureSpec = DEFAULT_QUAD) -> Eigenbasis:
+def build_basis(n_max: int, u: UnitSystem) -> Eigenbasis:
     """Construct the first n_max eigenstates and their position matrix.
 
     Each N_n is verified against the quadrature norm to 1e-8 before the
@@ -175,40 +164,35 @@ def build_basis(n_max: int, u: UnitSystem, quad: QuadratureSpec = DEFAULT_QUAD) 
         norms=norms,
         x_matrix=np.empty((0, 0)),
     )
+    # one scalar integral per state: a single vector-valued call over the whole
+    # [0, x_N + margin] range would hold an (points x N) table at once
     upper = float(zeros[-1]) + _TAIL_MARGIN
-    panels = max(8, int(math.ceil(upper / 0.6)))
+    panels = _initial_panels(upper)
     for i in range(n_max):
         def sq(x, i=i):
-            return _dimensionless_eigenfunction(zeros, norms, i, x) ** 2
-        nrm = integrate_1d(sq, 0.0, upper, quad, initial_panels=panels)
+            return (norms[i] * airy_ai(x - zeros[i])) ** 2
+        nrm = integrate_1d(sq, 0.0, upper, initial_panels=panels)
         if abs(nrm - 1.0) > _NORM_CHECK_TOL:
             raise NumericalError(f"norm of eigenstate {i + 1} is {nrm}, off by >{_NORM_CHECK_TOL}")
     basis.x_matrix = u.l_g * _position_matrix(zeros, power=1)
     return basis
 
 
-def overlap_matrix(basis: Eigenbasis, quad: QuadratureSpec = DEFAULT_QUAD) -> np.ndarray:
-    """Gram matrix <m|n> by quadrature (identity up to quadrature error)."""
-    return _weighted_matrix(basis, power=0, quad=quad)
-
-
-def project_function(func, basis: Eigenbasis, quad: QuadratureSpec, lo: float, hi: float) -> SpectralState:
+def project_function(func, basis: Eigenbasis, lo: float, hi: float) -> SpectralState:
     """Project an arbitrary real wave function (physical coordinates) onto the basis.
 
-    func must be vectorized; [lo, hi] must cover its support.
+    func must be vectorized; [lo, hi] must cover its support.  All n_max
+    coefficients come from one vector-valued adaptive quadrature.
     """
-    l_g = basis.units.l_g
-    root = math.sqrt(l_g)
-    coeffs = np.empty(basis.n_max)
-    panels = max(8, int(math.ceil((hi - lo) / (0.6 * l_g))))
-    for i in range(basis.n_max):
-        def integrand(x, i=i):
-            return _dimensionless_eigenfunction(basis.zeros, basis.norms, i, x / l_g) * func(x) / root
-        coeffs[i] = integrate_1d(integrand, lo, hi, quad, initial_panels=panels)
+    def integrand(x):
+        return _eigenfunction_table(basis, x) * func(x)[:, None]
+
+    panels = _initial_panels((hi - lo) / basis.units.l_g)
+    coeffs = integrate_1d(integrand, lo, hi, initial_panels=panels)
     return SpectralState(basis=basis, coefficients=coeffs.astype(complex), time=0.0)
 
 
-def project_packet(p: PacketSpec, basis: Eigenbasis, quad: QuadratureSpec = DEFAULT_QUAD) -> SpectralState:
+def project_packet(p: PacketSpec, basis: Eigenbasis) -> SpectralState:
     """Expand a Gaussian packet over the basis at t = 0.
 
     The full-line Gaussian is clipped to x >= 0 and renormalized; the clipped
@@ -237,7 +221,7 @@ def project_packet(p: PacketSpec, basis: Eigenbasis, quad: QuadratureSpec = DEFA
     rescale = 1.0 / math.sqrt(1.0 - clip)
     lo = max(0.0, p.x0 - 9.0 * p.sigma)
     hi = p.x0 + 9.0 * p.sigma
-    state = project_function(lambda x: rescale * p.wavefunction(x), basis, quad, lo, hi)
+    state = project_function(lambda x: rescale * p.wavefunction(x), basis, lo, hi)
     if state.truncation_loss > _TRUNCATION_LIMIT:
         raise InsufficientBasisError(
             f"truncation loss {state.truncation_loss:.2e} above {_TRUNCATION_LIMIT}; "
@@ -298,10 +282,7 @@ def variance_x(s: SpectralState) -> float:
 
 def reconstruct(s: SpectralState, x) -> np.ndarray:
     """Wave function at physical heights x from the truncated expansion."""
-    l_g = s.basis.units.l_g
-    x_star = np.atleast_1d(np.asarray(x, dtype=float)) / l_g
-    table = s.basis.norms[None, :] * airy_ai(x_star[:, None] - s.basis.zeros[None, :])
-    return (table / math.sqrt(l_g)) @ s.coefficients
+    return _eigenfunction_table(s.basis, x) @ s.coefficients
 
 
 def expectation_x_series(p: PacketSpec, t, n_terms: int):

@@ -18,8 +18,6 @@ __all__ = [
     "neutron_units",
     "natural_units",
     "units_from_preset",
-    "to_dimensionless",
-    "from_dimensionless",
 ]
 
 # CODATA / SI exact values.
@@ -77,13 +75,3 @@ def units_from_preset(name: str) -> UnitSystem:
         return _PRESETS[name]()
     except KeyError:
         raise DomainError(f"unknown unit preset {name!r}; known: {sorted(_PRESETS)}") from None
-
-
-def to_dimensionless(x: float, energy: float, t: float, u: UnitSystem):
-    """(x, E, t) -> (x/l_g, E/e_g, t/t_g)."""
-    return x / u.l_g, energy / u.e_g, t / u.t_g
-
-
-def from_dimensionless(x_star: float, e_star: float, t_star: float, u: UnitSystem):
-    """Inverse of to_dimensionless."""
-    return x_star * u.l_g, e_star * u.e_g, t_star * u.t_g

@@ -299,17 +299,20 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
 def _panel_values(f, lo, hi):
+    """Gauss-Legendre sums of f over each panel: shape (panels, *component_shape)."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
     flat = nodes.ravel()
-    try:
-        vals = np.asarray(f(flat), dtype=float)
-        if vals.shape != flat.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        vals = np.array([float(f(x)) for x in flat])
-    return half * (vals.reshape(nodes.shape) @ _GL_WEIGHTS)
+    vals = np.asarray(f(flat), dtype=float)
+    if vals.shape[:1] != flat.shape:
+        raise DomainError(
+            f"integrand returned shape {vals.shape} for {flat.size} points; "
+            "its leading axis must run over the points"
+        )
+    tail = vals.shape[1:]
+    vals = np.moveaxis(vals.reshape(nodes.shape + tail), 1, -1)
+    return half.reshape(half.shape + (1,) * len(tail)) * (vals @ _GL_WEIGHTS)
 
 
 def integrate_1d(
@@ -318,17 +321,20 @@ def integrate_1d(
     b: float,
     spec: QuadratureSpec = DEFAULT_QUAD,
     initial_panels: int = 1,
-) -> float:
+) -> float | np.ndarray:
     """Adaptive composite 15-point Gauss-Legendre integral of f on [a, b].
 
-    The integrand should accept an ndarray of evaluation points (a scalar
-    fallback is provided but slow).  Panels are bisected until the change
-    under refinement is below the locally apportioned tolerance
-    max(abs_tol, rel_tol*|result|) * panel_width / (b - a).  Deterministic
+    f takes an ndarray of P evaluation points and returns an array of shape
+    (P, *shape); the result has that trailing shape (a float for shape ()).
+    Panels are bisected until, for every component k, the change under
+    refinement is below the locally apportioned tolerance
+    max(abs_tol, rel_tol*|result_k|) * panel_width / (b - a).  Deterministic
     for fixed inputs.
 
-    Raises QuadratureError (carrying the best estimate and its error bound)
-    if max_subdivisions panel splits are not enough.
+    Raises DomainError if f's result does not have the points on its leading
+    axis, and QuadratureError (carrying the best estimate and its error
+    bound, both of the component shape) if max_subdivisions panel splits are
+    not enough.
     """
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
         raise DomainError("integration interval must satisfy a < b and be finite")
@@ -342,22 +348,22 @@ def integrate_1d(
     accepted_err = 0.0
     splits = 0
     while lo.size:
-        estimate = accepted_sum + parent.sum()
-        tol = max(spec.abs_tol, spec.rel_tol * abs(estimate))
+        estimate = accepted_sum + parent.sum(axis=0)
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(estimate))
         mid = 0.5 * (lo + hi)
         child_lo = np.concatenate([lo, mid])
         child_hi = np.concatenate([mid, hi])
         child = _panel_values(f, child_lo, child_hi)
         refined = child[: lo.size] + child[lo.size :]
         err = np.abs(refined - parent)
-        ok = err <= tol * (hi - lo) / span
-        accepted_sum += refined[ok].sum()
-        accepted_err += err[ok].sum()
+        ok = (err.reshape(lo.size, -1) <= tol.reshape(-1) * (hi - lo)[:, None] / span).all(axis=1)
+        accepted_sum += refined[ok].sum(axis=0)
+        accepted_err += err[ok].sum(axis=0)
         bad = ~ok
         splits += int(bad.sum())
         if splits > spec.max_subdivisions:
-            best = accepted_sum + refined[bad].sum()
-            bound = accepted_err + err[bad].sum()
+            best = accepted_sum + refined[bad].sum(axis=0)
+            bound = accepted_err + err[bad].sum(axis=0)
             raise QuadratureError(
                 f"subdivision cap {spec.max_subdivisions} exceeded on [{a}, {b}]",
                 best_estimate=best,

@@ -1,0 +1,32 @@
+"""Airy-basis matrices by adaptive quadrature: the oracle that the closed-form
+position matrices and the orthonormality of the basis are checked against.
+
+The eigenfunctions are evaluated here from the zeros and norms directly, not
+through the package's projection table.
+"""
+
+import numpy as np
+
+from qbouncer.quantum import _TAIL_MARGIN, _initial_panels
+from qbouncer.specfun import airy_ai, integrate_1d
+
+
+def weighted_matrix(basis, power):
+    """Dimensionless matrix of integral psi_m psi_n (x*)^power on [0, inf),
+    every entry m <= n from one vector-valued quadrature."""
+    rows, cols = np.triu_indices(basis.n_max)
+
+    def integrand(x):
+        psi = basis.norms * airy_ai(x[:, None] - basis.zeros)
+        return psi[:, rows] * psi[:, cols] * (x**power)[:, None]
+
+    upper = float(basis.zeros[-1]) + _TAIL_MARGIN
+    values = integrate_1d(integrand, 0.0, upper, initial_panels=_initial_panels(upper))
+    out = np.empty((basis.n_max, basis.n_max))
+    out[rows, cols] = out[cols, rows] = values
+    return out
+
+
+def overlap_matrix(basis):
+    """Gram matrix <m|n> (identity up to quadrature error)."""
+    return weighted_matrix(basis, 0)

@@ -28,11 +28,11 @@ from qbouncer.quantum import (
     build_basis,
     expectation_x_evolution,
     expectation_x_series,
-    overlap_matrix,
     project_packet,
 )
 from qbouncer.scaling import EV_IN_JOULE, natural_units, neutron_units
 from qbouncer.specfun import airy_zero, airy_zero_asymptotic
+from quadrature_oracle import overlap_matrix
 from series_tail import truncation_sup
 
 

@@ -19,6 +19,7 @@ from qbouncer.errors import DomainError
 from qbouncer.moments import SaturatedIC, closed_form_linear, envelope
 from qbouncer.quantum import (
     PacketSpec,
+    build_basis,
     evolve,
     expectation_x_evolution,
     expectation_x_series,
@@ -72,6 +73,31 @@ def test_envelope_brackets_spectral_mean(packet_state, units):
     mean = expectation_x_evolution(packet_state, ts)
     lo, hi = envelope(X0, ic, units.m, units.g, ts)
     assert ((lo <= mean) & (mean <= hi)).all()
+
+
+def test_half_revival_at_half_the_revival_time(units):
+    # criterion 09's packet (N = 64, x0 = 25, sigma = 2): its <x> amplitude
+    # recovers where the quadratic dephasing of the spectrum around
+    # n_bar = sum n |c_n|^2 rephases half-way, T_rev / 2 with
+    # T_rev = 4 pi hbar / |E''(n_bar)| (Gea-Banacloche, Am. J. Phys. 67, 776
+    # (1999)); E'' is the second difference of the energies e_g x_n at the
+    # state nearest n_bar.  Measured: n_bar = 27.19, T_rev = 160.9 periods,
+    # amplitude peak in period 81 (criterion 09's count)
+    state = project_packet(PacketSpec(x0=25.0, sigma=2.0), build_basis(64, units))
+    weights = np.abs(state.coefficients) ** 2
+    n_bar = float(np.arange(1, 65) @ weights / weights.sum())
+    k = round(n_bar) - 1
+    energies = state.basis.energies
+    curvature = energies[k + 1] - 2.0 * energies[k] + energies[k - 1]
+    period = 2.0 * BounceSpec(25.0, units.g).drop_time
+    half_revival = 2.0 * math.pi * units.hbar / abs(curvature) / period
+
+    ts = np.linspace(0.0, 100 * period, 20001)
+    per_period = expectation_x_evolution(state, ts)[:20000].reshape(100, 200)
+    amps = per_period.max(axis=1) - per_period.min(axis=1)
+    i_min = int(amps.argmin())
+    i_rev = i_min + int(amps[i_min:].argmax())
+    assert abs(i_rev - half_revival) <= 1.0
 
 
 TIME_ENTRY_POINTS = {

@@ -357,6 +357,14 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(s0, V, self.u.m, 0.0, 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["t_end", "dt"])
+    def test_non_finite_steps_rejected(self, name, bad):
+        _, V, s0 = self.linear_setup()
+        args = {"t_end": 1.0, "dt": 0.1, name: bad}
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            integrate(s0, V, self.u.m, args["t_end"], args["dt"])
+
     def test_non_finite_state_raises(self):
         # V = x^2/2 + 0.1 x^4 at order 4 from Gaussian moments blows up; the
         # first non-finite state is the one after step 553 (t = 5.53)

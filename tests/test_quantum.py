@@ -5,25 +5,24 @@ import math
 import numpy as np
 import pytest
 
+import qbouncer.quantum as quantum
 from qbouncer.classical import BounceSpec, bounce_fourier, bounce_trajectory
 from qbouncer.errors import DomainError, InsufficientBasisError, NumericalError
 from qbouncer.quantum import (
     PacketSpec,
     SpectralState,
-    _weighted_matrix,
     build_basis,
     evolve,
     expectation_x,
     expectation_x_evolution,
     expectation_x_series,
-    overlap_matrix,
     project_function,
     project_packet,
     reconstruct,
     variance_x,
     variance_x_evolution,
 )
-from qbouncer.specfun import DEFAULT_QUAD
+from quadrature_oracle import overlap_matrix, weighted_matrix
 from series_tail import truncation_sup
 
 PACKET = PacketSpec(x0=10.0, sigma=1.5)
@@ -36,7 +35,7 @@ def packet_state(basis26):
 
 @pytest.fixture(scope="module")
 def x_by_quadrature(basis26, units):
-    return _weighted_matrix(basis26, 1, DEFAULT_QUAD) * units.l_g
+    return weighted_matrix(basis26, 1) * units.l_g
 
 
 class TestBasis:
@@ -64,7 +63,7 @@ class TestBasis:
 
     def test_diagonal_elements(self, basis26, x_by_quadrature):
         # closed-form <n|x|n> = 2 x_n / 3 against adaptive quadrature of
-        # psi_n^2 x; measured gap 5.6e-14 l_g over the full matrix at N = 26
+        # psi_n^2 x; measured gap 5.7e-14 l_g over the full matrix at N = 26
         gap = basis26.x_matrix.diagonal() - x_by_quadrature.diagonal()
         assert np.abs(gap).max() < 5e-13
 
@@ -78,8 +77,8 @@ class TestBasis:
     @pytest.mark.parametrize("power,tol", [(2, 1e-11)])
     def test_closed_forms_match_quadrature(self, basis26, units, power, tol):
         # the closed-form <m|x^2|n> against adaptive quadrature of
-        # psi_m psi_n x^2; measured gap 1.6e-12 l_g^2 at N = 26
-        oracle = _weighted_matrix(basis26, power, DEFAULT_QUAD) * units.l_g**power
+        # psi_m psi_n x^2; measured gap 1.7e-12 l_g^2 at N = 26
+        oracle = weighted_matrix(basis26, power) * units.l_g**power
         assert np.abs(basis26.x2_matrix() - oracle).max() < tol
 
     def test_orthonormal(self, basis12):
@@ -105,12 +104,26 @@ class TestBasis:
 class TestProjection:
     def test_eigenstate_projects_to_unit_vector(self, basis12):
         state = project_function(
-            lambda x: basis12.eigenfunction(3, x), basis12, DEFAULT_QUAD, 0.0, basis12.zeros[-1] + 12.0
+            lambda x: basis12.eigenfunction(3, x), basis12, 0.0, basis12.zeros[-1] + 12.0
         )
         c = state.coefficients
         assert abs(c[2]) == pytest.approx(1.0, abs=1e-8)
         others = np.abs(np.delete(c, 2))
         assert others.max() < 1e-8
+
+    def test_one_quadrature_per_projection(self, basis26, monkeypatch):
+        # every coefficient comes from a single vector-valued integrate_1d call
+        calls = []
+        real = quantum.integrate_1d
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quantum, "integrate_1d", counted)
+        state = project_packet(PACKET, basis26)
+        assert len(calls) == 1
+        assert state.coefficients.shape == (basis26.n_max,)
 
     def test_coefficients_real(self, packet_state):
         assert np.abs(packet_state.coefficients.imag).max() < 1e-12
@@ -323,7 +336,7 @@ class TestPhysicalUnits:
         u = neutron_basis.units
         hi = (neutron_basis.zeros[-1] + 12.0) * u.l_g
         state = project_function(
-            lambda x: neutron_basis.eigenfunction(2, x), neutron_basis, DEFAULT_QUAD, 0.0, hi
+            lambda x: neutron_basis.eigenfunction(2, x), neutron_basis, 0.0, hi
         )
         assert abs(state.coefficients[1]) == pytest.approx(1.0, abs=1e-8)
 

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from qbouncer.errors import DomainError
 from qbouncer.scaling import (
     EV_IN_JOULE,
-    from_dimensionless,
     make_units,
     natural_units,
     neutron_units,
-    to_dimensionless,
     units_from_preset,
 )
 
@@ -51,30 +49,6 @@ def test_derived_scale_identities(m, g, hbar):
     assert u.e_g / (u.m * u.g) == pytest.approx(u.l_g, rel=1e-12)
     assert u.t_g == pytest.approx(hbar / u.e_g, rel=1e-14)
     assert u.t_g > 0
-
-
-@given(positive, positive, positive, positive, positive, positive)
-def test_round_trip(m, g, hbar, x, e, t):
-    u = make_units(m, g, hbar)
-    assert from_dimensionless(*to_dimensionless(x, e, t, u), u) == (
-        pytest.approx(x, rel=1e-14),
-        pytest.approx(e, rel=1e-14),
-        pytest.approx(t, rel=1e-14),
-    )
-
-
-def test_scales_map_to_unity():
-    u = neutron_units()
-    assert to_dimensionless(u.l_g, u.e_g, u.t_g, u) == (
-        pytest.approx(1.0, rel=1e-14),
-    ) * 3
-    assert to_dimensionless(0.0, 0.0, 0.0, u) == (0.0, 0.0, 0.0)
-
-
-def test_neutron_height_conversion():
-    u = neutron_units()
-    x_star, _, _ = to_dimensionless(11.74e-6, 0.0, 0.0, u)
-    assert x_star == pytest.approx(2.0, rel=5e-3)
 
 
 @pytest.mark.parametrize("bad", [(0, 1, 1), (1, -2, 1), (1, 1, 0), (math.nan, 1, 1)])

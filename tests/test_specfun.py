@@ -177,9 +177,44 @@ class TestQuadrature:
         val = integrate_1d(np.cos, 0.0, 20.0, initial_panels=4)
         assert val == pytest.approx(math.sin(20.0), abs=1e-10)
 
-    def test_scalar_integrand_fallback(self):
-        val = integrate_1d(lambda x: float(x) ** 2, 0.0, 1.0)
-        assert val == pytest.approx(1.0 / 3.0, abs=1e-12)
+    @pytest.mark.parametrize(
+        "f", [lambda x: 1.0, lambda x: np.ones((2, x.size))], ids=["scalar", "points-last"]
+    )
+    def test_integrand_without_point_axis_rejected(self, f):
+        with pytest.raises(DomainError, match="leading axis"):
+            integrate_1d(f, 0.0, 1.0)
+
+    def test_vector_integrand_matches_scalar_calls(self):
+        parts = (
+            lambda x: np.exp(-x) * np.sin(3 * x),
+            lambda x: airy_ai(x - ZERO_2) ** 2 * x,
+            lambda x: 1.0 / (1.0 + x * x),
+        )
+        vec = integrate_1d(lambda x: np.stack([f(x) for f in parts], axis=1), 0.0, 12.0)
+        assert vec.shape == (3,)
+        for got, f in zip(vec, parts):
+            want = integrate_1d(f, 0.0, 12.0)
+            assert abs(got - want) <= max(1e-10, 1e-10 * abs(want))
+
+    @pytest.mark.parametrize(
+        "small,exact",
+        [
+            (lambda x: x * np.exp(-x * x), 0.5),
+            (lambda x: np.abs(x - 3.3), 3.3**2 / 2 + 6.7**2 / 2),
+        ],
+        ids=["same-shape", "kink"],
+    )
+    def test_small_component_keeps_its_own_tolerance(self, small, exact):
+        # a panel is accepted only when every component meets its own
+        # max(abs_tol, rel_tol*|estimate_k|), so the 5e7-sized component does
+        # not loosen the tolerance of the O(10) one; the kink converges slowly
+        # enough to show it (off by 1e-3 under the large component's tolerance)
+        def f(x):
+            return np.stack([1e8 * x * np.exp(-x * x), small(x)], axis=1)
+
+        big, val = integrate_1d(f, 0.0, 10.0)
+        assert abs(big - 5e7) <= 1e-10 * 5e7
+        assert abs(val - exact) <= max(1e-10, 1e-10 * exact)
 
     @pytest.mark.parametrize(
         "f,a,b",
@@ -206,6 +241,18 @@ class TestQuadrature:
         assert err.best_estimate == pytest.approx(exact, rel=0.5)
         assert err.error_bound >= 0
         assert isinstance(err, NumericalError)
+
+    def test_subdivision_cap_vector(self):
+        # the best estimate and its bound keep the integrand's component shape
+        scale = np.array([[1.0, 2.0], [3.0, 4.0]])
+        spiky = lambda x: np.exp(-1e4 * (x - 0.5) ** 2)[:, None, None] * scale
+        with pytest.raises(QuadratureError) as info:
+            integrate_1d(spiky, 0.0, 1.0, QuadratureSpec(1e-13, 1e-13, max_subdivisions=2))
+        err = info.value
+        exact = math.sqrt(math.pi / 1e4) * scale
+        assert err.best_estimate.shape == err.error_bound.shape == (2, 2)
+        assert np.allclose(err.best_estimate, exact, rtol=0.5)
+        assert (err.error_bound >= 0).all()
 
     def test_deterministic_for_fixed_inputs(self):
         f = lambda x: airy_ai(x - ZERO_1) ** 2 * np.cos(x)
