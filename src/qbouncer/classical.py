@@ -72,15 +72,20 @@ def _bounce_series(x0: float, T: float, t, n_terms: int, damping: float = 0.0):
                  * exp(-damping n^2) * cos(pi n t / T)
 
     The bounce Fourier series (damping = 0) and its Gaussian-damped
-    semiclassical form; T > 0 is the drop time.
+    semiclassical form; T > 0 is the drop time.  The weights fall with n, so
+    the sum stops at the first one that underflows to 0: every later term is
+    +-0.0 and leaves the accumulator (never -0.0) unchanged.
     """
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
     t = _check_times(t)
     acc = np.zeros_like(t)
     for n in range(1, n_terms + 1):
+        weight = math.exp(-damping * n * n)
+        if weight == 0.0:
+            break
         sign = 1.0 if n % 2 else -1.0
-        acc += sign / (n * n) * math.exp(-damping * n * n) * np.cos((math.pi * n / T) * t)
+        acc += sign / (n * n) * weight * np.cos((math.pi * n / T) * t)
     out = (2.0 / 3.0) * x0 + (4.0 * x0 / math.pi**2) * acc
     return float(out) if out.ndim == 0 else out
 

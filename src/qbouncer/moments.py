@@ -41,6 +41,11 @@ __all__ = [
 ]
 
 
+# Step cap for integrate: 1e8 RK4 steps take hours at ~1e4 steps/s, and their
+# trajectory is 8e8 (order + 2)(order + 3)/2 bytes before the first step.
+_MAX_STEPS = 10**8
+
+
 @dataclass(frozen=True)
 class PolynomialPotential:
     """V(x) = sum_k coefficients[k] * x^k, exactly differentiable to any order."""
@@ -347,10 +352,14 @@ def integrate(
     otherwise the initial product - a warning is attached to the trajectory
     (truncation of a nonlinear hierarchy can do this; it is not fatal).
     A non-finite state is fatal: NumericalError names its step and time.
+    More than _MAX_STEPS steps (t_end/dt, also when it overflows) is refused
+    before the trajectory is allocated.
     """
     for name, value in (("dt", dt), ("t_end", t_end)):
         if not (math.isfinite(value) and value > 0):
             raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+    if not t_end / dt <= _MAX_STEPS:
+        raise DomainError(f"t_end/dt = {t_end / dt:.3g} steps exceeds the limit of {_MAX_STEPS:.0e}")
     order = s0.order
 
     def rhs(y: np.ndarray) -> np.ndarray:

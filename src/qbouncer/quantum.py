@@ -15,7 +15,7 @@ onto the basis, one vector-valued integral over all states per projection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -100,11 +100,20 @@ class Eigenbasis:
 
 @dataclass(frozen=True, eq=False)
 class SpectralState:
-    """Expansion coefficients of a state over an Eigenbasis at one time."""
+    """Expansion coefficients of a state over an Eigenbasis at one time.
+
+    The state keeps the phase table of the last time grid its observables
+    were evolved over (2 T N floats for T times and N states), so <x> and
+    then Var(x) on one grid build the table once.
+    """
 
     basis: Eigenbasis
     coefficients: np.ndarray
     time: float
+    # (read-only copy of the grid, read-only (2, T, N) real and imaginary
+    # planes); one tuple, read once per call, so a grid never pairs with
+    # another grid's planes
+    _phases: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         total = float(np.sum(np.abs(self.coefficients) ** 2))
@@ -246,26 +255,47 @@ def _check_variance(var, l_g: float) -> None:
         raise NumericalError(f"variance {np.min(var)} is negative beyond tolerance")
 
 
-def _quadratic_forms(ph: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Re(c^dagger M c) for every row c of ph, M real symmetric.
+def _phase_planes(s: SpectralState, times) -> np.ndarray:
+    """Read-only (2, T, N) real and imaginary planes of the phase table over
+    times, each C-contiguous; reused while times equal the state's kept grid."""
+    times = _check_times(times)
+    kept = s._phases
+    if kept is not None and np.array_equal(kept[0], times):
+        return kept[1]
+    ph = _phase_table(s, times)
+    planes = np.stack((ph.real, ph.imag))
+    grid = times.copy()
+    grid.flags.writeable = planes.flags.writeable = False
+    object.__setattr__(s, "_phases", (grid, planes))
+    return planes
 
-    With c = a + ib this is a^T M a + b^T M b: two real BLAS products, where
-    the complex form would hold a second complex table at once.
-    """
-    re, im = ph.real, ph.imag
+
+def _quadratic_forms(planes: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Re(c^dagger M c) for every row c = a + ib of the phase table, M real
+    symmetric: a^T M a + b^T M b, two real BLAS products on the contiguous
+    planes (a strided view of a complex table would skip BLAS)."""
+    re, im = planes
     return np.einsum("ti,ti->t", re @ matrix, re) + np.einsum("ti,ti->t", im @ matrix, im)
 
 
 def expectation_x_evolution(s: SpectralState, times) -> np.ndarray:
-    """<x>(s.time + t) for an array of durations t (vectorized evolve + expectation)."""
-    return _quadratic_forms(_phase_table(s, times), s.basis.x_matrix)
+    """<x>(s.time + t) for an array of durations t (vectorized evolve + expectation).
+
+    The state keeps the phase table of this grid (2 T N floats) for the next
+    call on an equal grid, such as variance_x_evolution.
+    """
+    return _quadratic_forms(_phase_planes(s, times), s.basis.x_matrix)
 
 
 def variance_x_evolution(s: SpectralState, times) -> np.ndarray:
-    """Var(x)(s.time + t) for an array of durations t."""
-    ph = _phase_table(s, times)
-    mean = _quadratic_forms(ph, s.basis.x_matrix)
-    var = _quadratic_forms(ph, s.basis.x2_matrix()) - mean * mean
+    """Var(x)(s.time + t) for an array of durations t.
+
+    The state keeps the phase table of this grid (2 T N floats) for the next
+    call on an equal grid.
+    """
+    planes = _phase_planes(s, times)
+    mean = _quadratic_forms(planes, s.basis.x_matrix)
+    var = _quadratic_forms(planes, s.basis.x2_matrix()) - mean * mean
     _check_variance(var, s.basis.units.l_g)
     return var
 

@@ -365,6 +365,14 @@ class TestIntegrate:
         with pytest.raises(DomainError, match=f"^{name} must be finite"):
             integrate(s0, V, self.u.m, args["t_end"], args["dt"])
 
+    @pytest.mark.parametrize("t_end,dt", [(1e12, 1e-3), (1e300, 1e-10)], ids=["too-many", "overflow"])
+    def test_step_count_capped(self, t_end, dt):
+        # both allocated (7.11 PiB: MemoryError) or overflowed (OverflowError)
+        # before the cap; the refusal comes before any allocation
+        _, V, s0 = self.linear_setup()
+        with pytest.raises(DomainError, match=r"^t_end/dt = .* exceeds"):
+            integrate(s0, V, self.u.m, t_end, dt)
+
     def test_non_finite_state_raises(self):
         # V = x^2/2 + 0.1 x^4 at order 4 from Gaussian moments blows up; the
         # first non-finite state is the one after step 553 (t = 5.53)

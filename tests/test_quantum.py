@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qbouncer.quantum as quantum
-from qbouncer.classical import BounceSpec, bounce_fourier, bounce_trajectory
+from qbouncer.classical import BounceSpec, _bounce_series, bounce_fourier, bounce_trajectory
 from qbouncer.errors import DomainError, InsufficientBasisError, NumericalError
 from qbouncer.quantum import (
     PacketSpec,
@@ -204,6 +204,69 @@ class TestEvolution:
         assert np.abs(variance_x_evolution(packet_state, ts) - (second - mean**2)).max() < 2e-12
 
 
+class TestPhaseTableReuse:
+    """A state keeps the phase table of the last grid its observables were
+    evolved over, matched to the next grid by value."""
+
+    GRID = np.linspace(0.0, 50.0, 101)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        sizes = []
+        real = quantum._phase_table
+
+        def counting(s, times):
+            sizes.append(np.size(times))
+            return real(s, times)
+
+        monkeypatch.setattr(quantum, "_phase_table", counting)
+        return sizes
+
+    @staticmethod
+    def fresh(state):
+        return SpectralState(state.basis, state.coefficients, state.time)
+
+    def test_mean_then_variance_builds_one_table(self, packet_state, built):
+        state = self.fresh(packet_state)
+        expectation_x_evolution(state, self.GRID)
+        variance_x_evolution(state, self.GRID.copy())  # equal values, another array
+        assert built == [self.GRID.size]
+
+    def test_repeated_call_matches_fresh_state(self, packet_state):
+        state = self.fresh(packet_state)
+        for _ in range(2):
+            mean = expectation_x_evolution(state, self.GRID)
+            var = variance_x_evolution(state, self.GRID)
+        assert np.array_equal(mean, expectation_x_evolution(self.fresh(packet_state), self.GRID))
+        assert np.array_equal(var, variance_x_evolution(self.fresh(packet_state), self.GRID))
+
+    def test_times_changed_in_place_are_seen(self, packet_state):
+        state = self.fresh(packet_state)
+        times = self.GRID.copy()
+        before = expectation_x_evolution(state, times)
+        times *= 2.0
+        after = expectation_x_evolution(state, times)
+        assert np.array_equal(after, expectation_x_evolution(self.fresh(packet_state), times))
+        assert not np.array_equal(after, before)
+
+    def test_second_grid_replaces_kept_one(self, packet_state, built):
+        state = self.fresh(packet_state)
+        other = np.linspace(0.0, 5.0, 11)
+        for times in (self.GRID, other, other, self.GRID):
+            expectation_x_evolution(state, times)
+        assert built == [self.GRID.size, other.size, self.GRID.size]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_times_rejected_after_valid_grid(self, packet_state, bad):
+        state = self.fresh(packet_state)
+        expectation_x_evolution(state, self.GRID)
+        times = self.GRID.copy()
+        times[-1] = bad
+        for func in (expectation_x_evolution, variance_x_evolution):
+            with pytest.raises(DomainError, match="finite and >= 0"):
+                func(state, times)
+
+
 class TestObservables:
     def test_eigenstate_mean_is_stationary(self, basis12, units):
         c = np.zeros(basis12.n_max, dtype=complex)
@@ -313,6 +376,30 @@ class TestSeries:
             - bounce_fourier(BounceSpec(x0=packet.x0, g=2.0), ts, n_terms)
         ).max()
         assert dev <= 1e-3 * x0
+
+    @pytest.mark.parametrize(
+        "x0,T,n_terms,damping",
+        [
+            (9.0, 3.0, 20, 0.0),
+            (25.0, 5.0, 200, math.pi**2 * 25.0 / (2.0 * 2.0**2)),  # revival packet: 4 nonzero terms
+            (2.0, math.sqrt(2.0 * 2.0 / 9.81), 200, 0.0),  # bounce_fourier's SI bounce
+            (25.0, 5.0, 200, 800.0),  # every weight underflows
+        ],
+        ids=["undamped-20", "revival", "undamped-200", "all-underflow"],
+    )
+    def test_series_stops_only_at_zero_weights(self, x0, T, n_terms, damping):
+        # the kernel skips the terms whose weight exp(-damping n^2) is 0.0;
+        # the full sum over every term must give the same bits
+        ts = np.linspace(0.0, 8.0 * T, 2001)
+        acc = np.zeros_like(ts)
+        for n in range(1, n_terms + 1):
+            sign = 1.0 if n % 2 else -1.0
+            acc += sign / (n * n) * math.exp(-damping * n * n) * np.cos((math.pi * n / T) * ts)
+        full = (2.0 / 3.0) * x0 + (4.0 * x0 / math.pi**2) * acc
+        got = _bounce_series(x0, T, ts, n_terms, damping)
+        assert np.array_equal(got, full)
+        if damping > 745.0:
+            assert (got == (2.0 / 3.0) * x0).all()
 
     def test_invalid_args(self):
         with pytest.raises(DomainError):
