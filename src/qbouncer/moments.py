@@ -15,7 +15,7 @@ import functools
 import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from types import MappingProxyType, SimpleNamespace
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -41,8 +41,9 @@ __all__ = [
 ]
 
 
-# Step cap for integrate: 1e8 RK4 steps take hours at ~1e4 steps/s, and their
-# trajectory is 8e8 (order + 2)(order + 3)/2 bytes before the first step.
+# Step cap for integrate: 1e8 RK4 steps take about an hour at ~3e4 steps/s
+# (orders 2-6, 2-core x86_64 host), and their trajectory is
+# 8e8 (order + 2)(order + 3)/2 bytes before the first step.
 _MAX_STEPS = 10**8
 
 
@@ -55,7 +56,7 @@ class PolynomialPotential:
     def __post_init__(self):
         if not self.coefficients:
             raise DomainError("potential needs at least one coefficient")
-        # a tuple keeps the potential hashable, so moment_eom can cache its tables
+        # a tuple keeps the coefficients hashable: moment_eom caches its tables on them
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
 
     @property
@@ -213,45 +214,46 @@ def effective_hamiltonian(s: MomentState, V: PolynomialPotential, m: float) -> f
 
 
 @functools.lru_cache(maxsize=64)
-def _eom_tables(order: int, V: PolynomialPotential, m: float) -> SimpleNamespace:
-    """Index and weight tables of moment_eom for one (order, V, m).
+def _eom_tables(order: int, coefficients: tuple[float, ...], m: float) -> tuple:
+    """Tables of moment_eom for one (order, V.coefficients, m): (idx, w, horner, g_slots).
 
-    Index arrays point into the state vector [x, p, G..., 0]; first moments
-    and moments beyond the truncation order point at its trailing zero slot.
-    Per-slot tables span the whole vector, with weight 0 outside G.  Entries
-    of `i0` and rows of `hi` run over n = 2..degree.  `horner` is the matrix
-    taking the powers of x to V^(n)(x), n = 1..degree, stored for Horner's
-    rule, which PolynomialPotential.derivative also uses: both agree bit for bit.
+    idx is a (degree + 1, k) array of indices into [x, p, G..., 0]; first moments
+    and moments beyond the order point at the trailing zero slot.  Its rows gather
+    G^{a+1,b-1}, then G^{a-1,b+n-1} for n = 2..degree, then G^{a-1,b}.  w weighs
+    the first degree rows (0 outside G): b/m, then a, negated for n = 2, where
+    G^{0,1} = 0 leaves only -G^{a-1,b+1}.  horner holds, per n = 1..degree, the
+    coefficients of V^(n) from the top power down and (n-1)!; g_slots the slots
+    of G^{0,n-1}, n >= 3.  A constant potential gets the tables of V' = 0.
     """
     pairs = moment_pairs(order)
     zero = len(pairs) + 2
+    if len(coefficients) == 1:
+        coefficients = (*coefficients, 0.0)
+    degree = len(coefficients) - 1
 
     def at(a, b):
         return _slot(a, b) if a >= 0 and b >= 0 and 2 <= a + b <= order else zero
 
-    def per_slot(f, fill):
+    def row(f, fill):
         return [fill, fill] + [f(a, b) for a, b in pairs] + [fill]
 
-    ns = range(2, V.degree + 1)
-    deg = max(V.degree, 1)
-    derivs = np.zeros((deg, deg))  # row n-1, column k: weight of x^k in V^(n)(x)
-    for n in range(1, V.degree + 1):
-        for j in range(n, V.degree + 1):
-            derivs[n - 1, j - n] = V.coefficients[j] * math.perm(j, n)
-    tables = SimpleNamespace(
-        horner=tuple(derivs.T[::-1].copy()),  # item k: weights of x^(deg-1-k)
-        factorials=np.array([float(math.factorial(n - 1)) for n in range(1, deg + 1)]),
-        shift=np.array(per_slot(lambda a, b: at(a + 1, b - 1), zero)),
-        b_over_m=np.array(per_slot(lambda a, b: b / m, 0.0)),
-        a=np.array(per_slot(lambda a, b: float(a), 0.0)),
-        lo=np.array(per_slot(lambda a, b: at(a - 1, b), zero)),
-        i0=np.array([at(0, n - 1) for n in ns], dtype=int),
-        hi=tuple(np.array(per_slot(lambda a, b: at(a - 1, b + n - 1), zero)) for n in ns),
+    ns = range(2, degree + 1)
+    idx = np.array(
+        [row(lambda a, b: at(a + 1, b - 1), zero)]
+        + [row(lambda a, b: at(a - 1, b + n - 1), zero) for n in ns]
+        + [row(lambda a, b: at(a - 1, b), zero)]
     )
-    for table in (*vars(tables).values(), *tables.horner, *tables.hi):
-        if isinstance(table, np.ndarray):
-            table.flags.writeable = False
-    return tables
+    w = np.array(
+        [row(lambda a, b: b / m, 0.0)] + [row(lambda a, b: -a if n == 2 else a, 0.0) for n in ns],
+        dtype=float,
+    )
+    idx.flags.writeable = w.flags.writeable = False
+    horner = tuple(
+        (tuple(coefficients[j] * math.perm(j, n) for j in range(degree, n - 1, -1)),
+         float(math.factorial(n - 1)))
+        for n in range(1, degree + 1)
+    )
+    return idx, w, horner, tuple(at(0, n - 1) for n in range(3, degree + 1))
 
 
 def moment_eom(s: MomentState, V: PolynomialPotential, m: float) -> MomentState:
@@ -264,26 +266,29 @@ def moment_eom(s: MomentState, V: PolynomialPotential, m: float) -> MomentState:
                       + a * sum_{n>=2} V^(n)(x)/(n-1)! *
                         [G^{0,n-1} G^{a-1,b} - G^{a-1,b+n-1}]
 
-    Moments outside the truncation are closed to zero.
+    Moments outside the truncation are closed to zero.  One gather y[idx]
+    reads them all; the terms add up in the order above, with c_n a formed
+    first, so each entry rounds as the term-by-term sum does.
     """
-    t = _eom_tables(s.order, V, m)
+    idx, w, horner, g_slots = _eom_tables(s.order, V.coefficients, m)
     y = s._y
-    x = y[0]
-    vn, *lower = t.horner
-    for column in lower:
-        vn = vn * x + column
-    vn = (vn / t.factorials).tolist()  # V^(n)(x)/(n-1)!, n = 1..degree
-    g0 = y[t.i0].tolist()  # G^{0,n-1}, n = 2..degree
-    out = t.b_over_m * y[t.shift]
-    if g0:
-        # slots with a = 0 (and x, p, the zero slot) add a signed zero: a no-op but on -0.0
-        g_lo = y[t.lo]
-        for v, g, hi in zip(vn[1:], g0, t.hi):
-            out += (v * t.a) * (g * g_lo - y[hi])
-    out[0] = y[1] / m
-    dp = -vn[0]
-    for v, g in zip(vn[2:], g0[1:]):
-        dp -= v * g
+    x = y.item(0)
+    c = []  # V^(n)(x)/(n-1)!, n = 1..degree
+    for coeffs, factorial in horner:
+        acc = coeffs[0]
+        for cj in coeffs[1:]:
+            acc = acc * x + cj
+        c.append(acc / factorial)
+    G = y[idx]
+    out = w[0] * G[0]
+    if len(c) > 1:
+        out += (c[1] * w[1]) * G[1]
+    dp = -c[0]
+    for j, i in enumerate(g_slots, 2):  # n = j + 1 >= 3
+        g = y.item(i)
+        out += (c[j] * w[j]) * (g * G[-1] - G[j])
+        dp -= c[j] * g
+    out[0] = y.item(1) / m
     out[1] = dp
     return MomentState._wrap(out, s.order)
 

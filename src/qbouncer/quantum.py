@@ -63,8 +63,9 @@ class PacketSpec:
     def __post_init__(self):
         if not (self.x0 > 0 and math.isfinite(self.x0)):
             raise DomainError("packet x0 must be positive and finite")
-        if not self.sigma > 0:
-            raise DomainError("packet sigma must be positive")
+        # sigma below about 1.5e-162 squares to 0.0, and the packet divides by sigma**2
+        if not (self.sigma > 0 and self.sigma**2 > 0):
+            raise DomainError(f"packet sigma must be positive with sigma**2 > 0, got {self.sigma!r}")
 
     def wavefunction(self, x):
         amp = (2.0 / (math.pi * self.sigma**2)) ** 0.25

@@ -1,9 +1,11 @@
 """Reference moment equations: the dict-loop right-hand side the array form in
-qbouncer.moments replaced, and a plain RK4 driven by it.
+qbouncer.moments replaced, a plain RK4 driven by it, and the exact all-order
+free fall.
 
-Both read states only through MomentState's public accessors (x, p,
-moment(a, b)) and evaluate V^(n) with PolynomialPotential.derivative, so
-they share no index table or weight with the code under test.
+All three read states only through MomentState's public accessors (x, p,
+moment(a, b)), and the first two evaluate V^(n) with
+PolynomialPotential.derivative, so none shares an index table or weight with
+the code under test.
 """
 
 import math
@@ -64,3 +66,18 @@ def rk4(s0: MomentState, V: PolynomialPotential, m: float, dt: float, steps: int
         k4 = rhs(y + dt * k3)
         rows.append(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     return np.array(rows)
+
+
+def free_fall(s0: MomentState, m: float, force: float, t: float) -> np.ndarray:
+    """Exact state at time t under V = force * x, as as_vector gives it.
+
+    p - <p> is constant and x - <x> gains (p - <p>) t/m, so at every order
+
+        G^{a,b}(t) = sum_k C(b, k) (t/m)^k G^{a+k,b-k}(0),
+        x(t) = x0 + p0 t/m - force t^2/(2m),   p(t) = p0 - force t.
+    """
+    tm = t / m
+    x = s0.x + s0.p * tm - 0.5 * force * t * tm
+    G = [sum(math.comb(b, k) * tm**k * s0.moment(a + k, b - k) for k in range(b + 1))
+         for a, b in moment_pairs(s0.order)]
+    return np.array([x, s0.p - force * t] + G)

@@ -276,6 +276,18 @@ class TestConfigHandling:
         assert main(["classical", "--x0", "1", "--dt", "-0.1"]) == 2
         assert "dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["compare", "--alpha", "0.4", "--nmax", "0"],
+        ["quantum", "--nmax", "3"],
+    ], ids=["compare", "quantum"])
+    def test_underflowing_sigma_rejected(self, command, tmp_path, capsys):
+        # sigma**2 underflows to 0.0: both the series (compare) and the
+        # projection (quantum) must refuse it by name, not fail inside
+        argv = [*command, "--x0", "10", "--sigma", "1e-170", "--tend", "1", "--dt", "0.5",
+                "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        assert "sigma" in capsys.readouterr().err
+
     def test_stdout_output(self, capsys):
         assert main(["classical", "--x0", "1", "--tend", "0", "--out", "-"]) == 0
         out = capsys.readouterr().out

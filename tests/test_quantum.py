@@ -148,6 +148,13 @@ class TestProjection:
         with pytest.raises(DomainError):
             PacketSpec(x0=1.0, sigma=0.0)
 
+    def test_packet_sigma_squared_underflow_rejected(self):
+        # 1e-170 squares to 0.0, which the packet and its series divide by
+        with pytest.raises(DomainError, match="sigma"):
+            PacketSpec(x0=10.0, sigma=1e-170)
+        assert PacketSpec(x0=10.0, sigma=1e-150).sigma == 1e-150
+        assert PacketSpec(x0=10.0, sigma=math.inf).sigma == math.inf
+
 
 class TestEvolution:
     def test_zero_duration_is_identity(self, packet_state):
