@@ -188,7 +188,13 @@ def saturated_ic(alpha: float, u: UnitSystem) -> SaturatedIC:
     if not (alpha > 0 and math.isfinite(alpha)):
         raise DomainError("alpha must be positive and finite")
     c2 = alpha * u.l_g**2
-    return SaturatedIC(alpha=alpha, c0=u.hbar**2 / (4.0 * c2), c1=0.0, c2=c2)
+    # an alpha far from 1 can take c2, or c0 with it, to 0 or inf
+    c0 = u.hbar**2 / (4.0 * c2) if c2 > 0 else math.inf
+    if not (c2 < math.inf and 0.0 < c0 < math.inf):
+        raise DomainError(
+            f"alpha = {alpha!r} gives c2 = {c2!r} and c0 = {c0!r}; both must be positive and finite"
+        )
+    return SaturatedIC(alpha=alpha, c0=c0, c1=0.0, c2=c2)
 
 
 def initial_state(ic: SaturatedIC, x0: float, p0: float = 0.0, order: int = 2) -> MomentState:

@@ -8,8 +8,9 @@ integral of Ai(u - x_n)^2 from 0 equals Ai'(-x_n)^2 when Ai(-x_n) = 0.
 
 The position matrix elements have closed forms in the zeros x_n alone
 (Goodmanson, Am. J. Phys. 68, 866 (2000); Gea-Banacloche, Am. J. Phys. 67,
-776 (1999)); quadrature checks the norms at build time and projects packets
-onto the basis, one vector-valued integral over all states per projection.
+776 (1999)).  At build time a fixed-node Gauss-Legendre table checks the norms;
+adaptive quadrature only projects packets onto the basis, one vector-valued
+integral over all states per projection.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .classical import _bounce_series, _check_times
 from .errors import DomainError, InsufficientBasisError, NumericalError
 from .scaling import UnitSystem
-from .specfun import airy_ai, airy_ai_prime, airy_zeros, integrate_1d
+from .specfun import DEFAULT_QUAD, _GL_NODES, _panel_values, airy_ai, airy_ai_prime, airy_zeros, integrate_1d
 
 __all__ = [
     "PacketSpec",
@@ -44,6 +45,9 @@ __all__ = [
 # have decayed far below any tolerance used here (Ai(12)^2 ~ 1e-25).
 _TAIL_MARGIN = 12.0
 _NORM_CHECK_TOL = 1e-8
+# Values per block of the norm table (points x states): the blocks keep its
+# memory flat in N, where one (points x N) table takes hundreds of MB at N = 400
+_NORM_BLOCK_VALUES = 2**15
 _HALF_LINE_CLIP_LIMIT = 1e-6
 _TRUNCATION_LIMIT = 1e-3
 
@@ -156,36 +160,75 @@ def _position_matrix(zeros: np.ndarray, power: int) -> np.ndarray:
     return out
 
 
+def _norm_panels(x_top: float) -> int:
+    """Panel count of the norm table on [0, x_top + _TAIL_MARGIN].  Ai(x - x_n)^2
+    turns through at most 2 sqrt(x_top) radians per unit x (at the mirror, for
+    n = top); no panel spans more than 18 of them."""
+    return math.ceil((x_top + _TAIL_MARGIN) * math.sqrt(x_top) / 9.0)
+
+
+def _norm_integrals(zeros: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Integral of (N_n Ai(x - x_n))^2 on [0, inf) for every state, by fixed-node
+    composite 15-point Gauss-Legendre.
+
+    The states go in blocks of at most _NORM_BLOCK_VALUES table values.  A
+    block integrates over [0, x_top + _TAIL_MARGIN] for its highest zero x_top,
+    on _norm_panels(x_top) equal panels and on their halves.  Summed over the
+    panels, halving must move each integral by at most integrate_1d's
+    tolerance max(abs_tol, rel_tol |Q_n|) (DEFAULT_QUAD), the bound its
+    accepted error estimates add up to; otherwise NumericalError.  Returns the
+    sums over the halves.
+    """
+    out = np.empty(zeros.size)
+    block = max(1, _NORM_BLOCK_VALUES // (2 * _GL_NODES.size * _norm_panels(float(zeros[-1]))))
+    for start in range(0, zeros.size, block):
+        z = zeros[start : start + block]
+        c = norms[start : start + block]
+        # the edges of the halves; every other one bounds a panel
+        edges = np.linspace(0.0, float(z[-1]) + _TAIL_MARGIN, 2 * _norm_panels(float(z[-1])) + 1)
+
+        def sq(x):
+            return (c * airy_ai(x[:, None] - z)) ** 2
+
+        coarse = _panel_values(sq, edges[:-2:2], edges[2::2])
+        halves = _panel_values(sq, edges[:-1], edges[1:])
+        refined = halves[0::2] + halves[1::2]
+        total = refined.sum(axis=0)
+        tol = np.maximum(DEFAULT_QUAD.abs_tol, DEFAULT_QUAD.rel_tol * np.abs(total))
+        err = np.abs(refined - coarse).sum(axis=0)
+        bad = np.flatnonzero(~(err <= tol))
+        if bad.size:
+            k = bad[0]
+            raise NumericalError(
+                f"norm quadrature of eigenstate {start + k + 1} did not converge: "
+                f"halving its panels moved it by {err[k]:.3g}, above {tol[k]:.3g}"
+            )
+        out[start : start + z.size] = total
+    return out
+
+
 def build_basis(n_max: int, u: UnitSystem) -> Eigenbasis:
     """Construct the first n_max eigenstates and their position matrix.
 
-    Each N_n is verified against the quadrature norm to 1e-8 before the
-    closed-form matrix elements are filled.
+    Each N_n is verified to 1e-8 against its norm integral from a fixed-node
+    Gauss-Legendre table whose convergence is checked (_norm_integrals)
+    before the closed-form matrix elements are filled.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     zeros = airy_zeros(n_max)
     norms = 1.0 / np.abs(airy_ai_prime(-zeros))
-    basis = Eigenbasis(
+    for i, nrm in enumerate(_norm_integrals(zeros, norms)):
+        if abs(nrm - 1.0) > _NORM_CHECK_TOL:
+            raise NumericalError(f"norm of eigenstate {i + 1} is {nrm}, off by >{_NORM_CHECK_TOL}")
+    return Eigenbasis(
         n_max=n_max,
         units=u,
         zeros=zeros,
         energies=u.e_g * zeros,
         norms=norms,
-        x_matrix=np.empty((0, 0)),
+        x_matrix=u.l_g * _position_matrix(zeros, power=1),
     )
-    # one scalar integral per state: a single vector-valued call over the whole
-    # [0, x_N + margin] range would hold an (points x N) table at once
-    upper = float(zeros[-1]) + _TAIL_MARGIN
-    panels = _initial_panels(upper)
-    for i in range(n_max):
-        def sq(x, i=i):
-            return (norms[i] * airy_ai(x - zeros[i])) ** 2
-        nrm = integrate_1d(sq, 0.0, upper, initial_panels=panels)
-        if abs(nrm - 1.0) > _NORM_CHECK_TOL:
-            raise NumericalError(f"norm of eigenstate {i + 1} is {nrm}, off by >{_NORM_CHECK_TOL}")
-    basis.x_matrix = u.l_g * _position_matrix(zeros, power=1)
-    return basis
 
 
 def project_function(func, basis: Eigenbasis, lo: float, hi: float) -> SpectralState:

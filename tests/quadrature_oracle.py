@@ -30,3 +30,15 @@ def weighted_matrix(basis, power):
 def overlap_matrix(basis):
     """Gram matrix <m|n> (identity up to quadrature error)."""
     return weighted_matrix(basis, 0)
+
+
+def norm_integrals(basis):
+    """Integral of psi_n^2 on [0, x_N + margin] for every state, one scalar
+    adaptive quadrature each."""
+    upper = float(basis.zeros[-1]) + _TAIL_MARGIN
+    panels = _initial_panels(upper)
+    return np.array([
+        integrate_1d(lambda x, n=n: (basis.norms[n] * airy_ai(x - basis.zeros[n])) ** 2,
+                     0.0, upper, initial_panels=panels)
+        for n in range(basis.n_max)
+    ])

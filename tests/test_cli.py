@@ -288,6 +288,16 @@ class TestConfigHandling:
         assert main(argv) == 2
         assert "sigma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["compare", "--nmax", "0", "--tend", "0.1", "--dt", "0.05"],
+        ["moments"],
+    ], ids=["compare", "moments"])
+    def test_alpha_overflowing_c0_rejected(self, command, capsys):
+        # c0 = hbar^2/(4 alpha l_g^2) overflows: both commands must refuse
+        # alpha by name instead of writing or integrating inf
+        assert main([*command, "--x0", "10", "--alpha", "1e-320", "--out", "-"]) == 2
+        assert "alpha" in capsys.readouterr().err
+
     def test_stdout_output(self, capsys):
         assert main(["classical", "--x0", "1", "--tend", "0", "--out", "-"]) == 0
         out = capsys.readouterr().out

@@ -25,7 +25,7 @@ from qbouncer.moments import (
     saturated_ic,
     uncertainty_product,
 )
-from qbouncer.scaling import natural_units, neutron_units
+from qbouncer.scaling import make_units, natural_units, neutron_units
 
 EPS = np.finfo(float).eps
 
@@ -228,6 +228,16 @@ class TestSaturatedIC:
     def test_invalid_alpha(self):
         with pytest.raises(DomainError):
             saturated_ic(0.0, natural_units())
+
+    @pytest.mark.parametrize("alpha,units", [
+        (1e-320, natural_units()),   # c0 = hbar^2/(4 c2) overflows
+        (1e-320, neutron_units()),   # c2 = alpha l_g^2 underflows to 0
+        (1e300, neutron_units()),    # c0 underflows to 0
+        (1e300, make_units(1.0, 1.0, 1e10)),  # c2 overflows
+    ], ids=["c0-inf", "c2-zero", "c0-zero", "c2-inf"])
+    def test_alpha_with_unrepresentable_widths_rejected(self, alpha, units):
+        with pytest.raises(DomainError, match="alpha"):
+            saturated_ic(alpha, units)
 
 
 class TestIntegrate:

@@ -22,7 +22,8 @@ from qbouncer.quantum import (
     variance_x,
     variance_x_evolution,
 )
-from quadrature_oracle import overlap_matrix, weighted_matrix
+from qbouncer.specfun import airy_ai_prime, airy_zero
+from quadrature_oracle import norm_integrals, overlap_matrix, weighted_matrix
 from series_tail import truncation_sup
 
 PACKET = PacketSpec(x0=10.0, sigma=1.5)
@@ -88,6 +89,56 @@ class TestBasis:
     def test_bad_nmax(self, units):
         with pytest.raises(DomainError):
             build_basis(0, units)
+
+    @pytest.mark.parametrize("n_max,bound", [(26, 3.5e-15), (64, 5e-15)])
+    def test_norm_table_matches_adaptive_quadrature(self, units, n_max, bound):
+        # the fixed-node norm table against one adaptive integrate_1d per
+        # state; measured gap 1.1e-15 (N = 26) and 1.6e-15 (N = 64)
+        basis = build_basis(n_max, units)
+        table = quantum._norm_integrals(basis.zeros, basis.norms)
+        assert np.abs(table - norm_integrals(basis)).max() < bound
+
+    @pytest.mark.parametrize("n", [2500, 5000, 10000])
+    def test_norm_table_converges_for_high_states(self, n):
+        # psi_n^2 oscillates faster near the mirror as n grows and the panels
+        # narrow with it (fixed 0.6-wide panels stop converging near n = 2500);
+        # measured |Q_n - 1| <= 6.4e-15
+        zero = np.array([airy_zero(n)])
+        norm = 1.0 / np.abs(airy_ai_prime(-zero))
+        assert abs(quantum._norm_integrals(zero, norm)[0] - 1.0) < 1e-13
+
+    def test_basis_build_runs_no_quadrature(self, units, monkeypatch):
+        calls = []
+        real = quantum.integrate_1d
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quantum, "integrate_1d", counted)
+        build_basis(26, units)
+        assert calls == []
+
+    def test_norm_check_fires(self, units, monkeypatch):
+        # N_5 = 1/|Ai'(-x_5)| made 1e-7 too large: its norm integral is then
+        # off by 2e-7, above the 1e-8 check, which must name state 5
+        real = quantum.airy_ai_prime
+
+        def skewed(x):
+            out = real(x)
+            out[4] /= 1.0 + 1e-7
+            return out
+
+        monkeypatch.setattr(quantum, "airy_ai_prime", skewed)
+        with pytest.raises(NumericalError, match=r"eigenstate 5 "):
+            build_basis(12, units)
+
+    def test_unconverged_norm_table_raises(self, units, monkeypatch):
+        # two panels over [0, x_N + 12] cannot resolve psi_n^2: halving them
+        # moves the integrals far beyond the tolerance
+        monkeypatch.setattr(quantum, "_norm_panels", lambda x_top: 2)
+        with pytest.raises(NumericalError, match="did not converge"):
+            build_basis(12, units)
 
     def test_large_basis_matches_mpmath(self, units):
         # N = 400 builds (every norm passes the quadrature check) and its zeros
