@@ -26,6 +26,8 @@ class BounceSpec:
             raise DomainError("x0 must be >= 0")
         if not (self.g > 0 and math.isfinite(self.g)):
             raise DomainError("g must be > 0")
+        if not math.isfinite(self.drop_time):  # 2 x0 / g overflows
+            raise DomainError(f"x0={self.x0!r}, g={self.g!r} give an infinite drop time sqrt(2 x0/g)")
 
     @property
     def drop_time(self) -> float:

@@ -172,6 +172,8 @@ def _validate(cfg: ScenarioConfig) -> None:
 def _time_grid(cfg: ScenarioConfig) -> np.ndarray:
     if cfg.tend == 0.0:
         return np.array([0.0])
+    if not cfg.tend / cfg.dt <= moments._MAX_STEPS:  # the integrator's step cap; also when tend/dt overflows
+        raise ConfigError(f"fields 'tend'/'dt' give {cfg.tend / cfg.dt:.3g} steps, above {moments._MAX_STEPS:.0e}")
     n = max(1, int(round(cfg.tend / cfg.dt)))
     return cfg.dt * np.arange(n + 1)
 

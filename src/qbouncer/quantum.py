@@ -8,9 +8,9 @@ integral of Ai(u - x_n)^2 from 0 equals Ai'(-x_n)^2 when Ai(-x_n) = 0.
 
 The position matrix elements have closed forms in the zeros x_n alone
 (Goodmanson, Am. J. Phys. 68, 866 (2000); Gea-Banacloche, Am. J. Phys. 67,
-776 (1999)).  At build time a fixed-node Gauss-Legendre table checks the norms;
-adaptive quadrature only projects packets onto the basis, one vector-valued
-integral over all states per projection.
+776 (1999)).  Adaptive quadrature checks the norms at build time, one
+vector-valued integral per block of states, and projects packets onto the
+basis, one vector-valued integral over all states per projection.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .classical import _bounce_series, _check_times
 from .errors import DomainError, InsufficientBasisError, NumericalError
 from .scaling import UnitSystem
-from .specfun import DEFAULT_QUAD, _GL_NODES, _panel_values, airy_ai, airy_ai_prime, airy_zeros, integrate_1d
+from .specfun import airy_ai, airy_ai_prime, airy_zeros, integrate_1d
 
 __all__ = [
     "PacketSpec",
@@ -45,8 +45,8 @@ __all__ = [
 # have decayed far below any tolerance used here (Ai(12)^2 ~ 1e-25).
 _TAIL_MARGIN = 12.0
 _NORM_CHECK_TOL = 1e-8
-# Values per block of the norm table (points x states): the blocks keep its
-# memory flat in N, where one (points x N) table takes hundreds of MB at N = 400
+# Values per block of the norm integrand table (points x states): the blocks keep
+# its memory flat in N, where one (points x N) table takes hundreds of MB at N = 400
 _NORM_BLOCK_VALUES = 2**15
 _HALF_LINE_CLIP_LIMIT = 1e-6
 _TRUNCATION_LIMIT = 1e-3
@@ -92,11 +92,13 @@ class Eigenbasis:
     x_matrix: np.ndarray       # <m|x|n>, length units
 
     def eigenfunction(self, n: int, x):
-        """psi_n evaluated at physical heights x (n is 1-based)."""
+        """psi_n evaluated at physical heights x (n is 1-based); 0 below the mirror."""
         if not 1 <= n <= self.n_max:
             raise DomainError(f"eigenfunction index {n} outside 1..{self.n_max}")
         l_g = self.units.l_g
-        return self.norms[n - 1] / math.sqrt(l_g) * airy_ai(np.asarray(x) / l_g - self.zeros[n - 1])
+        x = np.asarray(x, dtype=float)
+        psi = self.norms[n - 1] / math.sqrt(l_g) * airy_ai(x / l_g - self.zeros[n - 1])
+        return np.where(x < 0, 0.0, psi)[()]
 
     def x2_matrix(self) -> np.ndarray:
         """<m|x^2|n> in length^2 units."""
@@ -130,10 +132,12 @@ class SpectralState:
         return 1.0 - float(np.sum(np.abs(self.coefficients) ** 2))
 
 
-def _initial_panels(span_star: float) -> int:
-    """Starting panel count for integrate_1d over span_star l_g: panels of at
-    most 0.6 l_g, at least 8."""
-    return max(8, int(math.ceil(span_star / 0.6)))
+def _initial_panels(span_star: float, x_top: float) -> int:
+    """Starting panel count for integrate_1d over span_star l_g of states up to
+    the zero x_top.  Ai(x - x_n)^2 turns through at most 2 sqrt(x_top) radians per
+    unit x (at the mirror, for n = top); no panel spans more than 18 of them, and
+    there are at least 8."""
+    return max(8, math.ceil(span_star * math.sqrt(x_top) / 9.0))
 
 
 def _eigenfunction_table(basis: Eigenbasis, x) -> np.ndarray:
@@ -160,59 +164,36 @@ def _position_matrix(zeros: np.ndarray, power: int) -> np.ndarray:
     return out
 
 
-def _norm_panels(x_top: float) -> int:
-    """Panel count of the norm table on [0, x_top + _TAIL_MARGIN].  Ai(x - x_n)^2
-    turns through at most 2 sqrt(x_top) radians per unit x (at the mirror, for
-    n = top); no panel spans more than 18 of them."""
-    return math.ceil((x_top + _TAIL_MARGIN) * math.sqrt(x_top) / 9.0)
-
-
 def _norm_integrals(zeros: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Integral of (N_n Ai(x - x_n))^2 on [0, inf) for every state, by fixed-node
-    composite 15-point Gauss-Legendre.
+    """Integral of (N_n Ai(x - x_n))^2 on [0, inf) for every state.
 
-    The states go in blocks of at most _NORM_BLOCK_VALUES table values.  A
-    block integrates over [0, x_top + _TAIL_MARGIN] for its highest zero x_top,
-    on _norm_panels(x_top) equal panels and on their halves.  Summed over the
-    panels, halving must move each integral by at most integrate_1d's
-    tolerance max(abs_tol, rel_tol |Q_n|) (DEFAULT_QUAD), the bound its
-    accepted error estimates add up to; otherwise NumericalError.  Returns the
-    sums over the halves.
+    The states go in blocks of at most _NORM_BLOCK_VALUES table values, each
+    one vector-valued integrate_1d call over [0, x_top + _TAIL_MARGIN] for its
+    highest zero x_top, starting from _initial_panels.
     """
     out = np.empty(zeros.size)
-    block = max(1, _NORM_BLOCK_VALUES // (2 * _GL_NODES.size * _norm_panels(float(zeros[-1]))))
+    top = float(zeros[-1])
+    # integrate_1d's first refinement evaluates 2 x 15 nodes per starting panel
+    block = max(1, _NORM_BLOCK_VALUES // (30 * _initial_panels(top + _TAIL_MARGIN, top)))
     for start in range(0, zeros.size, block):
         z = zeros[start : start + block]
         c = norms[start : start + block]
-        # the edges of the halves; every other one bounds a panel
-        edges = np.linspace(0.0, float(z[-1]) + _TAIL_MARGIN, 2 * _norm_panels(float(z[-1])) + 1)
 
         def sq(x):
             return (c * airy_ai(x[:, None] - z)) ** 2
 
-        coarse = _panel_values(sq, edges[:-2:2], edges[2::2])
-        halves = _panel_values(sq, edges[:-1], edges[1:])
-        refined = halves[0::2] + halves[1::2]
-        total = refined.sum(axis=0)
-        tol = np.maximum(DEFAULT_QUAD.abs_tol, DEFAULT_QUAD.rel_tol * np.abs(total))
-        err = np.abs(refined - coarse).sum(axis=0)
-        bad = np.flatnonzero(~(err <= tol))
-        if bad.size:
-            k = bad[0]
-            raise NumericalError(
-                f"norm quadrature of eigenstate {start + k + 1} did not converge: "
-                f"halving its panels moved it by {err[k]:.3g}, above {tol[k]:.3g}"
-            )
-        out[start : start + z.size] = total
+        span = float(z[-1]) + _TAIL_MARGIN
+        panels = _initial_panels(span, float(z[-1]))
+        out[start : start + z.size] = integrate_1d(sq, 0.0, span, initial_panels=panels)
     return out
 
 
 def build_basis(n_max: int, u: UnitSystem) -> Eigenbasis:
     """Construct the first n_max eigenstates and their position matrix.
 
-    Each N_n is verified to 1e-8 against its norm integral from a fixed-node
-    Gauss-Legendre table whose convergence is checked (_norm_integrals)
-    before the closed-form matrix elements are filled.
+    Each N_n is verified to 1e-8 against its norm integral by adaptive
+    quadrature (_norm_integrals) before the closed-form matrix elements are
+    filled.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -234,13 +215,17 @@ def build_basis(n_max: int, u: UnitSystem) -> Eigenbasis:
 def project_function(func, basis: Eigenbasis, lo: float, hi: float) -> SpectralState:
     """Project an arbitrary real wave function (physical coordinates) onto the basis.
 
-    func must be vectorized; [lo, hi] must cover its support.  All n_max
+    func must be vectorized; [lo, hi] must cover its support on the half line
+    (lo >= 0: the basis states vanish below the mirror).  All n_max
     coefficients come from one vector-valued adaptive quadrature.
     """
+    if not lo >= 0:
+        raise DomainError(f"projection needs lo >= 0 (the mirror), got lo = {lo!r}")
+
     def integrand(x):
         return _eigenfunction_table(basis, x) * func(x)[:, None]
 
-    panels = _initial_panels((hi - lo) / basis.units.l_g)
+    panels = _initial_panels((hi - lo) / basis.units.l_g, float(basis.zeros[-1]))
     coeffs = integrate_1d(integrand, lo, hi, initial_panels=panels)
     return SpectralState(basis=basis, coefficients=coeffs.astype(complex), time=0.0)
 
@@ -355,8 +340,9 @@ def variance_x(s: SpectralState) -> float:
 
 
 def reconstruct(s: SpectralState, x) -> np.ndarray:
-    """Wave function at physical heights x from the truncated expansion."""
-    return _eigenfunction_table(s.basis, x) @ s.coefficients
+    """Wave function at physical heights x from the truncated expansion (0 below the mirror)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return np.where(x < 0, 0.0, _eigenfunction_table(s.basis, x) @ s.coefficients)
 
 
 def expectation_x_series(p: PacketSpec, t, n_terms: int):

@@ -47,9 +47,13 @@ def make_units(m: float, g: float, hbar: float) -> UnitSystem:
     for name, v in (("m", m), ("g", g), ("hbar", hbar)):
         if not (math.isfinite(v) and v > 0):
             raise DomainError(f"{name} must be positive and finite, got {v!r}")
-    l_g = (hbar * hbar / (2.0 * g * m * m)) ** (1.0 / 3.0)
+    den = 2.0 * g * m * m  # 0 or inf where the product leaves doubles
+    l_g = (hbar * hbar / den) ** (1.0 / 3.0) if den > 0 else math.inf
     e_g = m * g * l_g
-    t_g = hbar / e_g
+    t_g = hbar / e_g if e_g > 0 else math.inf
+    for name, v in (("l_g", l_g), ("e_g", e_g), ("t_g", t_g)):
+        if not 0 < v < math.inf:
+            raise DomainError(f"m={m!r}, g={g!r}, hbar={hbar!r} give {name} = {v!r}, not positive and finite")
     return UnitSystem(m=m, g=g, hbar=hbar, l_g=l_g, e_g=e_g, t_g=t_g)
 
 

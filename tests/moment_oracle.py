@@ -1,8 +1,8 @@
 """Reference moment equations: the dict-loop right-hand side the array form in
 qbouncer.moments replaced, a plain RK4 driven by it, and the exact all-order
-free fall.
+free fall and harmonic rotation.
 
-All three read states only through MomentState's public accessors (x, p,
+All four read states only through MomentState's public accessors (x, p,
 moment(a, b)), and the first two evaluate V^(n) with
 PolynomialPotential.derivative, so none shares an index table or weight with
 the code under test.
@@ -81,3 +81,27 @@ def free_fall(s0: MomentState, m: float, force: float, t: float) -> np.ndarray:
     G = [sum(math.comb(b, k) * tm**k * s0.moment(a + k, b - k) for k in range(b + 1))
          for a, b in moment_pairs(s0.order)]
     return np.array([x, s0.p - force * t] + G)
+
+
+def harmonic(s0: MomentState, m: float, omega: float, t: float) -> np.ndarray:
+    """Exact state at time t under V = m omega^2 x^2 / 2, as as_vector gives it.
+
+    The flow is the phase-space rotation (c = cos omega t, s = sin omega t)
+
+        dx' = c dx + s dp/(m omega),   dp' = c dp - m omega s dx,
+
+    linear, so it maps Weyl-ordered moments to Weyl-ordered moments, and
+    G^{a,b} = <dp^a dx^b> follows from the binomial expansion at every order:
+
+        G^{a,b}(t) = sum_{i,j} C(a,i) C(b,j) c^(a-i+b-j) s^(i+j) (-1)^i
+                     (m omega)^(i-j) G^{a-i+j, b+i-j}(0).
+    """
+    c, s = math.cos(omega * t), math.sin(omega * t)
+    mw = m * omega
+    x = c * s0.x + s * s0.p / mw
+    p = c * s0.p - mw * s * s0.x
+    G = [sum(math.comb(a, i) * math.comb(b, j) * c ** (a - i + b - j) * s ** (i + j) * (-1) ** i
+             * mw ** (i - j) * s0.moment(a - i + j, b + i - j)
+             for i in range(a + 1) for j in range(b + 1))
+         for a, b in moment_pairs(s0.order)]
+    return np.array([x, p] + G)

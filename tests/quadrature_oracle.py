@@ -5,10 +5,19 @@ The eigenfunctions are evaluated here from the zeros and norms directly, not
 through the package's projection table.
 """
 
+import math
+
 import numpy as np
 
-from qbouncer.quantum import _TAIL_MARGIN, _initial_panels
+from qbouncer.quantum import _TAIL_MARGIN
 from qbouncer.specfun import airy_ai, integrate_1d
+
+
+def _initial_panels(span):
+    """Starting panels of at most 0.6 (in l_g), at least 8: placed
+    independently of the package's rule, which follows the top state's
+    oscillation."""
+    return max(8, math.ceil(span / 0.6))
 
 
 def weighted_matrix(basis, power):

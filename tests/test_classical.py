@@ -47,6 +47,13 @@ class TestFreeFall:
             free_fall(BounceSpec(x0=1.0, g=2.0), -0.1)
 
 
+@pytest.mark.parametrize("x0,g", [(1.0, 1e-320), (1.7e308, 2.0)])
+def test_spec_with_infinite_drop_time_rejected(x0, g):
+    # 2 x0 / g overflows: the fold would divide by an infinite period
+    with pytest.raises(DomainError, match="drop time"):
+        BounceSpec(x0=x0, g=g)
+
+
 class TestBounceTrajectory:
     spec = BounceSpec(x0=1.0, g=2.0)  # T = 1
 

@@ -298,6 +298,29 @@ class TestConfigHandling:
         assert main([*command, "--x0", "10", "--alpha", "1e-320", "--out", "-"]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tend,dt", [("1e15", "1"), ("1e300", "1e-300")], ids=["cap", "overflow"])
+    @pytest.mark.parametrize("command", [
+        ["classical"],
+        ["quantum", "--nmax", "3"],
+        ["compare", "--nmax", "0"],
+    ], ids=["classical", "quantum", "compare"])
+    def test_oversized_time_grid_rejected(self, command, tend, dt, capsys):
+        # tend/dt above the moment integrator's 1e8 step cap, or overflowing
+        # to inf, is refused before the grid is allocated
+        assert main([*command, "--x0", "1", "--tend", tend, "--dt", dt, "--out", "-"]) == 2
+        err = capsys.readouterr().err
+        assert "'tend'/'dt'" in err and "1e+08" in err
+
+    @pytest.mark.parametrize("argv,name", [
+        (["spectrum", "--nmax", "3", "--mass", "1e-300", "--gravity", "1", "--hbar", "1"], "l_g"),
+        (["classical", "--x0", "1", "--mass", "1", "--gravity", "1e-320", "--hbar", "1"], "l_g"),
+        (["classical", "--x0", "1.7e308"], "drop time"),
+    ], ids=["mass-underflow", "gravity-overflow", "drop-time-overflow"])
+    def test_scales_outside_doubles_rejected(self, argv, name, capsys):
+        # positive, finite inputs whose derived scale is 0 or inf in doubles
+        assert main([*argv, "--tend", "1", "--dt", "0.5", "--out", "-"]) == 2
+        assert name in capsys.readouterr().err
+
     def test_stdout_output(self, capsys):
         assert main(["classical", "--x0", "1", "--tend", "0", "--out", "-"]) == 0
         out = capsys.readouterr().out

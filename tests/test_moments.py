@@ -438,6 +438,36 @@ class TestIntegrate:
             want = np.array([moment_oracle.free_fall(s0, m, m * g, t) for t in traj.times])
             assert (np.abs(got - want) / np.abs(want).max(axis=0)).max() < bound
 
+    @pytest.mark.parametrize("order,bound", [
+        (2, 6e-8), (3, 3.5e-7), (4, 1.6e-6), (5, 6e-6), (6, 1.2e-5),
+    ])
+    def test_harmonic_matches_all_order_rotation(self, order, bound):
+        # V = m w^2 x^2 / 2 from non-Gaussian states, held to the exact
+        # phase-space rotation of every central moment.  RK4 is exact for no
+        # moment here: an order-k moment turns at up to k w, so the truncation
+        # gap grows with the order (measured 1.9e-8 / 1.1e-7 / 5.4e-7 / 1.9e-6
+        # / 3.9e-6 at orders 2-6, dt = 0.01), bounded at about 3x; halving dt
+        # shrinks it 16.03x at every order.  Relative to each component's
+        # largest value.
+        m, w = 0.7, 1.3
+        V = PolynomialPotential.harmonic(m, w)
+
+        def gap(dt):
+            rng = np.random.default_rng(order)
+            worst = 0.0
+            for _ in range(3):
+                G = {key: rng.uniform(-1.0, 1.0) for key in moment_pairs(order)}
+                s0 = MomentState.make(rng.uniform(1.0, 3.0), rng.uniform(-1.0, 1.0), order, G)
+                traj = integrate(s0, V, m, 2.0, dt)
+                got = np.array([moment_oracle.as_vector(s) for s in traj.states])
+                want = np.array([moment_oracle.harmonic(s0, m, w, t) for t in traj.times])
+                worst = max(worst, (np.abs(got - want) / np.abs(want).max(axis=0)).max())
+            return worst
+
+        coarse = gap(0.01)
+        assert coarse < bound
+        assert 15.0 < coarse / gap(0.005) < 17.0
+
     def test_one_moment_eom_call_per_stage(self, monkeypatch):
         # the RK4 loop reads moment_eom as a module global, once per stage;
         # the benchmark tracer counts the kernel by patching that name

@@ -51,6 +51,13 @@ class TestBasis:
         for n in range(1, basis12.n_max + 1):
             assert abs(basis12.eigenfunction(n, 0.0)) < 1e-9
 
+    def test_eigenfunction_vanishes_below_mirror(self, basis12):
+        # Ai(-2 - x_1) = 0.274 / N_1 is the Airy continuation, not psi_1
+        assert basis12.eigenfunction(1, -2.0) == 0.0
+        xs = np.array([-5.0, -0.5, 0.5, 3.0])
+        psi = basis12.eigenfunction(2, xs)
+        assert psi.shape == (4,) and (psi[:2] == 0.0).all() and (psi[2:] != 0.0).all()
+
     def test_x_matrix_symmetric(self, basis12):
         # the imaginary part of c^dagger X c is a^T (X - X^T) b, so symmetry
         # is what lets the observables take the real form a^T X a + b^T X b
@@ -92,22 +99,23 @@ class TestBasis:
 
     @pytest.mark.parametrize("n_max,bound", [(26, 3.5e-15), (64, 5e-15)])
     def test_norm_table_matches_adaptive_quadrature(self, units, n_max, bound):
-        # the fixed-node norm table against one adaptive integrate_1d per
-        # state; measured gap 1.1e-15 (N = 26) and 1.6e-15 (N = 64)
+        # the blocked norm check against one scalar integrate_1d per state on
+        # the oracle's own panels; measured gap 1.1e-15 (N = 26) and 1.6e-15 (N = 64)
         basis = build_basis(n_max, units)
         table = quantum._norm_integrals(basis.zeros, basis.norms)
         assert np.abs(table - norm_integrals(basis)).max() < bound
 
     @pytest.mark.parametrize("n", [2500, 5000, 10000])
     def test_norm_table_converges_for_high_states(self, n):
-        # psi_n^2 oscillates faster near the mirror as n grows and the panels
-        # narrow with it (fixed 0.6-wide panels stop converging near n = 2500);
-        # measured |Q_n - 1| <= 6.4e-15
+        # psi_n^2 oscillates faster near the mirror as n grows and the
+        # starting panels narrow with it; measured |Q_n - 1| <= 6.4e-15
         zero = np.array([airy_zero(n)])
         norm = 1.0 / np.abs(airy_ai_prime(-zero))
         assert abs(quantum._norm_integrals(zero, norm)[0] - 1.0) < 1e-13
 
-    def test_basis_build_runs_no_quadrature(self, units, monkeypatch):
+    def test_basis_build_runs_one_quadrature_per_norm_block(self, units, monkeypatch):
+        # the norm check is one vector-valued integrate_1d call per block of
+        # states; at N = 26 every state fits in one block
         calls = []
         real = quantum.integrate_1d
 
@@ -117,7 +125,7 @@ class TestBasis:
 
         monkeypatch.setattr(quantum, "integrate_1d", counted)
         build_basis(26, units)
-        assert calls == []
+        assert len(calls) == 1
 
     def test_norm_check_fires(self, units, monkeypatch):
         # N_5 = 1/|Ai'(-x_5)| made 1e-7 too large: its norm integral is then
@@ -133,11 +141,20 @@ class TestBasis:
         with pytest.raises(NumericalError, match=r"eigenstate 5 "):
             build_basis(12, units)
 
-    def test_unconverged_norm_table_raises(self, units, monkeypatch):
-        # two panels over [0, x_N + 12] cannot resolve psi_n^2: halving them
-        # moves the integrals far beyond the tolerance
-        monkeypatch.setattr(quantum, "_norm_panels", lambda x_top: 2)
-        with pytest.raises(NumericalError, match="did not converge"):
+    def test_norm_check_refines_from_two_panels(self, basis26, monkeypatch):
+        # two starting panels over [0, x_N + 12] cannot resolve psi_n^2; the
+        # adaptive norm check refines them and still lands on 1
+        monkeypatch.setattr(quantum, "_initial_panels", lambda span, x_top: 2)
+        norms = quantum._norm_integrals(basis26.zeros, basis26.norms)
+        assert np.abs(norms - 1.0).max() <= 1e-13
+
+    def test_unconvergeable_norm_integrand_raises(self, units, monkeypatch):
+        # noise on Ai keeps every panel moving under refinement: the norm
+        # check runs out of subdivisions instead of returning a value
+        rng = np.random.default_rng(3)
+        real = quantum.airy_ai
+        monkeypatch.setattr(quantum, "airy_ai", lambda x: real(x) + 1e-6 * rng.standard_normal(np.shape(x)))
+        with pytest.raises(NumericalError, match="subdivision cap"):
             build_basis(12, units)
 
     def test_large_basis_matches_mpmath(self, units):
@@ -161,6 +178,12 @@ class TestProjection:
         assert abs(c[2]) == pytest.approx(1.0, abs=1e-8)
         others = np.abs(np.delete(c, 2))
         assert others.max() < 1e-8
+
+    def test_interval_below_the_mirror_rejected(self, basis12):
+        # the basis states vanish at x < 0; integrating their Airy
+        # continuation there would be silently wrong
+        with pytest.raises(DomainError, match="lo >= 0"):
+            project_function(lambda x: np.exp(-x * x), basis12, -6.0, 4.0)
 
     def test_one_quadrature_per_projection(self, basis26, monkeypatch):
         # every coefficient comes from a single vector-valued integrate_1d call
@@ -377,6 +400,13 @@ class TestObservables:
         for t in (0.0, 2.5, 40.0):
             val = abs(reconstruct(evolve(packet_state, t), [0.0])[0])
             assert val < 1e-3 * peak
+
+    def test_reconstruction_vanishes_below_mirror(self, packet_state):
+        # the expansion is a half-line wave function: 0 at x < 0, where the
+        # Airy continuation of each state is not
+        xs = np.array([-3.0, -1e-9, 0.5, 10.0])
+        psi = reconstruct(evolve(packet_state, 2.5), xs)
+        assert (psi[:2] == 0.0).all() and (np.abs(psi[2:]) > 0.0).all()
 
     def test_revival_fidelity(self, packet_state):
         # dephasing is not a loss: around the first revival (half the

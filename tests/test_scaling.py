@@ -1,6 +1,7 @@
 """Unit systems and the gravitational scales."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -55,3 +56,14 @@ def test_derived_scale_identities(m, g, hbar):
 def test_rejects_nonpositive(bad):
     with pytest.raises(DomainError):
         make_units(*bad)
+
+
+@pytest.mark.parametrize("m,g,hbar", [
+    (1e-300, 1.0, 1.0),    # m*m underflows: l_g would divide by 0
+    (1.0, 1e-320, 1.0),    # hbar^2/(2 g m^2) overflows: l_g = inf
+    (1e200, 1e200, 1.0),   # 2 g m^2 overflows: l_g = 0
+])
+def test_rejects_scales_outside_doubles(m, g, hbar):
+    # every input is positive and finite, but the length scale is 0 or inf
+    with pytest.raises(DomainError, match=re.escape(f"m={m!r}, g={g!r}, hbar={hbar!r} give l_g")):
+        make_units(m, g, hbar)
