@@ -110,16 +110,16 @@ class SpectralState:
     """Expansion coefficients of a state over an Eigenbasis at one time.
 
     The state keeps the phase table of the last time grid its observables
-    were evolved over (2 T N floats for T times and N states), so <x> and
-    then Var(x) on one grid build the table once.
+    were evolved over (2 T N floats for T times and N states) and the <x> row
+    on it, so <x> and then Var(x) on one grid build the table and <x> once.
     """
 
     basis: Eigenbasis
     coefficients: np.ndarray
     time: float
     # (read-only copy of the grid, read-only (2, T, N) real and imaginary
-    # planes); one tuple, read once per call, so a grid never pairs with
-    # another grid's planes
+    # planes, read-only <x> row); one tuple, read once per call, so a grid
+    # never pairs with another grid's planes or <x>
     _phases: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -268,35 +268,76 @@ def project_packet(p: PacketSpec, basis: Eigenbasis) -> SpectralState:
     return state
 
 
-def _phase_table(s: SpectralState, times):
-    """Row k holds c_n * exp(-i E_n t_k / hbar) for the k-th duration t_k."""
-    times = _check_times(times)
-    return np.exp(-1j * np.outer(times / s.basis.units.hbar, s.basis.energies)) * s.coefficients[None, :]
+def _phase_table(s: SpectralState, times) -> np.ndarray:
+    """(2, T, N) real and imaginary planes of c_n exp(-i E_n t_k / hbar), one
+    row per duration t_k, each plane C-contiguous.
+
+    A row whose time is exactly k h, with h = t_1 the grid's second time, is
+    factored with B = isqrt(T) as k = q B + r:
+
+        c_n exp(-i E_n k h / hbar) = exp(-i E_n q B h / hbar) * (c_n exp(-i E_n r h / hbar)),
+
+    so a uniform grid (dt * arange, or linspace from 0 before its pinned end
+    point) costs (T/B + B) N complex exp and one real product per block of B
+    rows, written straight into the planes.  Every other row, and every row of
+    a grid with no such step, takes its exp directly.
+    """
+    t = np.ravel(_check_times(times))
+    energies, c = s.basis.energies, s.coefficients
+    hbar = s.basis.units.hbar
+    rows = t.size
+    planes = np.empty((2, rows, energies.size))
+    re, im = planes
+    step = t[1] if rows > 1 else 0.0
+    factored = t == step * np.arange(rows)
+    block = max(1, math.isqrt(rows))
+    starts = np.arange(0, rows, block)
+    outer = np.exp(-1j * np.outer(step / hbar * starts, energies))
+    inner = np.exp(-1j * np.outer(step / hbar * np.arange(block), energies)) * c
+    ar, ai = outer.real.copy(), outer.imag.copy()
+    br, bi = inner.real.copy(), inner.imag.copy()
+    scratch = np.empty_like(br)
+    for q in np.flatnonzero(np.logical_or.reduceat(factored, starts)):
+        lo, hi = starts[q], min(starts[q] + block, rows)
+        n = hi - lo
+        np.multiply(br[:n], ar[q], out=re[lo:hi])
+        re[lo:hi] -= np.multiply(bi[:n], ai[q], out=scratch[:n])
+        np.multiply(bi[:n], ar[q], out=im[lo:hi])
+        im[lo:hi] += np.multiply(br[:n], ai[q], out=scratch[:n])
+    direct = ~factored
+    ph = np.exp(-1j * np.outer(t[direct] / hbar, energies)) * c
+    re[direct], im[direct] = ph.real, ph.imag
+    return planes
 
 
 def evolve(s: SpectralState, t: float) -> SpectralState:
     """Advance a state by duration t: c_n -> c_n * exp(-i E_n t / hbar)."""
-    return SpectralState(basis=s.basis, coefficients=_phase_table(s, [t])[0], time=s.time + t)
+    re, im = _phase_table(s, [t])[:, 0]
+    return SpectralState(basis=s.basis, coefficients=re + 1j * im, time=s.time + t)
 
 
-def _check_variance(var, l_g: float) -> None:
-    if np.any(var < -1e-10 * l_g**2):
+def _variance(planes: np.ndarray, mean: np.ndarray, basis: Eigenbasis) -> np.ndarray:
+    """<x^2> - <x>^2 per row of planes, refused when negative beyond rounding."""
+    var = _quadratic_forms(planes, basis.x2_matrix()) - mean * mean
+    if np.any(var < -1e-10 * basis.units.l_g**2):
         raise NumericalError(f"variance {np.min(var)} is negative beyond tolerance")
+    return var
 
 
-def _phase_planes(s: SpectralState, times) -> np.ndarray:
-    """Read-only (2, T, N) real and imaginary planes of the phase table over
-    times, each C-contiguous; reused while times equal the state's kept grid."""
+def _phase_planes(s: SpectralState, times):
+    """Read-only (2, T, N) phase planes of times (_phase_table) and the <x>
+    row over them; both reused while times equal the state's kept grid."""
     times = _check_times(times)
     kept = s._phases
     if kept is not None and np.array_equal(kept[0], times):
-        return kept[1]
-    ph = _phase_table(s, times)
-    planes = np.stack((ph.real, ph.imag))
+        return kept[1], kept[2]
+    planes = _phase_table(s, times)
+    mean = _quadratic_forms(planes, s.basis.x_matrix)
     grid = times.copy()
-    grid.flags.writeable = planes.flags.writeable = False
-    object.__setattr__(s, "_phases", (grid, planes))
-    return planes
+    for a in (grid, planes, mean):
+        a.flags.writeable = False
+    object.__setattr__(s, "_phases", (grid, planes, mean))
+    return planes, mean
 
 
 def _quadratic_forms(planes: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -310,33 +351,37 @@ def _quadratic_forms(planes: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 def expectation_x_evolution(s: SpectralState, times) -> np.ndarray:
     """<x>(s.time + t) for an array of durations t (vectorized evolve + expectation).
 
-    The state keeps the phase table of this grid (2 T N floats) for the next
-    call on an equal grid, such as variance_x_evolution.
+    The state keeps the phase table of this grid (2 T N floats) and the <x>
+    row for the next call on an equal grid, such as variance_x_evolution.
     """
-    return _quadratic_forms(_phase_planes(s, times), s.basis.x_matrix)
+    return _phase_planes(s, times)[1].copy()
 
 
 def variance_x_evolution(s: SpectralState, times) -> np.ndarray:
     """Var(x)(s.time + t) for an array of durations t.
 
-    The state keeps the phase table of this grid (2 T N floats) for the next
-    call on an equal grid.
+    The state keeps the phase table of this grid (2 T N floats) and the <x>
+    row for the next call on an equal grid.
     """
-    planes = _phase_planes(s, times)
-    mean = _quadratic_forms(planes, s.basis.x_matrix)
-    var = _quadratic_forms(planes, s.basis.x2_matrix()) - mean * mean
-    _check_variance(var, s.basis.units.l_g)
-    return var
+    planes, mean = _phase_planes(s, times)
+    return _variance(planes, mean, s.basis)
+
+
+def _coefficient_planes(s: SpectralState) -> np.ndarray:
+    """(2, 1, N) real and imaginary planes of the coefficients themselves."""
+    return np.stack((s.coefficients.real, s.coefficients.imag))[:, None, :]
 
 
 def expectation_x(s: SpectralState) -> float:
-    """<x> in physical length units: the time-array kernel at duration 0."""
-    return float(expectation_x_evolution(s, [0.0])[0])
+    """<x> in physical length units, from the coefficients; the state's kept
+    phase table is left alone."""
+    return float(_quadratic_forms(_coefficient_planes(s), s.basis.x_matrix)[0])
 
 
 def variance_x(s: SpectralState) -> float:
-    """Var(x) = <x^2> - <x>^2 (>= 0 up to rounding), at duration 0."""
-    return float(variance_x_evolution(s, [0.0])[0])
+    """Var(x) = <x^2> - <x>^2 (>= 0 up to rounding), from the coefficients."""
+    planes = _coefficient_planes(s)
+    return float(_variance(planes, _quadratic_forms(planes, s.basis.x_matrix), s.basis)[0])
 
 
 def reconstruct(s: SpectralState, x) -> np.ndarray:

@@ -284,7 +284,8 @@ def airy_zero(n: int) -> float:
         v = airy(-s)
         step = v.ai / v.ai_prime
         s += step
-        if abs(step) < _NEWTON_STEP_TOL:
+        # past x_n ~ 450 the absolute tolerance is below one ulp of x_n
+        if abs(step) < max(_NEWTON_STEP_TOL, 4 * math.ulp(s)):
             return s
     raise NumericalError(f"Airy zero Newton iteration did not converge for n={n}")
 

@@ -27,6 +27,7 @@ from quadrature_oracle import norm_integrals, overlap_matrix, weighted_matrix
 from series_tail import truncation_sup
 
 PACKET = PacketSpec(x0=10.0, sigma=1.5)
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +347,171 @@ class TestPhaseTableReuse:
         for func in (expectation_x_evolution, variance_x_evolution):
             with pytest.raises(DomainError, match="finite and >= 0"):
                 func(state, times)
+
+
+    def test_scalar_observables_leave_kept_table(self, packet_state, built):
+        at_zero = self.fresh(packet_state)
+        want = expectation_x_evolution(at_zero, [0.0])[0], variance_x_evolution(at_zero, [0.0])[0]
+        built.clear()
+        state = self.fresh(packet_state)
+        expectation_x_evolution(state, self.GRID)
+        assert (expectation_x(state), variance_x(state)) == want
+        variance_x_evolution(state, self.GRID)
+        assert built == [self.GRID.size]
+
+    def test_variance_reuses_kept_mean(self, packet_state, monkeypatch):
+        state = self.fresh(packet_state)
+        with_x = []
+        real = quantum._quadratic_forms
+
+        def counting(planes, matrix):
+            with_x.append(matrix is state.basis.x_matrix)
+            return real(planes, matrix)
+
+        monkeypatch.setattr(quantum, "_quadratic_forms", counting)
+        expectation_x_evolution(state, self.GRID)
+        variance_x_evolution(state, self.GRID.copy())
+        assert with_x == [True, False]
+
+    def test_returned_rows_are_copies(self, packet_state):
+        state = self.fresh(packet_state)
+        mean = expectation_x_evolution(state, self.GRID)
+        var = variance_x_evolution(state, self.GRID)
+        mean[:] = var[:] = 0.0
+        fresh = self.fresh(packet_state)
+        assert np.array_equal(expectation_x_evolution(state, self.GRID),
+                              expectation_x_evolution(fresh, self.GRID))
+        assert np.array_equal(variance_x_evolution(state, self.GRID),
+                              variance_x_evolution(fresh, self.GRID))
+
+
+def direct_table(state, times):
+    """Reference phase table, every row from its own exp: (2, T, N) planes of
+    c_n exp(-i E_n t / hbar)."""
+    basis = state.basis
+    arg = np.outer(np.asarray(times, dtype=float) / basis.units.hbar, basis.energies)
+    table = np.exp(-1j * arg) * state.coefficients
+    return np.stack((table.real, table.imag))
+
+
+class TestBlockedPhaseTable:
+    """Rows at exactly k h (h = t_1) are products of sqrt(T)-blocked
+    exponentials; every other row takes its own exp."""
+
+    def test_uniform_grid_takes_blocked_exponentials(self, packet_state, monkeypatch):
+        sizes = []
+        real = np.exp
+
+        def counting(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(quantum.np, "exp", counting)
+        quantum._phase_table(packet_state, 0.5 * np.arange(101))
+        # T = 101 rows in blocks of B = 10: 11 block starts and 10 offsets, not 101 rows
+        assert sum(sizes) == (11 + 10) * packet_state.basis.n_max
+
+    @pytest.mark.parametrize("grid", [0.05 * np.arange(401), np.linspace(0.0, 1000.0, 20001)])
+    def test_uniform_grid_matches_direct_table(self, packet_state, grid):
+        # both tables round the phase E t, so they part by about an ulp of the
+        # largest phase; measured 2.8e-14 and 1.4e-12 at 490 and 2.5e4 rad
+        gap = np.abs(quantum._phase_table(packet_state, grid) - direct_table(packet_state, grid))
+        assert gap.max() <= 2 * EPS * grid[-1] * packet_state.basis.energies[-1]
+
+    @pytest.mark.parametrize("grid", [
+        np.array([0.0, 0.3, 1.1, 2.0, 7.5, 250.0]),
+        np.sort(np.random.default_rng(5).uniform(0.0, 300.0, 500)),
+        np.array([2.5, 2.5, 0.0]),
+    ])
+    def test_non_uniform_grid_is_the_direct_table(self, packet_state, grid):
+        assert np.array_equal(quantum._phase_table(packet_state, grid), direct_table(packet_state, grid))
+
+    def test_mixed_grid(self, packet_state):
+        # B = 2: rows 0-3 are k h (rows 2 and 3 from the second block start),
+        # rows 4 and 5 are not and take their own exp
+        h = 0.05
+        grid = np.array([0.0, h, 2 * h, 3 * h, 0.7, 250.0])
+        table = quantum._phase_table(packet_state, grid)
+        want = direct_table(packet_state, grid)
+        assert np.array_equal(table[:, 4:], want[:, 4:])
+        assert np.abs(table[:, :4] - want[:, :4]).max() <= 2 * EPS
+
+    @pytest.mark.parametrize("t", [0.0, 3.7])
+    def test_one_row_grid(self, packet_state, t):
+        assert np.array_equal(quantum._phase_table(packet_state, [t]), direct_table(packet_state, [t]))
+        row = direct_table(packet_state, [t])[:, 0]
+        assert np.array_equal(evolve(packet_state, t).coefficients, row[0] + 1j * row[1])
+
+    def test_empty_grid(self, packet_state):
+        assert quantum._phase_table(packet_state, []).shape == (2, 0, packet_state.basis.n_max)
+        fresh = SpectralState(packet_state.basis, packet_state.coefficients, 0.0)
+        assert expectation_x_evolution(fresh, []).shape == variance_x_evolution(fresh, []).shape == (0,)
+
+    def test_all_zero_grid(self, packet_state):
+        re, im = quantum._phase_table(packet_state, np.zeros(7))
+        c = packet_state.coefficients
+        assert (re == c.real).all() and (im == c.imag).all()
+
+    def test_units_with_hbar_not_one(self, neutron_basis):
+        u = neutron_basis.units
+        assert u.hbar != 1.0
+        state = project_packet(PacketSpec(x0=10.0 * u.l_g, sigma=1.5 * u.l_g), neutron_basis)
+        grid = 0.05 * u.t_g * np.arange(2001)
+        # measured 2.0e-13 at phases to 1.9e3 rad, and 4.3e-14 of the <x> maximum
+        gap = np.abs(quantum._phase_table(state, grid) - direct_table(state, grid))
+        assert gap.max() <= 2 * EPS * grid[-1] * neutron_basis.energies[-1] / u.hbar
+        mean = expectation_x_evolution(state, grid)
+        want = quantum._quadratic_forms(direct_table(state, grid), neutron_basis.x_matrix)
+        assert np.abs(mean - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.fixture(scope="module")
+def basis64(units):
+    return build_basis(64, units)
+
+
+class TestPhaseOracle:
+    """<x> on the revival grid (100 bounce periods, 20 001 times, N = 64)
+    against the exact phases exp(-i E_n t_k) of the double E_n and t_k,
+    evaluated by mpmath at 40 digits."""
+
+    ROWS = [1000, 5003, 7919, 12345, 17777, 19999, 20000]
+
+    @staticmethod
+    def exact_mean(mpmath, state, times):
+        basis = state.basis
+        out = []
+        for t in times:
+            c = np.array([
+                complex(mpmath.mpc(cn.real, cn.imag) * mpmath.expj(-mpmath.mpf(e) * mpmath.mpf(t)))
+                for cn, e in zip(state.coefficients, basis.energies)
+            ])
+            out.append((np.conj(c) @ basis.x_matrix @ c).real)
+        return np.array(out)
+
+    @pytest.mark.parametrize("x0", [20.0, 30.0])
+    def test_both_row_kinds_match_exact_phases(self, basis64, x0):
+        mpmath = pytest.importorskip("mpmath")
+        state = project_packet(PacketSpec(x0=x0, sigma=2.0), basis64)
+        grid = np.linspace(0.0, 100 * 2.0 * math.sqrt(x0), 20001)
+        rows = np.array(self.ROWS)
+        assert (grid[rows] == rows * grid[1]).all()  # blocked rows in the full grid
+        with mpmath.workdps(40):
+            exact = self.exact_mean(mpmath, state, grid[rows])
+        blocked = expectation_x_evolution(state, grid)
+        # the sampled times alone are no uniform grid: each row takes its own exp
+        direct = expectation_x_evolution(state, grid[rows])
+        # measured 2.1e-12 / 4.5e-12 blocked and 4.7e-12 / 8.9e-12 direct
+        # (x0 = 20 / 30): the rounding of phases E t up to 4.5e4 rad
+        assert np.abs(blocked[rows] - exact).max() <= 1e-11
+        assert np.abs(direct - exact).max() <= 1e-11
+        # the whole grid against the direct table, relative to each column's
+        # maximum; measured 1.1e-12 / 1.3e-12 (<x>) and 1.2e-12 / 1.5e-12 (Var)
+        table = direct_table(state, grid)
+        mean = quantum._quadratic_forms(table, basis64.x_matrix)
+        var = quantum._quadratic_forms(table, basis64.x2_matrix()) - mean**2
+        assert np.abs(blocked - mean).max() <= 5e-12 * np.abs(mean).max()
+        assert np.abs(variance_x_evolution(state, grid) - var).max() <= 5e-12 * np.abs(var).max()
 
 
 class TestObservables:

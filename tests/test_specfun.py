@@ -144,6 +144,12 @@ class TestAiryZeros:
         gaps = [(airy_zero(n) - airy_zero_asymptotic(n)) / airy_zero(n) for n in range(1, 21)]
         assert all(a > b > 0 for a, b in zip(gaps, gaps[1:]))
 
+    def test_zero_30000_past_absolute_step_tolerance(self):
+        # x_n ~ 2714: one ulp (4.5e-13) exceeds the absolute 1e-13 Newton step
+        # tolerance.  Reference: mpmath.airyaizero(30000) at 30 digits,
+        # -2713.76671576162658505030317223
+        assert airy_zero(30000) == pytest.approx(2713.7667157616265851, rel=1e-16)
+
     def test_invalid_index(self):
         with pytest.raises(DomainError):
             airy_zero_asymptotic(0)
