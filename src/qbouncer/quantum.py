@@ -3,14 +3,16 @@ projection, spectral time evolution, position observables, and the
 closed-form semiclassical series for <x>(t).
 
 Eigenfunctions are psi_n(x) = (N_n / sqrt(l_g)) * Ai(x/l_g - x_n) with
-N_n = 1 / |Ai'(-x_n)|, which is unit-normalized on [0, inf) because
-integral of Ai(u - x_n)^2 from 0 equals Ai'(-x_n)^2 when Ai(-x_n) = 0.
+N_n = 1 / |Ai'(-x_n)|.  Since d/dz [Ai'(z)^2 - z Ai(z)^2] = -Ai(z)^2, the
+integral of Ai(u - x_n)^2 from 0 is Ai'(-x_n)^2 + x_n Ai(-x_n)^2, which is
+Ai'(-x_n)^2 at a zero; build_basis checks that closed form at the computed
+zeros instead of integrating.
 
 The position matrix elements have closed forms in the zeros x_n alone
 (Goodmanson, Am. J. Phys. 68, 866 (2000); Gea-Banacloche, Am. J. Phys. 67,
-776 (1999)).  Adaptive quadrature checks the norms at build time, one
-vector-valued integral per block of states, and projects packets onto the
-basis, one vector-valued integral over all states per projection.
+776 (1999)), so building a basis runs no quadrature.  Adaptive quadrature
+projects packets onto it, one vector-valued integral over all states per
+projection.
 """
 
 from __future__ import annotations
@@ -45,9 +47,8 @@ __all__ = [
 # have decayed far below any tolerance used here (Ai(12)^2 ~ 1e-25).
 _TAIL_MARGIN = 12.0
 _NORM_CHECK_TOL = 1e-8
-# Values per block of the norm integrand table (points x states): the blocks keep
-# its memory flat in N, where one (points x N) table takes hundreds of MB at N = 400
-_NORM_BLOCK_VALUES = 2**15
+# the largest basis whose zeros and slopes |Ai'(-x_n)| the tests hold to mpmath
+_N_MAX_CHECKED = 10_000
 _HALF_LINE_CLIP_LIMIT = 1e-6
 _TRUNCATION_LIMIT = 1e-3
 
@@ -90,6 +91,7 @@ class Eigenbasis:
     energies: np.ndarray      # e_g * x_n
     norms: np.ndarray          # N_n = 1/|Ai'(-x_n)|
     x_matrix: np.ndarray       # <m|x|n>, length units
+    _x2: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def eigenfunction(self, n: int, x):
         """psi_n evaluated at physical heights x (n is 1-based); 0 below the mirror."""
@@ -101,8 +103,13 @@ class Eigenbasis:
         return np.where(x < 0, 0.0, psi)[()]
 
     def x2_matrix(self) -> np.ndarray:
-        """<m|x^2|n> in length^2 units."""
-        return self.units.l_g**2 * _position_matrix(self.zeros, power=2)
+        """<m|x^2|n> in length^2 units; read-only, built on the first call and
+        kept for the basis."""
+        if self._x2 is None:
+            x2 = self.units.l_g**2 * _position_matrix(self.zeros, power=2)
+            x2.flags.writeable = False
+            self._x2 = x2
+        return self._x2
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,10 +140,10 @@ class SpectralState:
 
 
 def _initial_panels(span_star: float, x_top: float) -> int:
-    """Starting panel count for integrate_1d over span_star l_g of states up to
-    the zero x_top.  Ai(x - x_n)^2 turns through at most 2 sqrt(x_top) radians per
-    unit x (at the mirror, for n = top); no panel spans more than 18 of them, and
-    there are at least 8."""
+    """Starting panel count for the projection integral over span_star l_g of
+    states up to the zero x_top.  Ai(x - x_n)^2 turns through at most
+    2 sqrt(x_top) radians per unit x (at the mirror, for n = top); no panel
+    spans more than 18 of them, and there are at least 8."""
     return max(8, math.ceil(span_star * math.sqrt(x_top) / 9.0))
 
 
@@ -164,44 +171,28 @@ def _position_matrix(zeros: np.ndarray, power: int) -> np.ndarray:
     return out
 
 
-def _norm_integrals(zeros: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Integral of (N_n Ai(x - x_n))^2 on [0, inf) for every state.
-
-    The states go in blocks of at most _NORM_BLOCK_VALUES table values, each
-    one vector-valued integrate_1d call over [0, x_top + _TAIL_MARGIN] for its
-    highest zero x_top, starting from _initial_panels.
-    """
-    out = np.empty(zeros.size)
-    top = float(zeros[-1])
-    # integrate_1d's first refinement evaluates 2 x 15 nodes per starting panel
-    block = max(1, _NORM_BLOCK_VALUES // (30 * _initial_panels(top + _TAIL_MARGIN, top)))
-    for start in range(0, zeros.size, block):
-        z = zeros[start : start + block]
-        c = norms[start : start + block]
-
-        def sq(x):
-            return (c * airy_ai(x[:, None] - z)) ** 2
-
-        span = float(z[-1]) + _TAIL_MARGIN
-        panels = _initial_panels(span, float(z[-1]))
-        out[start : start + z.size] = integrate_1d(sq, 0.0, span, initial_panels=panels)
-    return out
-
-
 def build_basis(n_max: int, u: UnitSystem) -> Eigenbasis:
     """Construct the first n_max eigenstates and their position matrix.
 
-    Each N_n is verified to 1e-8 against its norm integral by adaptive
-    quadrature (_norm_integrals) before the closed-form matrix elements are
-    filled.
+    N_n = 1/|Ai'(-x_n)|.  Each state's norm integral is checked to 1e-8 in
+    closed form, N_n^2 (Ai'(-x_n)^2 + x_n Ai(-x_n)^2), so a zero off by more
+    than about 1e-4 / sqrt(x_n) raises NumericalError naming the state.
+    n_max above 10 000, past the tested range, raises DomainError before any
+    zero is computed.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
+    if n_max > _N_MAX_CHECKED:
+        raise DomainError(f"n_max {n_max} above {_N_MAX_CHECKED}, the largest basis checked against mpmath")
     zeros = airy_zeros(n_max)
-    norms = 1.0 / np.abs(airy_ai_prime(-zeros))
-    for i, nrm in enumerate(_norm_integrals(zeros, norms)):
-        if abs(nrm - 1.0) > _NORM_CHECK_TOL:
-            raise NumericalError(f"norm of eigenstate {i + 1} is {nrm}, off by >{_NORM_CHECK_TOL}")
+    ai = airy_ai(-zeros)
+    slopes = airy_ai_prime(-zeros)
+    norms = 1.0 / np.abs(slopes)
+    nrm = norms**2 * (slopes**2 + zeros * ai**2)
+    bad = np.flatnonzero(~(np.abs(nrm - 1.0) <= _NORM_CHECK_TOL))
+    if bad.size:
+        i = int(bad[0])
+        raise NumericalError(f"norm of eigenstate {i + 1} is {nrm[i]}, off by >{_NORM_CHECK_TOL}")
     return Eigenbasis(
         n_max=n_max,
         units=u,

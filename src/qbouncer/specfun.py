@@ -6,6 +6,11 @@ piecewise from the power series of the defining ODE y'' = x*y, from Taylor
 expansions about precomputed anchor points, and from the standard large-|x|
 asymptotic expansions.  All functions are pure and accept either scalars or
 numpy arrays.
+
+The zeros come from one array Newton kernel: every requested index starts
+from the asymptotic seed [3 pi/2 (n - 1/4)]^(2/3) (the leading term of
+DLMF 9.9.6 and 9.9.18), and each sweep is one airy() call on all the
+entries still moving.
 """
 
 from __future__ import annotations
@@ -33,10 +38,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AiryValue:
-    """Value of Ai and Ai' at one point."""
+    """Ai and Ai' at one point (floats), or at every point of an array
+    (arrays of its shape)."""
 
-    ai: float
-    ai_prime: float
+    ai: float | np.ndarray
+    ai_prime: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -254,12 +260,12 @@ def airy_ai_prime(x):
 
 
 def airy(x) -> AiryValue:
-    """Ai and Ai' together (one shared evaluation)."""
+    """Ai and Ai' together (one shared evaluation), for a scalar or an array."""
     arr = _checked_array(x)
-    if arr.ndim != 0:
-        raise DomainError("airy() takes a scalar; use airy_ai / airy_ai_prime for arrays")
     ai, aip = _airy_core(np.atleast_1d(arr))
-    return AiryValue(float(ai[0]), float(aip[0]))
+    if arr.ndim == 0:
+        return AiryValue(float(ai[0]), float(aip[0]))
+    return AiryValue(ai.reshape(arr.shape), aip.reshape(arr.shape))
 
 
 def airy_zero_asymptotic(n: int) -> float:
@@ -273,26 +279,42 @@ _NEWTON_CAP = 50
 _NEWTON_STEP_TOL = 1e-13
 
 
-def airy_zero(n: int) -> float:
-    """Magnitude x_n > 0 of the n-th zero of Ai (Ai(-x_n) = 0).
+def _newton_zeros(indices) -> np.ndarray:
+    """Zero magnitudes x_n for every index n in indices, by Newton on all of
+    them at once.
 
-    Newton refinement of the asymptotic seed; the seed is within 1% already,
-    so a handful of iterations reaches ~1e-15.
+    Each sweep is one airy() call on the entries still moving; an entry
+    retires once its step is below max(_NEWTON_STEP_TOL, 4 ulp(x_n)) (past
+    x_n ~ 450 the absolute tolerance is below one ulp).  The seed is within
+    1% already, so three sweeps reach ~1e-15.  Raises NumericalError naming
+    the first index still moving after _NEWTON_CAP sweeps.
     """
-    s = airy_zero_asymptotic(n)
+    # one libm pow per index: numpy's array ** rounds some seeds an ulp apart
+    # (n = 12, 79, 88, ...), and that ulp survives Newton in x_176, x_187, ...
+    x = np.array([airy_zero_asymptotic(n) for n in indices], dtype=float)
+    active = np.arange(x.size)
     for _ in range(_NEWTON_CAP):
-        v = airy(-s)
+        if not active.size:
+            break
+        v = airy(-x[active])
         step = v.ai / v.ai_prime
-        s += step
-        # past x_n ~ 450 the absolute tolerance is below one ulp of x_n
-        if abs(step) < max(_NEWTON_STEP_TOL, 4 * math.ulp(s)):
-            return s
-    raise NumericalError(f"Airy zero Newton iteration did not converge for n={n}")
+        x[active] += step
+        # negated "<", so that a NaN step never retires its entry
+        done = np.abs(step) < np.maximum(_NEWTON_STEP_TOL, 4 * np.spacing(x[active]))
+        active = active[~done]
+    if active.size:
+        raise NumericalError(f"Airy zero Newton iteration did not converge for n={indices[active[0]]}")
+    return x
+
+
+def airy_zero(n: int) -> float:
+    """Magnitude x_n > 0 of the n-th zero of Ai (Ai(-x_n) = 0)."""
+    return float(_newton_zeros([n])[0])
 
 
 def airy_zeros(n_max: int) -> np.ndarray:
     """First n_max zero magnitudes, ascending."""
-    return np.array([airy_zero(n) for n in range(1, n_max + 1)])
+    return _newton_zeros(range(1, n_max + 1))
 
 
 # 15-point Gauss-Legendre rule used on every panel.

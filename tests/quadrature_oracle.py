@@ -49,5 +49,5 @@ def norm_integrals(basis):
     return np.array([
         integrate_1d(lambda x, n=n: (basis.norms[n] * airy_ai(x - basis.zeros[n])) ** 2,
                      0.0, upper, initial_panels=panels)
-        for n in range(basis.n_max)
+        for n in range(basis.zeros.size)
     ])

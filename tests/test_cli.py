@@ -276,6 +276,11 @@ class TestConfigHandling:
         assert main(["classical", "--x0", "1", "--dt", "-0.1"]) == 2
         assert "dt" in capsys.readouterr().err
 
+    def test_nmax_above_checked_range_rejected(self, capsys):
+        # n_max past the 10 000 states held to mpmath is refused before any zero
+        assert main(["quantum", "--nmax", "10001", "--tend", "1", "--dt", "0.5", "--out", "-"]) == 2
+        assert "n_max 10001" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [
         ["compare", "--alpha", "0.4", "--nmax", "0"],
         ["quantum", "--nmax", "3"],

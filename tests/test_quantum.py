@@ -1,6 +1,7 @@
 """Airy eigenbasis, packet projection, spectral evolution, observables."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from qbouncer.quantum import (
     variance_x,
     variance_x_evolution,
 )
-from qbouncer.specfun import airy_ai_prime, airy_zero
+from qbouncer.specfun import airy_ai, airy_ai_prime, airy_zero
 from quadrature_oracle import norm_integrals, overlap_matrix, weighted_matrix
 from series_tail import truncation_sup
 
@@ -98,25 +99,43 @@ class TestBasis:
         with pytest.raises(DomainError):
             build_basis(0, units)
 
+    def test_nmax_above_checked_range_rejected_first(self, units, monkeypatch):
+        # past the 10 000 states whose zeros and slopes are held to mpmath,
+        # build_basis refuses before computing a zero or an N x N matrix
+        def no_zeros(n_max):
+            raise AssertionError("zeros computed for a refused basis")
+
+        monkeypatch.setattr(quantum, "airy_zeros", no_zeros)
+        with pytest.raises(DomainError, match="10000"):
+            build_basis(10_001, units)
+
+    def test_x2_matrix_built_once_and_read_only(self, basis12, units):
+        first = basis12.x2_matrix()
+        assert basis12.x2_matrix() is first
+        assert not first.flags.writeable
+        assert np.array_equal(first, units.l_g**2 * quantum._position_matrix(basis12.zeros, 2))
+
     @pytest.mark.parametrize("n_max,bound", [(26, 3.5e-15), (64, 5e-15)])
     def test_norm_table_matches_adaptive_quadrature(self, units, n_max, bound):
-        # the blocked norm check against one scalar integrate_1d per state on
-        # the oracle's own panels; measured gap 1.1e-15 (N = 26) and 1.6e-15 (N = 64)
+        # the closed-form norm integral N_n^2 (Ai'(-x_n)^2 + x_n Ai(-x_n)^2)
+        # that build_basis checks, against one scalar integrate_1d per state
+        # on the oracle's own panels; measured gap 1.8e-15 (N = 26) and 2.0e-15 (N = 64)
         basis = build_basis(n_max, units)
-        table = quantum._norm_integrals(basis.zeros, basis.norms)
-        assert np.abs(table - norm_integrals(basis)).max() < bound
+        z = basis.zeros
+        closed = basis.norms**2 * (airy_ai_prime(-z) ** 2 + z * airy_ai(-z) ** 2)
+        assert np.abs(closed - norm_integrals(basis)).max() < bound
 
     @pytest.mark.parametrize("n", [2500, 5000, 10000])
     def test_norm_table_converges_for_high_states(self, n):
-        # psi_n^2 oscillates faster near the mirror as n grows and the
-        # starting panels narrow with it; measured |Q_n - 1| <= 6.4e-15
+        # psi_n^2 oscillates faster near the mirror as n grows; one adaptive
+        # integral on the oracle's 0.6 l_g starting panels still normalizes
+        # N_n = 1/|Ai'(-x_n)| to 1; measured |Q_n - 1| <= 7.8e-15
         zero = np.array([airy_zero(n)])
-        norm = 1.0 / np.abs(airy_ai_prime(-zero))
-        assert abs(quantum._norm_integrals(zero, norm)[0] - 1.0) < 1e-13
+        state = SimpleNamespace(zeros=zero, norms=1.0 / np.abs(airy_ai_prime(-zero)))
+        assert abs(norm_integrals(state)[0] - 1.0) < 1e-13
 
-    def test_basis_build_runs_one_quadrature_per_norm_block(self, units, monkeypatch):
-        # the norm check is one vector-valued integrate_1d call per block of
-        # states; at N = 26 every state fits in one block
+    def test_basis_build_runs_no_quadrature(self, units, monkeypatch):
+        # zeros, slopes and the closed-form norm check: no integrate_1d call
         calls = []
         real = quantum.integrate_1d
 
@@ -126,40 +145,33 @@ class TestBasis:
 
         monkeypatch.setattr(quantum, "integrate_1d", counted)
         build_basis(26, units)
-        assert len(calls) == 1
+        assert calls == []
 
     def test_norm_check_fires(self, units, monkeypatch):
-        # N_5 = 1/|Ai'(-x_5)| made 1e-7 too large: its norm integral is then
-        # off by 2e-7, above the 1e-8 check, which must name state 5
-        real = quantum.airy_ai_prime
+        # x_5 moved by 1e-4: Ai(-x_5) ~ 1e-4 Ai'(-x_5), so the closed-form
+        # norm is off by about x_5 * 1e-8 = 9e-8, above the 1e-8 check, which
+        # must name state 5
+        real = quantum.airy_zeros
 
-        def skewed(x):
-            out = real(x)
-            out[4] /= 1.0 + 1e-7
+        def shifted(n_max):
+            out = real(n_max)
+            out[4] += 1e-4
             return out
 
-        monkeypatch.setattr(quantum, "airy_ai_prime", skewed)
+        monkeypatch.setattr(quantum, "airy_zeros", shifted)
         with pytest.raises(NumericalError, match=r"eigenstate 5 "):
             build_basis(12, units)
 
-    def test_norm_check_refines_from_two_panels(self, basis26, monkeypatch):
-        # two starting panels over [0, x_N + 12] cannot resolve psi_n^2; the
-        # adaptive norm check refines them and still lands on 1
+    def test_norm_check_refines_from_two_panels(self, basis26, packet_state, monkeypatch):
+        # two starting panels over the packet's [x0 - 9 sigma, x0 + 9 sigma]
+        # cannot resolve psi_n phi; the adaptive projection refines them and
+        # lands on the same coefficients; measured gap 1.7e-15
         monkeypatch.setattr(quantum, "_initial_panels", lambda span, x_top: 2)
-        norms = quantum._norm_integrals(basis26.zeros, basis26.norms)
-        assert np.abs(norms - 1.0).max() <= 1e-13
-
-    def test_unconvergeable_norm_integrand_raises(self, units, monkeypatch):
-        # noise on Ai keeps every panel moving under refinement: the norm
-        # check runs out of subdivisions instead of returning a value
-        rng = np.random.default_rng(3)
-        real = quantum.airy_ai
-        monkeypatch.setattr(quantum, "airy_ai", lambda x: real(x) + 1e-6 * rng.standard_normal(np.shape(x)))
-        with pytest.raises(NumericalError, match="subdivision cap"):
-            build_basis(12, units)
+        state = project_packet(PACKET, basis26)
+        assert np.abs(state.coefficients - packet_state.coefficients).max() <= 1e-13
 
     def test_large_basis_matches_mpmath(self, units):
-        # N = 400 builds (every norm passes the quadrature check) and its zeros
+        # N = 400 builds (every norm passes the closed-form check) and its zeros
         # and |Ai'(-x_n)| agree with mpmath; measured relative error <= 5e-16
         mpmath = pytest.importorskip("mpmath")
         basis = build_basis(400, units)

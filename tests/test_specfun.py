@@ -49,6 +49,12 @@ class TestAiryValues:
         assert v.ai > 0 and v.ai_prime < 0
         assert v.ai == airy_ai(0.0)
 
+    def test_airy_pair_on_arrays(self):
+        xs = np.linspace(-20.0, 15.0, 36).reshape(6, 6)
+        v = airy(xs)
+        assert np.array_equal(v.ai, airy_ai(xs))
+        assert np.array_equal(v.ai_prime, airy_ai_prime(xs))
+
     def test_printed_first_zero_location(self):
         # the tabulated 6-digit zero gives |Ai| below 1e-5 there
         assert abs(airy_ai(-2.33811)) < 1e-5
@@ -150,11 +156,42 @@ class TestAiryZeros:
         # -2713.76671576162658505030317223
         assert airy_zero(30000) == pytest.approx(2713.7667157616265851, rel=1e-16)
 
+    def test_array_kernel_matches_scalar_newton_bytes(self):
+        # one array Newton run over n = 1..2000, 2000 one-index runs and the
+        # scalar loop (libm seed, one airy() call per step) give the same bits
+        zeros = airy_zeros(2000).tobytes()
+        assert zeros == np.array([airy_zero(n) for n in range(1, 2001)]).tobytes()
+        assert zeros == np.array([_scalar_newton_zero(n) for n in range(1, 2001)]).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 100, 400, 1000, 3000, 10000])
+    def test_zero_and_slope_match_mpmath(self, n):
+        # the basis norms are 1/|Ai'(-x_n)| and its closed-form norm check
+        # trusts both; measured relative errors <= 2.3e-16
+        mpmath = pytest.importorskip("mpmath")
+        a_n = mpmath.airyaizero(n)
+        x_n = airy_zero(n)
+        assert x_n == pytest.approx(float(-a_n), rel=1e-13)
+        slope = abs(float(mpmath.airyai(a_n, derivative=1)))
+        assert abs(airy_ai_prime(-x_n)) == pytest.approx(slope, rel=1e-13)
+
     def test_invalid_index(self):
         with pytest.raises(DomainError):
             airy_zero_asymptotic(0)
         with pytest.raises(DomainError):
             airy_zero(0)
+
+
+def _scalar_newton_zero(n):
+    # reference: Newton from the libm seed, one scalar airy() call per step,
+    # stopping on |step| < max(1e-13, 4 ulp(x_n))
+    s = airy_zero_asymptotic(n)
+    for _ in range(50):
+        v = airy(-s)
+        step = v.ai / v.ai_prime
+        s += step
+        if abs(step) < max(1e-13, 4 * math.ulp(s)):
+            return s
+    raise AssertionError(f"reference Newton loop did not converge for n={n}")
 
 
 def _simpson(f, a, b, n=20001):
