@@ -20,7 +20,8 @@ import numpy as np
 from . import classical, moments, quantum
 from .errors import ConfigError, DomainError, NumericalError
 from .scaling import UnitSystem, make_units, units_from_preset
-from .specfun import airy_zero, airy_zero_asymptotic
+# airy_zero stays a name of this module: bench/tracing.py wraps cli.airy_zero
+from .specfun import airy_zero, airy_zero_asymptotic, airy_zeros  # noqa: F401
 
 __all__ = ["ScenarioConfig", "main", "entry",
            "run_spectrum", "run_classical", "run_quantum", "run_moments", "run_compare"]
@@ -181,8 +182,7 @@ def _time_grid(cfg: ScenarioConfig) -> np.ndarray:
 def run_spectrum(cfg: ScenarioConfig):
     header = ["n", "x_n", "x_n_asymptotic", "E_n", "rel_err_percent"]
     rows = []
-    for n in range(1, cfg.nmax + 1):
-        exact = airy_zero(n)
+    for n, exact in enumerate(airy_zeros(cfg.nmax).tolist(), start=1):
         seed = airy_zero_asymptotic(n)
         rows.append([n, exact, seed, cfg.units.e_g * exact, 100.0 * abs(exact - seed) / exact])
     return header, rows

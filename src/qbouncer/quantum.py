@@ -10,9 +10,11 @@ zeros instead of integrating.
 
 The position matrix elements have closed forms in the zeros x_n alone
 (Goodmanson, Am. J. Phys. 68, 866 (2000); Gea-Banacloche, Am. J. Phys. 67,
-776 (1999)), so building a basis runs no quadrature.  Adaptive quadrature
-projects packets onto it, one vector-valued integral over all states per
-projection.
+776 (1999)), so building a basis runs no quadrature.  A Gaussian packet
+projects onto it in closed form too, as Ai smoothed by a Gaussian is another
+Airy function; only the packet's tail below the mirror, when it reaches
+there, and projections of arbitrary functions take an adaptive quadrature,
+one vector-valued integral over all states.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .classical import _bounce_series, _check_times
 from .errors import DomainError, InsufficientBasisError, NumericalError
 from .scaling import UnitSystem
-from .specfun import airy_ai, airy_ai_prime, airy_zeros, integrate_1d
+from .specfun import airy_ai, airy_ai_prime, airy_ai_smoothed, airy_zeros, integrate_1d
 
 __all__ = [
     "PacketSpec",
@@ -227,8 +229,25 @@ def project_packet(p: PacketSpec, basis: Eigenbasis) -> SpectralState:
     The full-line Gaussian is clipped to x >= 0 and renormalized; the clipped
     mass must be below 1e-6 (x0 >= 4 sigma guarantees that comfortably).
     Raises InsufficientBasisError when more than 1e-3 of the norm falls
-    outside the truncated basis; before any quadrature when more than that
-    much of the packet lies where every basis state has decayed.
+    outside the truncated basis; before any projection work when more than
+    that much of the packet lies where every basis state has decayed.
+
+    Over the whole line the coefficients have a closed form.  With
+    a = (sigma/l_g)^2 / 4, smoothing Ai with the packet's Gaussian gives
+    another Airy function (Vallee & Soares, Airy Functions and Applications
+    to Physics, 2004):
+
+        integral Ai(u) exp(-(u - y)^2 / (4a)) du = sqrt(4 pi a) exp(a y + 2 a^3 / 3) Ai(y + a^2),
+
+    so with y_n = x0/l_g - x_n,
+
+        c_n = (2 pi)^(1/4) sqrt(sigma/l_g) N_n exp(a y_n + 2 a^3 / 3) Ai(y_n + a^2),
+
+    evaluated by specfun.airy_ai_smoothed without overflow.  The packet is
+    taken on [x0 - 9 sigma, x0 + 9 sigma], cut at the mirror: when
+    x0 < 9 sigma, the part on [x0 - 9 sigma, 0], against the Airy
+    continuation of the states, is taken back out with one vector-valued
+    adaptive quadrature; otherwise no quadrature runs.
     """
     if not math.isfinite(p.sigma):
         raise DomainError("projection needs a finite packet width")
@@ -240,7 +259,8 @@ def project_packet(p: PacketSpec, basis: Eigenbasis) -> SpectralState:
     # the packet mass beyond the top state's turning point plus _TAIL_MARGIN is
     # lost to any projection, so it bounds the truncation loss from below; this
     # also keeps the quadrature below from sizing itself to a far-away packet
-    top = (float(basis.zeros[-1]) + _TAIL_MARGIN) * basis.units.l_g
+    l_g = basis.units.l_g
+    top = (float(basis.zeros[-1]) + _TAIL_MARGIN) * l_g
     beyond = 0.5 * math.erfc(math.sqrt(2.0) * (top - p.x0) / p.sigma)
     if beyond > _TRUNCATION_LIMIT:
         raise InsufficientBasisError(
@@ -248,9 +268,17 @@ def project_packet(p: PacketSpec, basis: Eigenbasis) -> SpectralState:
             f"increase n_max beyond {basis.n_max}"
         )
     rescale = 1.0 / math.sqrt(1.0 - clip)
-    lo = max(0.0, p.x0 - 9.0 * p.sigma)
-    hi = p.x0 + 9.0 * p.sigma
-    state = project_function(lambda x: rescale * p.wavefunction(x), basis, lo, hi)
+    width = p.sigma / l_g
+    smoothed = airy_ai_smoothed(p.x0 / l_g - basis.zeros, 0.25 * width * width)
+    coeffs = (2.0 * math.pi) ** 0.25 * math.sqrt(width) * basis.norms * smoothed
+    lo = p.x0 - 9.0 * p.sigma
+    if lo < 0.0:
+        def below(x):
+            return _eigenfunction_table(basis, x) * p.wavefunction(x)[:, None]
+
+        panels = _initial_panels(-lo / l_g, float(basis.zeros[-1]))
+        coeffs = coeffs - integrate_1d(below, lo, 0.0, initial_panels=panels)
+    state = SpectralState(basis=basis, coefficients=(rescale * coeffs).astype(complex), time=0.0)
     if state.truncation_loss > _TRUNCATION_LIMIT:
         raise InsufficientBasisError(
             f"truncation loss {state.truncation_loss:.2e} above {_TRUNCATION_LIMIT}; "

@@ -5,7 +5,8 @@ Everything here is self-contained (no scipy): Ai and Ai' are evaluated
 piecewise from the power series of the defining ODE y'' = x*y, from Taylor
 expansions about precomputed anchor points, and from the standard large-|x|
 asymptotic expansions.  All functions are pure and accept either scalars or
-numpy arrays.
+numpy arrays.  airy_ai_smoothed gives Ai convolved with a Gaussian in closed
+form, as another Airy function.
 
 The zeros come from one array Newton kernel: every requested index starts
 from the asymptotic seed [3 pi/2 (n - 1/4)]^(2/3) (the leading term of
@@ -30,6 +31,7 @@ __all__ = [
     "airy_ai",
     "airy_ai_prime",
     "airy",
+    "airy_ai_smoothed",
     "airy_zero",
     "airy_zero_asymptotic",
     "integrate_1d",
@@ -66,15 +68,19 @@ DEFAULT_QUAD = QuadratureSpec()
 _AI0 = 0.3550280538878172
 _AIP0 = -0.2588194037928068
 
-# Power series of y'' = x*y works in doubles up to |x| ~ 4.5 before the
+# Power series of y'' = x*y works in doubles down to x ~ -4.5 before the
 # cancellation between the two fundamental solutions costs more than ~1e-13
-# absolutely.  Beyond that, Taylor steps from tabulated anchors; beyond 9,
-# the asymptotic expansions are past their optimal-truncation point.
+# absolutely.  For x > 0, where Ai decays and callers scale it by e^(a x),
+# the same cancellation costs *relative* accuracy (9e-11 at x = 4.49), so the
+# series stops at 1.5.  Beyond that, Taylor steps from tabulated anchors;
+# beyond |x| = 9, the asymptotic expansions are past their optimal-truncation
+# point.
 _SERIES_CUT = 4.5
+_SERIES_CUT_POSITIVE = 1.5
 _ASYMP_CUT = 9.0
 
-# Anchor values (x, Ai(x), Ai'(x)) on a 0.75-spaced grid covering both signs
-# of the Taylor band, precomputed in 40-digit arithmetic.
+# Anchor values (x, Ai(x), Ai'(x)) on a 0.75-spaced grid covering the Taylor
+# bands [-9, -4.5) and (1.5, 9], precomputed in 40-digit arithmetic.
 _ANCHORS = (
     (-8.625, -0.30454420433149104, -0.3758542688656525),
     (-7.875, 0.06508085382051565, 0.9295117784036155),
@@ -82,6 +88,10 @@ _ANCHORS = (
     (-6.375, -0.30907297438308345, -0.4530622357717545),
     (-5.625, -0.08944937021646834, 0.8389589649551079),
     (-4.875, 0.37763603253447076, 0.10099285574363498),
+    (1.875, 0.04212963624499835, -0.062388280684420545),
+    (2.625, 0.012735929874768289, -0.02171156948415664),
+    (3.375, 0.0032853966210555307, -0.006258914271870555),
+    (4.125, 0.0007343405663568322, -0.001533111012308941),
     (4.875, 0.0001438943695320532, -0.0003247105484552747),
     (5.625, 2.4950024118502626e-05, -6.023613298159355e-05),
     (6.375, 3.857360451522611e-06, -9.885234323287339e-06),
@@ -89,9 +99,9 @@ _ANCHORS = (
     (7.875, 6.698647510681967e-08, -1.900504494274465e-07),
     (8.625, 7.60106734778057e-09, -2.2538261188997648e-08),
 )
-_ANCHOR_STEP = 0.75
-_ANCHOR_FIRST = 4.875
 _ANCHOR_X = np.array([a[0] for a in _ANCHORS])
+# x takes the anchor of the interval between consecutive midpoints it falls in
+_ANCHOR_SPLIT = 0.5 * (_ANCHOR_X[1:] + _ANCHOR_X[:-1])
 
 _N_MAC = 36
 
@@ -162,13 +172,7 @@ def _eval_maclaurin(x):
 
 
 def _eval_anchor(x):
-    idx = np.clip(
-        np.rint((np.abs(x) - _ANCHOR_FIRST) / _ANCHOR_STEP).astype(int),
-        0,
-        len(_ANCHORS) // 2 - 1,
-    )
-    half = len(_ANCHORS) // 2
-    rows = np.where(x < 0, half - 1 - idx, half + idx)
+    rows = np.searchsorted(_ANCHOR_SPLIT, x)
     h = x - _ANCHOR_X[rows]
     val = np.zeros_like(x)
     der = np.zeros_like(x)
@@ -181,7 +185,9 @@ def _eval_anchor(x):
     return val, der
 
 
-def _eval_asymptotic_positive(x):
+def _asymptotic_positive_undamped(x):
+    """zeta = (2/3) x^(3/2) and the large-x expansions of e^zeta Ai(x) and
+    e^zeta Ai'(x): Ai and Ai' without their factor e^(-zeta)."""
     zeta = (2.0 / 3.0) * x**1.5
     z = 1.0 / zeta
     s_ai = np.zeros_like(x)
@@ -190,9 +196,14 @@ def _eval_asymptotic_positive(x):
         sgn = -1.0 if k % 2 else 1.0
         s_ai = s_ai * z + sgn * _U_AS[k]
         s_aip = s_aip * z + sgn * _V_AS[k]
-    damp = np.exp(-zeta)
     root4 = x**0.25
-    return damp * s_ai / (2.0 * _SQRT_PI * root4), -root4 * damp * s_aip / (2.0 * _SQRT_PI)
+    return zeta, s_ai / (2.0 * _SQRT_PI * root4), -root4 * s_aip / (2.0 * _SQRT_PI)
+
+
+def _eval_asymptotic_positive(x):
+    zeta, ai, aip = _asymptotic_positive_undamped(x)
+    damp = np.exp(-zeta)
+    return damp * ai, damp * aip
 
 
 def _eval_asymptotic_negative(x):
@@ -222,9 +233,8 @@ def _eval_asymptotic_negative(x):
 def _airy_core(x: np.ndarray):
     ai = np.empty_like(x)
     aip = np.empty_like(x)
-    ax = np.abs(x)
-    small = ax <= _SERIES_CUT
-    mid = (ax > _SERIES_CUT) & (ax <= _ASYMP_CUT)
+    small = (x >= -_SERIES_CUT) & (x <= _SERIES_CUT_POSITIVE)
+    mid = (np.abs(x) <= _ASYMP_CUT) & ~small
     pos = x > _ASYMP_CUT
     neg = x < -_ASYMP_CUT
     if small.any():
@@ -246,14 +256,16 @@ def _checked_array(x):
 
 
 def airy_ai(x):
-    """Ai(x).  Absolute error below 1e-12 for |x| <= 15."""
+    """Ai(x).  Absolute error below 1e-12 for |x| <= 15; for x >= 0, relative
+    error below 1e-14 up to x = 9 and below 1e-13 up to x = 40."""
     arr = _checked_array(x)
     ai, _ = _airy_core(np.atleast_1d(arr))
     return float(ai[0]) if arr.ndim == 0 else ai.reshape(arr.shape)
 
 
 def airy_ai_prime(x):
-    """Ai'(x).  Absolute error below 1e-10 for |x| <= 15."""
+    """Ai'(x).  Absolute error below 1e-10 for |x| <= 15; for x >= 0, relative
+    error below 1e-14 up to x = 9 and below 1e-13 up to x = 40."""
     arr = _checked_array(x)
     _, aip = _airy_core(np.atleast_1d(arr))
     return float(aip[0]) if arr.ndim == 0 else aip.reshape(arr.shape)
@@ -266,6 +278,38 @@ def airy(x) -> AiryValue:
     if arr.ndim == 0:
         return AiryValue(float(ai[0]), float(aip[0]))
     return AiryValue(ai.reshape(arr.shape), aip.reshape(arr.shape))
+
+
+def airy_ai_smoothed(y, a: float):
+    """Ai smoothed by the heat kernel of variance 2a, for a scalar a >= 0 and
+    a scalar or an array y:
+
+        (4 pi a)^(-1/2) * integral Ai(u) exp(-(u - y)^2 / (4a)) du
+            = exp(a y + 2 a^3 / 3) * Ai(y + a^2)
+
+    (Vallee & Soares, Airy Functions and Applications to Physics, 2004; it
+    follows from shifting the contour of Ai's Fourier integral).  The value
+    never exceeds max|Ai|, but exp(2 a^3 / 3) alone overflows past a ~ 10,
+    so with z = y + a^2 the exponent is taken as a z - a^3 / 3, at most 18
+    for z <= 9, and past z = 9 is merged with Ai's own exp(-(2/3) z^(3/2))
+    into -(sqrt(z) - a)^2 (2 sqrt(z) + a) / 3, which cancels nothing.
+    """
+    arr = _checked_array(y)
+    if not (a >= 0 and math.isfinite(a * a * a)):
+        raise DomainError(f"smoothing parameter must be >= 0 with a**3 finite, got a = {a!r}")
+    z = np.atleast_1d(arr) + a * a
+    out = np.empty_like(z)
+    far = z > _ASYMP_CUT
+    near = ~far
+    if near.any():
+        zn = z[near]
+        out[near] = np.exp(a * zn - a * a * a / 3.0) * _airy_core(zn)[0]
+    if far.any():
+        zf = z[far]
+        _, ai, _ = _asymptotic_positive_undamped(zf)
+        root = np.sqrt(zf)
+        out[far] = np.exp(-((root - a) ** 2) * (2.0 * root + a) / 3.0) * ai
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def airy_zero_asymptotic(n: int) -> float:

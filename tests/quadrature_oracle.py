@@ -1,5 +1,6 @@
-"""Airy-basis matrices by adaptive quadrature: the oracle that the closed-form
-position matrices and the orthonormality of the basis are checked against.
+"""Airy-basis matrices and Gaussian projections by adaptive quadrature: the
+oracle that the closed-form position matrices, the orthonormality of the
+basis and the closed-form packet coefficients are checked against.
 
 The eigenfunctions are evaluated here from the zeros and norms directly, not
 through the package's projection table.
@@ -51,3 +52,19 @@ def norm_integrals(basis):
                      0.0, upper, initial_panels=panels)
         for n in range(basis.zeros.size)
     ])
+
+
+def gaussian_projection(packet, basis):
+    """Coefficients of the Gaussian packet clipped to x >= 0 and renormalized,
+    integrated over [max(0, x0 - 9 sigma), x0 + 9 sigma] by one vector-valued
+    adaptive quadrature over all states."""
+    l_g = basis.units.l_g
+    lo = max(0.0, packet.x0 - 9.0 * packet.sigma)
+    hi = packet.x0 + 9.0 * packet.sigma
+    rescale = 1.0 / math.sqrt(1.0 - packet.clipped_mass())
+
+    def integrand(x):
+        psi = basis.norms / math.sqrt(l_g) * airy_ai(x[:, None] / l_g - basis.zeros)
+        return psi * (rescale * packet.wavefunction(x))[:, None]
+
+    return integrate_1d(integrand, lo, hi, initial_panels=_initial_panels((hi - lo) / l_g))

@@ -24,7 +24,7 @@ from qbouncer.quantum import (
     variance_x_evolution,
 )
 from qbouncer.specfun import airy_ai, airy_ai_prime, airy_zero
-from quadrature_oracle import norm_integrals, overlap_matrix, weighted_matrix
+from quadrature_oracle import gaussian_projection, norm_integrals, overlap_matrix, weighted_matrix
 from series_tail import truncation_sup
 
 PACKET = PacketSpec(x0=10.0, sigma=1.5)
@@ -162,14 +162,6 @@ class TestBasis:
         with pytest.raises(NumericalError, match=r"eigenstate 5 "):
             build_basis(12, units)
 
-    def test_norm_check_refines_from_two_panels(self, basis26, packet_state, monkeypatch):
-        # two starting panels over the packet's [x0 - 9 sigma, x0 + 9 sigma]
-        # cannot resolve psi_n phi; the adaptive projection refines them and
-        # lands on the same coefficients; measured gap 1.7e-15
-        monkeypatch.setattr(quantum, "_initial_panels", lambda span, x_top: 2)
-        state = project_packet(PACKET, basis26)
-        assert np.abs(state.coefficients - packet_state.coefficients).max() <= 1e-13
-
     def test_large_basis_matches_mpmath(self, units):
         # N = 400 builds (every norm passes the closed-form check) and its zeros
         # and |Ai'(-x_n)| agree with mpmath; measured relative error <= 5e-16
@@ -198,8 +190,18 @@ class TestProjection:
         with pytest.raises(DomainError, match="lo >= 0"):
             project_function(lambda x: np.exp(-x * x), basis12, -6.0, 4.0)
 
-    def test_one_quadrature_per_projection(self, basis26, monkeypatch):
-        # every coefficient comes from a single vector-valued integrate_1d call
+    def test_projection_refines_from_two_panels(self, basis26, packet_state, monkeypatch):
+        # two starting panels over the packet's [0, x0 + 9 sigma] cannot
+        # resolve psi_n phi; project_function refines them and lands on the
+        # closed-form coefficients; measured gap 3.5e-16
+        monkeypatch.setattr(quantum, "_initial_panels", lambda span, x_top: 2)
+        rescale = 1.0 / math.sqrt(1.0 - PACKET.clipped_mass())
+        hi = PACKET.x0 + 9.0 * PACKET.sigma
+        state = project_function(lambda x: rescale * PACKET.wavefunction(x), basis26, 0.0, hi)
+        assert np.abs(state.coefficients - packet_state.coefficients).max() <= 1e-13
+
+    @staticmethod
+    def _count_quadratures(monkeypatch):
         calls = []
         real = quantum.integrate_1d
 
@@ -208,9 +210,61 @@ class TestProjection:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(quantum, "integrate_1d", counted)
+        return calls
+
+    def test_one_quadrature_per_projection(self, basis26, monkeypatch):
+        # x0 < 9 sigma: the closed form covers the whole line, and one
+        # vector-valued integrate_1d call takes back [x0 - 9 sigma, 0]
+        calls = self._count_quadratures(monkeypatch)
         state = project_packet(PACKET, basis26)
         assert len(calls) == 1
+        assert calls[0][1:3] == (PACKET.x0 - 9.0 * PACKET.sigma, 0.0)
         assert state.coefficients.shape == (basis26.n_max,)
+
+    def test_packet_clear_of_mirror_runs_no_quadrature(self, basis26, monkeypatch):
+        # x0 >= 9 sigma: every coefficient is closed-form
+        calls = self._count_quadratures(monkeypatch)
+        state = project_packet(PacketSpec(x0=13.5, sigma=1.5), basis26)
+        assert calls == []
+        assert state.truncation_loss < 1e-6
+
+    # x0 / sigma from the mirror-correction path (2.5, 4, 5.45, 8: x0 < 9 sigma)
+    # to none (12.5); at N = 64, sigma = 10 and 6.25 (a = 25 and 9.8) are wide
+    # enough that exp(2 a^3 / 3) alone overflows.  Measured gap <= 5.1e-16
+    # (N = 26) and 2.1e-15 (N = 64, sigma = 10)
+    @pytest.mark.parametrize("n_max,x0", [(26, 12.0), (64, 25.0)])
+    @pytest.mark.parametrize("ratio", [2.5, 4.0, 5.45, 8.0, 12.5])
+    def test_closed_form_matches_adaptive_oracle(self, units, n_max, x0, ratio, request):
+        basis = request.getfixturevalue("basis26" if n_max == 26 else "basis64")
+        packet = PacketSpec(x0=x0, sigma=x0 / ratio)
+        state = project_packet(packet, basis)
+        assert np.abs(state.coefficients - gaussian_projection(packet, basis)).max() < 6.5e-15
+
+    @pytest.fixture(scope="class")
+    def mp_basis(self):
+        """First 64 zeros a_n = -x_n of Ai and slopes |Ai'(a_n)| from mpmath, 40 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            zeros = [mpmath.airyaizero(n) for n in range(1, 65)]
+            return mpmath, zeros, [abs(mpmath.airyai(z, derivative=1)) for z in zeros]
+
+    @pytest.mark.parametrize("n_max", [26, 64])
+    @pytest.mark.parametrize("sigma", [1.5, 2.0, 2.4])
+    def test_closed_form_matches_mpmath(self, mp_basis, n_max, sigma, request):
+        # the full-line closed form at 40 digits on mpmath's zeros; x0 >= 7 sigma
+        # puts the part below the mirror under 1e-21; measured gap <= 7.8e-16
+        mpmath, zeros, slopes = mp_basis
+        basis = request.getfixturevalue("basis26" if n_max == 26 else "basis64")
+        x0 = 7.0 * sigma if n_max == 26 else 25.0
+        state = project_packet(PacketSpec(x0=x0, sigma=sigma), basis)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(sigma) ** 2 / 4
+            scale = (2 * mpmath.pi) ** 0.25 * mpmath.sqrt(sigma)
+            exact = np.array([
+                float(scale / slope * mpmath.exp(a * (x0 + z) + 2 * a**3 / 3) * mpmath.airyai(x0 + z + a * a))
+                for z, slope in zip(zeros[:n_max], slopes[:n_max])
+            ])
+        assert np.abs(state.coefficients - exact).max() < 2.5e-15
 
     def test_coefficients_real(self, packet_state):
         assert np.abs(packet_state.coefficients.imag).max() < 1e-12
@@ -692,6 +746,13 @@ class TestPhysicalUnits:
             lambda x: neutron_basis.eigenfunction(2, x), neutron_basis, 0.0, hi
         )
         assert abs(state.coefficients[1]) == pytest.approx(1.0, abs=1e-8)
+
+    def test_packet_matches_adaptive_oracle(self, neutron_basis):
+        # closed form and mirror correction in SI lengths; measured gap 6.8e-16
+        u = neutron_basis.units
+        packet = PacketSpec(x0=10.0 * u.l_g, sigma=1.5 * u.l_g)
+        state = project_packet(packet, neutron_basis)
+        assert np.abs(state.coefficients - gaussian_projection(packet, neutron_basis)).max() < 2e-15
 
     def test_packet_observables(self, neutron_basis):
         u = neutron_basis.units
