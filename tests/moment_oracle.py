@@ -1,6 +1,6 @@
 """Reference moment equations: the dict-loop right-hand side the array form in
-qbouncer.moments replaced, a plain RK4 driven by it, and the exact all-order
-free fall and harmonic rotation.
+qbouncer.moments replaced, an RK4 driven by it (plain or Kahan-compensated),
+and the exact all-order free fall and harmonic rotation.
 
 All four read states only through MomentState's public accessors (x, p,
 moment(a, b)), and the first two evaluate V^(n) with
@@ -48,9 +48,15 @@ def as_vector(s: MomentState) -> np.ndarray:
     return np.array([s.x, s.p] + [s.moment(a, b) for a, b in moment_pairs(s.order)])
 
 
-def rk4(s0: MomentState, V: PolynomialPotential, m: float, dt: float, steps: int) -> np.ndarray:
-    """Classical RK4 (no compensated sum) on moment_eom above; row k is the
-    state after k steps, as as_vector gives it."""
+def rk4(s0: MomentState, V: PolynomialPotential, m: float, dt: float, steps: int,
+        compensated: bool = False) -> np.ndarray:
+    """Classical RK4 on moment_eom above; row k is the state after k steps, as
+    as_vector gives it.  compensated=True adds each increment with the Kahan
+    sum qbouncer.moments.integrate documents,
+
+        term = increment - comp,  total = y + term,  comp = (total - y) - term,
+
+    otherwise the increment is added plainly."""
     pairs = moment_pairs(s0.order)
 
     def rhs(y):
@@ -58,13 +64,21 @@ def rk4(s0: MomentState, V: PolynomialPotential, m: float, dt: float, steps: int
         return as_vector(moment_eom(s, V, m))
 
     rows = [as_vector(s0)]
+    comp = np.zeros_like(rows[0])
     for _ in range(steps):
         y = rows[-1]
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * dt * k1)
         k3 = rhs(y + 0.5 * dt * k2)
         k4 = rhs(y + dt * k3)
-        rows.append(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        increment = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not compensated:
+            rows.append(y + increment)
+            continue
+        term = increment - comp
+        total = y + term
+        comp = (total - y) - term
+        rows.append(total)
     return np.array(rows)
 
 

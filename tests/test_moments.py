@@ -30,6 +30,18 @@ from qbouncer.scaling import make_units, natural_units, neutron_units
 EPS = np.finfo(float).eps
 
 
+def _gaussian_moments(order, spp=0.25, sxx=1.0):
+    """Central moments up to `order` of an uncorrelated Gaussian with
+    momentum variance spp and position variance sxx (odd moments 0)."""
+
+    def gaussian(a, b):
+        if a % 2 or b % 2:
+            return 0.0
+        return math.prod(range(a - 1, 0, -2)) * spp ** (a // 2) * math.prod(range(b - 1, 0, -2)) * sxx ** (b // 2)
+
+    return {key: gaussian(*key) for key in moment_pairs(order)}
+
+
 class TestPolynomialPotential:
     def test_value_and_derivatives(self):
         V = PolynomialPotential((1.0, -2.0, 0.5, 3.0))  # 1 - 2x + x^2/2 + 3x^3
@@ -403,18 +415,33 @@ class TestIntegrate:
         # plain sums part by a few eps per step (measured 3e-15 at order 4,
         # 9e-15 at order 6, relative to each moment's largest value)
         V = PolynomialPotential((0.0, 0.0, 0.5, 0.05, 0.1))
-
-        def gaussian(a, b, spp=0.25, sxx=1.0):
-            if a % 2 or b % 2:
-                return 0.0
-            return math.prod(range(a - 1, 0, -2)) * spp ** (a // 2) * math.prod(range(b - 1, 0, -2)) * sxx ** (b // 2)
-
-        s0 = MomentState.make(1.0, 0.0, order, {key: gaussian(*key) for key in moment_pairs(order)})
+        s0 = MomentState.make(1.0, 0.0, order, _gaussian_moments(order))
         traj = integrate(s0, V, 1.0, 2.0, 0.01)
         want = moment_oracle.rk4(s0, V, 1.0, 0.01, 200)
         got = np.array([moment_oracle.as_vector(s) for s in traj.states])
         assert got.shape == want.shape
         assert (np.abs(got - want) / np.abs(want).max(axis=0)).max() < 1e-13
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("coefficients", [
+        (0.0, 0.7 * 1.3), (0.0, 0.0, 0.5 * 0.7 * 1.3**2), (0.0, 0.0, 0.5, 0.05, 0.1), (0.4,),
+    ], ids=["gravity", "harmonic", "quartic", "constant"])
+    def test_rows_equal_compensated_oracle_rk4(self, order, coefficients):
+        # integrate against the Kahan-compensated RK4 on the dict-loop
+        # equations, bit for bit (signs of zeros too): the kernel rounds every
+        # entry as the loop does, and the step adds its stages in the same
+        # order, so any reordering of the step's arithmetic shows here.  A
+        # Gaussian state (odd moments exactly 0) and a non-Gaussian one.
+        V = PolynomialPotential(coefficients)
+        rng = np.random.default_rng(order)
+        random = {key: rng.uniform(-1.0, 1.0) for key in moment_pairs(order)}
+        for G in (_gaussian_moments(order), random):
+            s0 = MomentState.make(1.0, 0.3, order, G)
+            traj = integrate(s0, V, 0.7, 0.5, 0.01)
+            got = np.array([moment_oracle.as_vector(s) for s in traj.states])
+            want = moment_oracle.rk4(s0, V, 0.7, 0.01, 50, compensated=True)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("order,bound", [
         (2, 16 * EPS), (3, 16 * EPS), (4, 16 * EPS), (5, 8e-9), (6, 5e-9),
