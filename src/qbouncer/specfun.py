@@ -154,98 +154,101 @@ _U_AS, _V_AS = _asymptotic_coefficients()
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def _eval_maclaurin(x):
+def _eval_maclaurin(x, ai=True, aip=True):
     w = x * x * x
-    f = np.zeros_like(x)
-    fp = np.zeros_like(x)
-    g = np.zeros_like(x)
-    gp = np.zeros_like(x)
+    f = fp = g = gp = np.zeros_like(x)
     for k in range(_N_MAC - 1, -1, -1):
-        f = f * w + _F_C[k]
-        fp = fp * w + _F_C[k] * (3 * k)
-        g = g * w + _G_C[k]
-        gp = gp * w + _G_C[k] * (3 * k + 1)
-    xsafe = np.where(x == 0.0, 1.0, x)
-    fp = np.where(x == 0.0, 0.0, fp / xsafe)
-    g = g * x
-    return _AI0 * f + _AIP0 * g, _AI0 * fp + _AIP0 * gp
+        if ai:
+            f = f * w + _F_C[k]
+            g = g * w + _G_C[k]
+        if aip:
+            fp = fp * w + _F_C[k] * (3 * k)
+            gp = gp * w + _G_C[k] * (3 * k + 1)
+    if aip:
+        xsafe = np.where(x == 0.0, 1.0, x)
+        fp = np.where(x == 0.0, 0.0, fp / xsafe)
+    return (_AI0 * f + _AIP0 * (g * x) if ai else None,
+            _AI0 * fp + _AIP0 * gp if aip else None)
 
 
-def _eval_anchor(x):
+def _eval_anchor(x, ai=True, aip=True):
     rows = np.searchsorted(_ANCHOR_SPLIT, x)
     h = x - _ANCHOR_X[rows]
-    val = np.zeros_like(x)
-    der = np.zeros_like(x)
+    val = der = np.zeros_like(x)
     for j in range(_K_ANCHOR - 1, -1, -1):
         c = _ANCHOR_COEF[rows, j]
-        val = val * h + c
-        der = der * h + c * j
-    hsafe = np.where(h == 0.0, 1.0, h)
-    der = np.where(h == 0.0, _ANCHOR_COEF[rows, 1], der / hsafe)
-    return val, der
+        if ai:
+            val = val * h + c
+        if aip:
+            der = der * h + c * j
+    if aip:
+        hsafe = np.where(h == 0.0, 1.0, h)
+        der = np.where(h == 0.0, _ANCHOR_COEF[rows, 1], der / hsafe)
+    return val if ai else None, der if aip else None
 
 
-def _asymptotic_positive_undamped(x):
+def _asymptotic_positive_undamped(x, ai=True, aip=True):
     """zeta = (2/3) x^(3/2) and the large-x expansions of e^zeta Ai(x) and
     e^zeta Ai'(x): Ai and Ai' without their factor e^(-zeta)."""
     zeta = (2.0 / 3.0) * x**1.5
     z = 1.0 / zeta
-    s_ai = np.zeros_like(x)
-    s_aip = np.zeros_like(x)
+    s_ai = s_aip = np.zeros_like(x)
     for k in range(_K_ASYMP - 1, -1, -1):
         sgn = -1.0 if k % 2 else 1.0
-        s_ai = s_ai * z + sgn * _U_AS[k]
-        s_aip = s_aip * z + sgn * _V_AS[k]
+        if ai:
+            s_ai = s_ai * z + sgn * _U_AS[k]
+        if aip:
+            s_aip = s_aip * z + sgn * _V_AS[k]
     root4 = x**0.25
-    return zeta, s_ai / (2.0 * _SQRT_PI * root4), -root4 * s_aip / (2.0 * _SQRT_PI)
+    return (zeta, s_ai / (2.0 * _SQRT_PI * root4) if ai else None,
+            -root4 * s_aip / (2.0 * _SQRT_PI) if aip else None)
 
 
-def _eval_asymptotic_positive(x):
-    zeta, ai, aip = _asymptotic_positive_undamped(x)
+def _eval_asymptotic_positive(x, ai=True, aip=True):
+    zeta, val, der = _asymptotic_positive_undamped(x, ai, aip)
     damp = np.exp(-zeta)
-    return damp * ai, damp * aip
+    return damp * val if ai else None, damp * der if aip else None
 
 
-def _eval_asymptotic_negative(x):
+def _eval_asymptotic_negative(x, ai=True, aip=True):
     zmag = -x
     zeta = (2.0 / 3.0) * zmag**1.5
     w = 1.0 / (zeta * zeta)
-    p_ai = np.zeros_like(x)
-    q_ai = np.zeros_like(x)
-    p_aip = np.zeros_like(x)
-    q_aip = np.zeros_like(x)
+    p_ai = q_ai = p_aip = q_aip = np.zeros_like(x)
     for k in range((_K_ASYMP + 1) // 2 - 1, -1, -1):
         sgn = -1.0 if k % 2 else 1.0
-        p_ai = p_ai * w + sgn * _U_AS[2 * k]
-        p_aip = p_aip * w + sgn * _V_AS[2 * k]
+        if ai:
+            p_ai = p_ai * w + sgn * _U_AS[2 * k]
+        if aip:
+            p_aip = p_aip * w + sgn * _V_AS[2 * k]
     for k in range(_K_ASYMP // 2 - 1, -1, -1):
         sgn = -1.0 if k % 2 else 1.0
-        q_ai = q_ai * w + sgn * _U_AS[2 * k + 1]
-        q_aip = q_aip * w + sgn * _V_AS[2 * k + 1]
+        if ai:
+            q_ai = q_ai * w + sgn * _U_AS[2 * k + 1]
+        if aip:
+            q_aip = q_aip * w + sgn * _V_AS[2 * k + 1]
     chi = zeta - 0.25 * math.pi
     c, s = np.cos(chi), np.sin(chi)
     root4 = zmag**0.25
-    ai = (c * p_ai + s * q_ai / zeta) / (_SQRT_PI * root4)
-    aip = (root4 / _SQRT_PI) * (s * p_aip - c * q_aip / zeta)
-    return ai, aip
+    return ((c * p_ai + s * q_ai / zeta) / (_SQRT_PI * root4) if ai else None,
+            (root4 / _SQRT_PI) * (s * p_aip - c * q_aip / zeta) if aip else None)
 
 
-def _airy_core(x: np.ndarray):
-    ai = np.empty_like(x)
-    aip = np.empty_like(x)
+def _airy_core(x: np.ndarray, ai=True, aip=True):
+    """Ai and Ai' on a 1-d array, each only if asked for (else None): neither
+    one's arithmetic reads the other, so skipping one leaves the other's bits."""
+    out = (np.empty_like(x) if ai else None, np.empty_like(x) if aip else None)
     small = (x >= -_SERIES_CUT) & (x <= _SERIES_CUT_POSITIVE)
     mid = (np.abs(x) <= _ASYMP_CUT) & ~small
     pos = x > _ASYMP_CUT
     neg = x < -_ASYMP_CUT
-    if small.any():
-        ai[small], aip[small] = _eval_maclaurin(x[small])
-    if mid.any():
-        ai[mid], aip[mid] = _eval_anchor(x[mid])
-    if pos.any():
-        ai[pos], aip[pos] = _eval_asymptotic_positive(x[pos])
-    if neg.any():
-        ai[neg], aip[neg] = _eval_asymptotic_negative(x[neg])
-    return ai, aip
+    for where, evaluate in ((small, _eval_maclaurin), (mid, _eval_anchor),
+                            (pos, _eval_asymptotic_positive), (neg, _eval_asymptotic_negative)):
+        if where.any():
+            for dst, val in zip(out, evaluate(x[where], ai, aip)):
+                if dst is not None:
+                    dst[where] = val
+    return out
 
 
 def _checked_array(x):
@@ -259,7 +262,7 @@ def airy_ai(x):
     """Ai(x).  Absolute error below 1e-12 for |x| <= 15; for x >= 0, relative
     error below 1e-14 up to x = 9 and below 1e-13 up to x = 40."""
     arr = _checked_array(x)
-    ai, _ = _airy_core(np.atleast_1d(arr))
+    ai, _ = _airy_core(np.atleast_1d(arr), aip=False)
     return float(ai[0]) if arr.ndim == 0 else ai.reshape(arr.shape)
 
 
@@ -267,7 +270,7 @@ def airy_ai_prime(x):
     """Ai'(x).  Absolute error below 1e-10 for |x| <= 15; for x >= 0, relative
     error below 1e-14 up to x = 9 and below 1e-13 up to x = 40."""
     arr = _checked_array(x)
-    _, aip = _airy_core(np.atleast_1d(arr))
+    _, aip = _airy_core(np.atleast_1d(arr), ai=False)
     return float(aip[0]) if arr.ndim == 0 else aip.reshape(arr.shape)
 
 
@@ -303,10 +306,10 @@ def airy_ai_smoothed(y, a: float):
     near = ~far
     if near.any():
         zn = z[near]
-        out[near] = np.exp(a * zn - a * a * a / 3.0) * _airy_core(zn)[0]
+        out[near] = np.exp(a * zn - a * a * a / 3.0) * _airy_core(zn, aip=False)[0]
     if far.any():
         zf = z[far]
-        _, ai, _ = _asymptotic_positive_undamped(zf)
+        _, ai, _ = _asymptotic_positive_undamped(zf, aip=False)
         root = np.sqrt(zf)
         out[far] = np.exp(-((root - a) ** 2) * (2.0 * root + a) / 3.0) * ai
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

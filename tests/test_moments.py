@@ -376,6 +376,18 @@ class TestIntegrate:
         assert traj.worst_uncertainty_deficit > 1e-6
         assert f"{traj.worst_uncertainty_deficit:.2e}" in traj.warnings[0]
 
+    def test_no_warning_from_rounding_of_a_cancelling_product(self):
+        # neutron gravity run of the README's moments command with --preset
+        # neutron: at t = 45.9 G02 G20 is 3.6e9 times the product, so rounding
+        # alone put it 1.08e-6 below hbar^2/4 and raised a false warning
+        u = neutron_units()
+        ic = saturated_ic(0.7, u)
+        V = PolynomialPotential.gravity(u.m, u.g)
+        traj = integrate(initial_state(ic, x0=2.3), V, u.m, 50.0, 0.003, hbar=u.hbar)
+        assert len(traj) == 16668
+        assert not traj.warnings
+        assert traj.worst_uncertainty_deficit == 0.0
+
     def test_invalid_steps(self):
         _, V, s0 = self.linear_setup()
         with pytest.raises(DomainError):
@@ -407,6 +419,15 @@ class TestIntegrate:
         s0 = MomentState.make(x=1.0, p=0.0, order=4, G=G)
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match=r"step 553 \(t = 5\.53\)"):
             integrate(s0, V, 1.0, 10.0, 0.01)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_moment_raises_at_step_one(self, bad):
+        # under gravity no equation reads G^{0,4}, so the bad value stays in
+        # that one slot; the check must still see it after the first step
+        _, V, _ = self.linear_setup()
+        s0 = MomentState.make(1.0, 0.0, 4, {**_gaussian_moments(4), (0, 4): bad})
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match=r"step 1 \(t = 0\.01\)"):
+            integrate(s0, V, self.u.m, 1.0, 0.01)
 
     @pytest.mark.parametrize("order", [4, 6])
     def test_quartic_run_matches_oracle_rk4(self, order):

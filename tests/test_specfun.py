@@ -56,6 +56,19 @@ class TestAiryValues:
         assert np.array_equal(v.ai, airy_ai(xs))
         assert np.array_equal(v.ai_prime, airy_ai_prime(xs))
 
+    @pytest.mark.parametrize("lo,hi", [(-4.5, 1.5), (-9.0, 9.0), (9.0, 40.0), (-40.0, -9.0)],
+                             ids=["maclaurin", "anchor", "asymptotic+", "asymptotic-"])
+    def test_single_functions_equal_the_pair_bitwise(self, lo, hi):
+        # airy_ai and airy_ai_prime skip the other function's arithmetic on
+        # every branch; neither reads the other, so the bits are the pair's.
+        # Ends, the anchors themselves (h = 0) and x = 0 included.
+        xs = np.concatenate([np.linspace(lo, hi, 4001), [-7.875, 0.0, 4.125]])
+        xs = xs[(xs >= lo) & (xs <= hi)]
+        v = airy(xs)
+        for got, want in ((airy_ai(xs), v.ai), (airy_ai_prime(xs), v.ai_prime)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_printed_first_zero_location(self):
         # the tabulated 6-digit zero gives |Ai| below 1e-5 there
         assert abs(airy_ai(-2.33811)) < 1e-5
