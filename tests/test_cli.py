@@ -124,14 +124,6 @@ class TestMomentsScenario:
         assert max(abs(v / (u.hbar**2 / 4) - 1) for v in unc) < 1e-12
         assert cell(rows[0], header, "G02") == pytest.approx(u.l_g**2, rel=1e-14)
 
-    def test_neutron_gravity_run_has_no_false_warning(self, tmp_path, capsys):
-        # uncertainty product within its rounding error of hbar^2/4
-        out = tmp_path / "m.csv"
-        rc = main(["moments", "--preset", "neutron", "--x0", "2.3", "--alpha", "0.7",
-                   "--tend", "50", "--dt", "0.003", "--out", str(out)])
-        assert rc == 0
-        assert "warning" not in capsys.readouterr().err
-
     def test_degenerate_tend(self, tmp_path):
         out = tmp_path / "m.csv"
         assert main(["moments", "--x0", "2", "--tend", "0", "--out", str(out)]) == 0

@@ -377,9 +377,9 @@ class TestIntegrate:
         assert f"{traj.worst_uncertainty_deficit:.2e}" in traj.warnings[0]
 
     def test_no_warning_from_rounding_of_a_cancelling_product(self):
-        # neutron gravity run of the README's moments command with --preset
-        # neutron: at t = 45.9 G02 G20 is 3.6e9 times the product, so rounding
-        # alone put it 1.08e-6 below hbar^2/4 and raised a false warning
+        # qbouncer moments --preset neutron --x0 2.3 --alpha 0.7 --tend 50
+        # --dt 0.003: at t = 45.9 G02 G20 is 3.6e9 times the product, so
+        # rounding alone put it 1.08e-6 below hbar^2/4, a false warning
         u = neutron_units()
         ic = saturated_ic(0.7, u)
         V = PolynomialPotential.gravity(u.m, u.g)
