@@ -53,6 +53,11 @@ _NORM_CHECK_TOL = 1e-8
 _N_MAX_CHECKED = 10_000
 _HALF_LINE_CLIP_LIMIT = 1e-6
 _TRUNCATION_LIMIT = 1e-3
+# uniform-grid NUFFT: Gaussian half-width (12 fails the mpmath test),
+# oversampling, pairs per (cache-sized) block
+_SPREAD = 16
+_OVERSAMPLE = 2
+_PAIR_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -118,18 +123,17 @@ class Eigenbasis:
 class SpectralState:
     """Expansion coefficients of a state over an Eigenbasis at one time.
 
-    The state keeps the phase table of the last time grid its observables
-    were evolved over (2 T N floats for T times and N states) and the <x> row
-    on it, so <x> and then Var(x) on one grid build the table and <x> once.
+    The state keeps the <x> and <x^2> rows of the last time grid its
+    observables were evolved over (2 T floats for T times), so <x> and then
+    Var(x) on one grid evaluate them once; rows at exactly k h, h = t_1,
+    take one NUFFT over the state pairs, no T x N table.
     """
 
     basis: Eigenbasis
     coefficients: np.ndarray
     time: float
-    # (read-only copy of the grid, read-only (2, T, N) real and imaginary
-    # planes, read-only <x> row); one tuple, read once per call, so a grid
-    # never pairs with another grid's planes or <x>
-    _phases: tuple | None = field(default=None, init=False, repr=False)
+    # read-only (grid, rows) of _kept_rows
+    _rows: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         total = float(np.sum(np.abs(self.coefficients) ** 2))
@@ -287,120 +291,107 @@ def project_packet(p: PacketSpec, basis: Eigenbasis) -> SpectralState:
     return state
 
 
-def _phase_table(s: SpectralState, times) -> np.ndarray:
-    """(2, T, N) real and imaginary planes of c_n exp(-i E_n t_k / hbar), one
-    row per duration t_k, each plane C-contiguous.
+def _uniform_rows(s: SpectralState, count: int, h: float) -> np.ndarray:
+    """(2, count) rows <x>, <x^2> at the times k h, k < count, by a type-1 NUFFT
+    over pairs m < n (Greengard & Lee, SIAM Rev. 46, 443 (2004)).  With
+    omega = (E_n - E_m) / hbar, K0 = count // 2 and j = k - K0,
+    <M> = sum_n |c_n|^2 M_nn + 2 Re sum_mn a_mn exp(-i omega h j),
+    a = conj(c_m) c_n M_mn exp(-i omega K0 h)."""
+    basis, c = s.basis, s.coefficients
+    mats = (basis.x_matrix, basis.x2_matrix())
+    m, n = np.triu_indices(c.size, 1)
+    omega = (basis.energies[n] - basis.energies[m]) / basis.units.hbar
+    k0 = count // 2
+    amp = np.conj(c[m]) * c[n] * np.exp(-1j * (omega * (k0 * h))) * np.stack([a[m, n] for a in mats])
+    amp = np.stack((amp.real, amp.imag))[:, :, None]
+    # Gaussians on 2 _SPREAD points of a circle padded by _SPREAD
+    least = max(_OVERSAMPLE * count, 4 * _SPREAD)
+    size = min(f << ((least - 1) // f).bit_length() for f in (1, 3, 5))  # 5-smooth
+    cell, padded = 2.0 * math.pi / size, size + 2 * _SPREAD
+    tau = math.pi * _SPREAD / (size * (size - 0.5 * count))
+    offsets = np.arange(1, 2 * _SPREAD + 1)[:, None]
+    spread = np.zeros((2, padded), complex)
+    for lo in range(0, omega.size, _PAIR_BLOCK):
+        q, rem = np.divmod(omega[lo:lo + _PAIR_BLOCK] * h, cell)
+        gauss = rem - cell * (offsets - _SPREAD)
+        vals = np.exp(gauss * gauss / (-4.0 * tau)) * amp[..., lo:lo + _PAIR_BLOCK]
+        idx = (q % size).astype(np.intp) + offsets
+        idx = np.stack((idx, idx + padded)).ravel()
+        for out, part in zip((spread.real, spread.imag), vals):
+            out += np.bincount(idx, part.ravel(), 2 * padded).reshape(2, padded)
+    circle = spread[:, _SPREAD:-_SPREAD]
+    circle[:, :_SPREAD] += spread[:, -_SPREAD:]
+    circle[:, -_SPREAD:] += spread[:, :_SPREAD]
+    # FFT, divide out the Gaussian's transform
+    j = np.arange(-k0, count - k0)
+    sums = np.fft.fft(circle)[:, j].real * (np.exp(tau * j * j) / (0.5 * size * math.sqrt(tau / math.pi)))
+    return np.stack([np.diagonal(a) @ (c.real**2 + c.imag**2) for a in mats])[:, None] + sums
 
-    A row whose time is exactly k h, with h = t_1 the grid's second time, is
-    factored with B = isqrt(T) as k = q B + r:
 
-        c_n exp(-i E_n k h / hbar) = exp(-i E_n q B h / hbar) * (c_n exp(-i E_n r h / hbar)),
-
-    so a uniform grid (dt * arange, or linspace from 0 before its pinned end
-    point) costs (T/B + B) N complex exp and one real product per block of B
-    rows, written straight into the planes.  Every other row, and every row of
-    a grid with no such step, takes its exp directly.
-    """
-    t = np.ravel(_check_times(times))
-    energies, c = s.basis.energies, s.coefficients
-    hbar = s.basis.units.hbar
-    rows = t.size
-    planes = np.empty((2, rows, energies.size))
-    re, im = planes
-    step = t[1] if rows > 1 else 0.0
-    factored = t == step * np.arange(rows)
-    block = max(1, math.isqrt(rows))
-    starts = np.arange(0, rows, block)
-    outer = np.exp(-1j * np.outer(step / hbar * starts, energies))
-    inner = np.exp(-1j * np.outer(step / hbar * np.arange(block), energies)) * c
-    ar, ai = outer.real.copy(), outer.imag.copy()
-    br, bi = inner.real.copy(), inner.imag.copy()
-    scratch = np.empty_like(br)
-    for q in np.flatnonzero(np.logical_or.reduceat(factored, starts)):
-        lo, hi = starts[q], min(starts[q] + block, rows)
-        n = hi - lo
-        np.multiply(br[:n], ar[q], out=re[lo:hi])
-        re[lo:hi] -= np.multiply(bi[:n], ai[q], out=scratch[:n])
-        np.multiply(bi[:n], ar[q], out=im[lo:hi])
-        im[lo:hi] += np.multiply(br[:n], ai[q], out=scratch[:n])
-    direct = ~factored
-    ph = np.exp(-1j * np.outer(t[direct] / hbar, energies)) * c
-    re[direct], im[direct] = ph.real, ph.imag
-    return planes
+def _direct_rows(s: SpectralState, t: np.ndarray) -> np.ndarray:
+    """(2, T) rows <x>, <x^2>, each from its own exp and real BLAS products:
+    Re(c^dagger M c) = a^T M a + b^T M b for c = a + ib."""
+    basis = s.basis
+    ph = np.exp(-1j * np.outer(t / basis.units.hbar, basis.energies)) * s.coefficients
+    re, im = np.stack((ph.real, ph.imag))
+    return np.array([np.einsum("ti,ti->t", re @ mat, re) + np.einsum("ti,ti->t", im @ mat, im)
+                     for mat in (basis.x_matrix, basis.x2_matrix())])
 
 
 def evolve(s: SpectralState, t: float) -> SpectralState:
     """Advance a state by duration t: c_n -> c_n * exp(-i E_n t / hbar)."""
-    re, im = _phase_table(s, [t])[:, 0]
-    return SpectralState(basis=s.basis, coefficients=re + 1j * im, time=s.time + t)
+    c = np.exp(-1j * (_check_times(t) / s.basis.units.hbar * s.basis.energies)) * s.coefficients
+    return SpectralState(basis=s.basis, coefficients=c, time=s.time + t)
 
 
-def _variance(planes: np.ndarray, mean: np.ndarray, basis: Eigenbasis) -> np.ndarray:
-    """<x^2> - <x>^2 per row of planes, refused when negative beyond rounding."""
-    var = _quadratic_forms(planes, basis.x2_matrix()) - mean * mean
+def _variance(rows: np.ndarray, basis: Eigenbasis) -> np.ndarray:
+    """Var(x) from rows <x>, <x^2>, refused if negative beyond rounding."""
+    var = rows[1] - rows[0] * rows[0]
     if np.any(var < -1e-10 * basis.units.l_g**2):
         raise NumericalError(f"variance {np.min(var)} is negative beyond tolerance")
     return var
 
 
-def _phase_planes(s: SpectralState, times):
-    """Read-only (2, T, N) phase planes of times (_phase_table) and the <x>
-    row over them; both reused while times equal the state's kept grid."""
+def _kept_rows(s: SpectralState, times) -> np.ndarray:
+    """Read-only (2, T) rows <x>, <x^2> over times, kept while times equal the
+    state's grid.  Rows up to the last at exactly k h (dt * arange; linspace
+    from 0 but its end point) take _uniform_rows, others _direct_rows."""
     times = _check_times(times)
-    kept = s._phases
+    kept = s._rows
     if kept is not None and np.array_equal(kept[0], times):
-        return kept[1], kept[2]
-    planes = _phase_table(s, times)
-    mean = _quadratic_forms(planes, s.basis.x_matrix)
+        return kept[1]
+    t = np.ravel(times)
+    h = t[1] if t.size > 1 else 0.0
+    off = t != h * np.arange(t.size)
+    rows = np.empty((2, t.size))
+    if not off.all():
+        count = int(np.flatnonzero(~off)[-1]) + 1
+        rows[:, :count] = _uniform_rows(s, count, h)
+    rows[:, off] = _direct_rows(s, t[off])
     grid = times.copy()
-    for a in (grid, planes, mean):
-        a.flags.writeable = False
-    object.__setattr__(s, "_phases", (grid, planes, mean))
-    return planes, mean
-
-
-def _quadratic_forms(planes: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Re(c^dagger M c) for every row c = a + ib of the phase table, M real
-    symmetric: a^T M a + b^T M b, two real BLAS products on the contiguous
-    planes (a strided view of a complex table would skip BLAS)."""
-    re, im = planes
-    return np.einsum("ti,ti->t", re @ matrix, re) + np.einsum("ti,ti->t", im @ matrix, im)
+    grid.flags.writeable = rows.flags.writeable = False
+    object.__setattr__(s, "_rows", (grid, rows))
+    return rows
 
 
 def expectation_x_evolution(s: SpectralState, times) -> np.ndarray:
-    """<x>(s.time + t) for an array of durations t (vectorized evolve + expectation).
-
-    The state keeps the phase table of this grid (2 T N floats) and the <x>
-    row for the next call on an equal grid, such as variance_x_evolution.
-    """
-    return _phase_planes(s, times)[1].copy()
+    """<x>(s.time + t) for an array of durations t (see SpectralState)."""
+    return _kept_rows(s, times)[0].copy()
 
 
 def variance_x_evolution(s: SpectralState, times) -> np.ndarray:
-    """Var(x)(s.time + t) for an array of durations t.
-
-    The state keeps the phase table of this grid (2 T N floats) and the <x>
-    row for the next call on an equal grid.
-    """
-    planes, mean = _phase_planes(s, times)
-    return _variance(planes, mean, s.basis)
-
-
-def _coefficient_planes(s: SpectralState) -> np.ndarray:
-    """(2, 1, N) real and imaginary planes of the coefficients themselves."""
-    return np.stack((s.coefficients.real, s.coefficients.imag))[:, None, :]
+    """Var(x)(s.time + t) for an array of durations t (see SpectralState)."""
+    return _variance(_kept_rows(s, times), s.basis)
 
 
 def expectation_x(s: SpectralState) -> float:
-    """<x> in physical length units, from the coefficients; the state's kept
-    phase table is left alone."""
-    return float(_quadratic_forms(_coefficient_planes(s), s.basis.x_matrix)[0])
+    """<x> in physical length units from the coefficients; kept rows stay."""
+    return float(_direct_rows(s, np.zeros(1))[0, 0])
 
 
 def variance_x(s: SpectralState) -> float:
     """Var(x) = <x^2> - <x>^2 (>= 0 up to rounding), from the coefficients."""
-    planes = _coefficient_planes(s)
-    return float(_variance(planes, _quadratic_forms(planes, s.basis.x_matrix), s.basis)[0])
+    return float(_variance(_direct_rows(s, np.zeros(1)), s.basis)[0])
 
 
 def reconstruct(s: SpectralState, x) -> np.ndarray:

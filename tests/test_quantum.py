@@ -1,6 +1,7 @@
 """Airy eigenbasis, packet projection, spectral evolution, observables."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -353,21 +354,22 @@ class TestEvolution:
 
 
 class TestPhaseTableReuse:
-    """A state keeps the phase table of the last grid its observables were
-    evolved over, matched to the next grid by value."""
+    """A state keeps the <x> and <x^2> rows of the last grid its observables
+    were evolved over, matched to the next grid by value."""
 
     GRID = np.linspace(0.0, 50.0, 101)
 
     @pytest.fixture
     def built(self, monkeypatch):
+        """Row counts of the uniform-grid kernel calls."""
         sizes = []
-        real = quantum._phase_table
+        real = quantum._uniform_rows
 
-        def counting(s, times):
-            sizes.append(np.size(times))
-            return real(s, times)
+        def counting(s, count, h):
+            sizes.append(count)
+            return real(s, count, h)
 
-        monkeypatch.setattr(quantum, "_phase_table", counting)
+        monkeypatch.setattr(quantum, "_uniform_rows", counting)
         return sizes
 
     @staticmethod
@@ -414,30 +416,29 @@ class TestPhaseTableReuse:
             with pytest.raises(DomainError, match="finite and >= 0"):
                 func(state, times)
 
-
     def test_scalar_observables_leave_kept_table(self, packet_state, built):
-        at_zero = self.fresh(packet_state)
-        want = expectation_x_evolution(at_zero, [0.0])[0], variance_x_evolution(at_zero, [0.0])[0]
-        built.clear()
+        want = expectation_x(packet_state), variance_x(packet_state)
         state = self.fresh(packet_state)
         expectation_x_evolution(state, self.GRID)
+        kept = state._rows
         assert (expectation_x(state), variance_x(state)) == want
         variance_x_evolution(state, self.GRID)
+        assert state._rows is kept
         assert built == [self.GRID.size]
 
     def test_variance_reuses_kept_mean(self, packet_state, monkeypatch):
+        # after <x>, Var(x) on an equal grid evaluates no row at all
         state = self.fresh(packet_state)
-        with_x = []
-        real = quantum._quadratic_forms
-
-        def counting(planes, matrix):
-            with_x.append(matrix is state.basis.x_matrix)
-            return real(planes, matrix)
-
-        monkeypatch.setattr(quantum, "_quadratic_forms", counting)
         expectation_x_evolution(state, self.GRID)
-        variance_x_evolution(state, self.GRID.copy())
-        assert with_x == [True, False]
+
+        def refuse(*args):
+            raise AssertionError("rows evaluated again")
+
+        for name in ("_uniform_rows", "_direct_rows"):
+            monkeypatch.setattr(quantum, name, refuse)
+        var = variance_x_evolution(state, self.GRID.copy())
+        monkeypatch.undo()
+        assert np.array_equal(var, variance_x_evolution(self.fresh(packet_state), self.GRID))
 
     def test_returned_rows_are_copies(self, packet_state):
         state = self.fresh(packet_state)
@@ -451,20 +452,32 @@ class TestPhaseTableReuse:
                               variance_x_evolution(fresh, self.GRID))
 
 
-def direct_table(state, times):
-    """Reference phase table, every row from its own exp: (2, T, N) planes of
-    c_n exp(-i E_n t / hbar)."""
-    basis = state.basis
-    arg = np.outer(np.asarray(times, dtype=float) / basis.units.hbar, basis.energies)
-    table = np.exp(-1j * arg) * state.coefficients
-    return np.stack((table.real, table.imag))
+def grid_rows(state, times):
+    """<x> and <x^2> rows of a fresh copy of state over times, the rows that
+    expectation_x_evolution and variance_x_evolution read."""
+    fresh = SpectralState(state.basis, state.coefficients, state.time)
+    return quantum._kept_rows(fresh, times).copy()
+
+
+def direct_rows(state, times):
+    """Reference rows, every time from its own exp: <x> and <x^2> as the real
+    forms a^T M a + b^T M b of c_n exp(-i E_n t / hbar) = a + ib."""
+    return quantum._direct_rows(state, np.asarray(times, dtype=float))
+
+
+def relative_gap(rows, want):
+    """Largest gap of each row from want, relative to that row's largest value."""
+    return (np.abs(rows - want).max(axis=1) / np.abs(want).max(axis=1)).max()
 
 
 class TestBlockedPhaseTable:
-    """Rows at exactly k h (h = t_1) are products of sqrt(T)-blocked
-    exponentials; every other row takes its own exp."""
+    """Rows at exactly k h (h = t_1) come from one NUFFT over the state pairs
+    (quantum._uniform_rows); every other row takes its own exp."""
 
     def test_uniform_grid_takes_blocked_exponentials(self, packet_state, monkeypatch):
+        # one exp per pair for its phase at K0 h, 2 _SPREAD Gaussian weights per
+        # pair and one deconvolution factor per row: ten times the rows add
+        # 900 exps, where a T x N table would add 900 N
         sizes = []
         real = np.exp
 
@@ -473,16 +486,20 @@ class TestBlockedPhaseTable:
             return real(x, *args, **kwargs)
 
         monkeypatch.setattr(quantum.np, "exp", counting)
-        quantum._phase_table(packet_state, 0.5 * np.arange(101))
-        # T = 101 rows in blocks of B = 10: 11 block starts and 10 offsets, not 101 rows
-        assert sum(sizes) == (11 + 10) * packet_state.basis.n_max
+        n = packet_state.basis.n_max
+        for rows in (101, 1001):
+            sizes.clear()
+            expectation_x_evolution(SpectralState(packet_state.basis, packet_state.coefficients, 0.0),
+                                    0.5 * np.arange(rows))
+            assert sum(sizes) == n * (n - 1) // 2 * (1 + 2 * quantum._SPREAD) + rows
 
     @pytest.mark.parametrize("grid", [0.05 * np.arange(401), np.linspace(0.0, 1000.0, 20001)])
     def test_uniform_grid_matches_direct_table(self, packet_state, grid):
-        # both tables round the phase E t, so they part by about an ulp of the
-        # largest phase; measured 2.8e-14 and 1.4e-12 at 490 and 2.5e4 rad
-        gap = np.abs(quantum._phase_table(packet_state, grid) - direct_table(packet_state, grid))
-        assert gap.max() <= 2 * EPS * grid[-1] * packet_state.basis.energies[-1]
+        # the direct rows round the phase E t (to 2.5e4 rad here), the kernel
+        # omega h per pair; measured 3.6e-15 / 4.4e-13 (<x>) and 4.2e-15 /
+        # 5.6e-13 (<x^2>) at 490 and 2.5e4 rad
+        bound = 4 * EPS * max(1.0, grid[-1] * packet_state.basis.energies[-1])
+        assert relative_gap(grid_rows(packet_state, grid), direct_rows(packet_state, grid)) <= bound
 
     @pytest.mark.parametrize("grid", [
         np.array([0.0, 0.3, 1.1, 2.0, 7.5, 250.0]),
@@ -490,45 +507,79 @@ class TestBlockedPhaseTable:
         np.array([2.5, 2.5, 0.0]),
     ])
     def test_non_uniform_grid_is_the_direct_table(self, packet_state, grid):
-        assert np.array_equal(quantum._phase_table(packet_state, grid), direct_table(packet_state, grid))
+        # rows off the k h grid are the direct rows of those times, bit for bit;
+        # the few rows on it (t_1, and t_0 = 0) come from the kernel (measured
+        # gaps <= 2.9e-16)
+        on = grid == grid[1] * np.arange(grid.size)
+        rows = grid_rows(packet_state, grid)
+        assert np.array_equal(rows[:, ~on], direct_rows(packet_state, grid[~on]))
+        assert np.abs(rows[:, on] - direct_rows(packet_state, grid[on])).max() <= 1e-14 * np.abs(rows).max()
 
     def test_mixed_grid(self, packet_state):
-        # B = 2: rows 0-3 are k h (rows 2 and 3 from the second block start),
-        # rows 4 and 5 are not and take their own exp
+        # rows 0-3 are k h and come from the kernel, rows 4 and 5 are not
         h = 0.05
         grid = np.array([0.0, h, 2 * h, 3 * h, 0.7, 250.0])
-        table = quantum._phase_table(packet_state, grid)
-        want = direct_table(packet_state, grid)
-        assert np.array_equal(table[:, 4:], want[:, 4:])
-        assert np.abs(table[:, :4] - want[:, :4]).max() <= 2 * EPS
+        rows = grid_rows(packet_state, grid)
+        assert np.array_equal(rows[:, 4:], direct_rows(packet_state, grid[4:]))
+        assert relative_gap(rows[:, :4], direct_rows(packet_state, grid[:4])) <= 1e-14
 
     @pytest.mark.parametrize("t", [0.0, 3.7])
     def test_one_row_grid(self, packet_state, t):
-        assert np.array_equal(quantum._phase_table(packet_state, [t]), direct_table(packet_state, [t]))
-        row = direct_table(packet_state, [t])[:, 0]
-        assert np.array_equal(evolve(packet_state, t).coefficients, row[0] + 1j * row[1])
+        # [0.0] is the one-row uniform grid, [3.7] a direct row
+        rows, want = grid_rows(packet_state, [t]), direct_rows(packet_state, [t])
+        if t:
+            assert np.array_equal(rows, want)
+        assert relative_gap(rows, want) <= 1e-15
+        basis = packet_state.basis
+        c = packet_state.coefficients * np.exp(-1j * np.outer([t / basis.units.hbar], basis.energies))[0]
+        assert np.array_equal(evolve(packet_state, t).coefficients, c)
 
     def test_empty_grid(self, packet_state):
-        assert quantum._phase_table(packet_state, []).shape == (2, 0, packet_state.basis.n_max)
         fresh = SpectralState(packet_state.basis, packet_state.coefficients, 0.0)
         assert expectation_x_evolution(fresh, []).shape == variance_x_evolution(fresh, []).shape == (0,)
+        assert quantum._uniform_rows(fresh, 0, 0.0).shape == (2, 0)
 
     def test_all_zero_grid(self, packet_state):
-        re, im = quantum._phase_table(packet_state, np.zeros(7))
-        c = packet_state.coefficients
-        assert (re == c.real).all() and (im == c.imag).all()
+        # h = 0: every row is k h and equals the rows of the coefficients
+        rows = grid_rows(packet_state, np.zeros(7))
+        assert relative_gap(rows, direct_rows(packet_state, np.zeros(7))) <= 1e-14
+        assert relative_gap(rows[:1], np.full((1, 7), expectation_x(packet_state))) <= 1e-14
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 7, 16, 33, 401])
+    def test_short_grids(self, packet_state, count):
+        # measured <= 4.2e-15 (count 401), against phases to 20 rad
+        h = 0.05
+        rows = quantum._uniform_rows(packet_state, count, h)
+        assert relative_gap(rows, direct_rows(packet_state, h * np.arange(count))) <= 1e-14
+
+    def test_zero_step(self, packet_state):
+        rows = quantum._uniform_rows(packet_state, 7, 0.0)
+        assert relative_gap(rows, direct_rows(packet_state, np.zeros(7))) <= 1e-14
 
     def test_units_with_hbar_not_one(self, neutron_basis):
         u = neutron_basis.units
         assert u.hbar != 1.0
         state = project_packet(PacketSpec(x0=10.0 * u.l_g, sigma=1.5 * u.l_g), neutron_basis)
         grid = 0.05 * u.t_g * np.arange(2001)
-        # measured 2.0e-13 at phases to 1.9e3 rad, and 4.3e-14 of the <x> maximum
-        gap = np.abs(quantum._phase_table(state, grid) - direct_table(state, grid))
-        assert gap.max() <= 2 * EPS * grid[-1] * neutron_basis.energies[-1] / u.hbar
-        mean = expectation_x_evolution(state, grid)
-        want = quantum._quadratic_forms(direct_table(state, grid), neutron_basis.x_matrix)
-        assert np.abs(mean - want).max() <= 1e-12 * np.abs(want).max()
+        # measured 3.0e-14 (<x>) and 3.9e-14 (<x^2>) of each row's maximum
+        assert relative_gap(grid_rows(state, grid), direct_rows(state, grid)) <= 1e-12
+
+    def test_long_grid_keeps_o_t_memory(self, basis64):
+        # a (2, T, N) phase table of 200 001 times at N = 64 alone would take
+        # 205 MB; measured peak 46 MB, and the state keeps 3 T floats
+        state = project_packet(PacketSpec(x0=25.0, sigma=2.0), basis64)
+        grid = 0.05 * np.arange(200_001)
+        basis64.x2_matrix()
+        tracemalloc.start()
+        try:
+            mean = expectation_x_evolution(state, grid)
+            var = variance_x_evolution(state, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert sum(a.nbytes for a in state._rows) == 3 * 8 * grid.size
+        assert np.isfinite(mean).all() and (var > 0).all()
 
 
 @pytest.fixture(scope="module")
@@ -561,22 +612,22 @@ class TestPhaseOracle:
         state = project_packet(PacketSpec(x0=x0, sigma=2.0), basis64)
         grid = np.linspace(0.0, 100 * 2.0 * math.sqrt(x0), 20001)
         rows = np.array(self.ROWS)
-        assert (grid[rows] == rows * grid[1]).all()  # blocked rows in the full grid
+        assert (grid[rows] == rows * grid[1]).all()  # kernel rows in the full grid
         with mpmath.workdps(40):
             exact = self.exact_mean(mpmath, state, grid[rows])
-        blocked = expectation_x_evolution(state, grid)
-        # the sampled times alone are no uniform grid: each row takes its own exp
+        uniform = expectation_x_evolution(state, grid)
+        # the sampled times alone are no uniform grid: all rows but the second
+        # (a two-row uniform prefix) take their own exp
         direct = expectation_x_evolution(state, grid[rows])
-        # measured 2.1e-12 / 4.5e-12 blocked and 4.7e-12 / 8.9e-12 direct
-        # (x0 = 20 / 30): the rounding of phases E t up to 4.5e4 rad
-        assert np.abs(blocked[rows] - exact).max() <= 1e-11
+        # measured 9.9e-14 / 1.8e-13 kernel and 4.7e-12 / 8.9e-12 direct
+        # (x0 = 20 / 30): the direct rows round phases E t up to 4.5e4 rad
+        assert np.abs(uniform[rows] - exact).max() <= 5e-13
         assert np.abs(direct - exact).max() <= 1e-11
-        # the whole grid against the direct table, relative to each column's
-        # maximum; measured 1.1e-12 / 1.3e-12 (<x>) and 1.2e-12 / 1.5e-12 (Var)
-        table = direct_table(state, grid)
-        mean = quantum._quadratic_forms(table, basis64.x_matrix)
-        var = quantum._quadratic_forms(table, basis64.x2_matrix()) - mean**2
-        assert np.abs(blocked - mean).max() <= 5e-12 * np.abs(mean).max()
+        # the whole grid against the direct rows, relative to each column's
+        # maximum; measured 8.0e-13 / 9.0e-13 (<x>) and 9.4e-13 / 1.0e-12 (Var)
+        mean, second = direct_rows(state, grid)
+        var = second - mean**2
+        assert np.abs(uniform - mean).max() <= 5e-12 * np.abs(mean).max()
         assert np.abs(variance_x_evolution(state, grid) - var).max() <= 5e-12 * np.abs(var).max()
 
 
