@@ -53,8 +53,7 @@ _NORM_CHECK_TOL = 1e-8
 _N_MAX_CHECKED = 10_000
 _HALF_LINE_CLIP_LIMIT = 1e-6
 _TRUNCATION_LIMIT = 1e-3
-# uniform-grid NUFFT: Gaussian half-width (12 fails the mpmath test),
-# oversampling, pairs per (cache-sized) block
+# NUFFT Gaussian half-width (12 fails the mpmath test), oversampling, block
 _SPREAD = 16
 _OVERSAMPLE = 2
 _PAIR_BLOCK = 512
@@ -123,10 +122,9 @@ class Eigenbasis:
 class SpectralState:
     """Expansion coefficients of a state over an Eigenbasis at one time.
 
-    The state keeps the <x> and <x^2> rows of the last time grid its
-    observables were evolved over (2 T floats for T times), so <x> and then
-    Var(x) on one grid evaluate them once; rows at exactly k h, h = t_1,
-    take one NUFFT over the state pairs, no T x N table.
+    The state keeps the <x> and <x^2> rows of the last grid its observables
+    were evolved over (2 T floats), so <x> and then Var(x) on it evaluate them
+    once; long uniform grids take one NUFFT over state pairs.
     """
 
     basis: Eigenbasis
@@ -180,7 +178,7 @@ def _position_matrix(zeros: np.ndarray, power: int) -> np.ndarray:
 def build_basis(n_max: int, u: UnitSystem) -> Eigenbasis:
     """Construct the first n_max eigenstates and their position matrix.
 
-    N_n = 1/|Ai'(-x_n)|.  Each state's norm integral is checked to 1e-8 in
+    Each state's norm integral is checked to 1e-8 in
     closed form, N_n^2 (Ai'(-x_n)^2 + x_n Ai(-x_n)^2), so a zero off by more
     than about 1e-4 / sqrt(x_n) raises NumericalError naming the state.
     n_max above 10 000, past the tested range, raises DomainError before any
@@ -292,50 +290,51 @@ def project_packet(p: PacketSpec, basis: Eigenbasis) -> SpectralState:
 
 
 def _uniform_rows(s: SpectralState, count: int, h: float) -> np.ndarray:
-    """(2, count) rows <x>, <x^2> at the times k h, k < count, by a type-1 NUFFT
+    """(2, count) rows <x>, <x^2> at times k h, k < count, by a type-1 NUFFT
     over pairs m < n (Greengard & Lee, SIAM Rev. 46, 443 (2004)).  With
-    omega = (E_n - E_m) / hbar, K0 = count // 2 and j = k - K0,
+    omega = (E_n - E_m)/hbar, K0 = count // 2 and j = k - K0,
     <M> = sum_n |c_n|^2 M_nn + 2 Re sum_mn a_mn exp(-i omega h j),
     a = conj(c_m) c_n M_mn exp(-i omega K0 h)."""
     basis, c = s.basis, s.coefficients
-    mats = (basis.x_matrix, basis.x2_matrix())
+    mats = np.stack((basis.x_matrix, basis.x2_matrix()))
     m, n = np.triu_indices(c.size, 1)
     omega = (basis.energies[n] - basis.energies[m]) / basis.units.hbar
     k0 = count // 2
-    amp = np.conj(c[m]) * c[n] * np.exp(-1j * (omega * (k0 * h))) * np.stack([a[m, n] for a in mats])
-    amp = np.stack((amp.real, amp.imag))[:, :, None]
-    # Gaussians on 2 _SPREAD points of a circle padded by _SPREAD
+    amp = np.conj(c[m]) * c[n] * np.exp(-1j * (omega * (k0 * h))) * mats[:, m, n]
+    amp = np.concatenate((amp.real, amp.imag))[:, None]
+    # Gaussians on 2 _SPREAD points of a circle of the least 2^a, 3 2^a or
+    # 5 2^a >= least points, padded by _SPREAD
     least = max(_OVERSAMPLE * count, 4 * _SPREAD)
-    size = min(f << ((least - 1) // f).bit_length() for f in (1, 3, 5))  # 5-smooth
+    size = min(f << ((least - 1) // f).bit_length() for f in (1, 3, 5))
     cell, padded = 2.0 * math.pi / size, size + 2 * _SPREAD
     tau = math.pi * _SPREAD / (size * (size - 0.5 * count))
     offsets = np.arange(1, 2 * _SPREAD + 1)[:, None]
-    spread = np.zeros((2, padded), complex)
+    lanes = padded * np.arange(4)[:, None, None]
+    spread = np.zeros((4, padded))
     for lo in range(0, omega.size, _PAIR_BLOCK):
         q, rem = np.divmod(omega[lo:lo + _PAIR_BLOCK] * h, cell)
         gauss = rem - cell * (offsets - _SPREAD)
         vals = np.exp(gauss * gauss / (-4.0 * tau)) * amp[..., lo:lo + _PAIR_BLOCK]
-        idx = (q % size).astype(np.intp) + offsets
-        idx = np.stack((idx, idx + padded)).ravel()
-        for out, part in zip((spread.real, spread.imag), vals):
-            out += np.bincount(idx, part.ravel(), 2 * padded).reshape(2, padded)
+        idx = (q % size).astype(np.intp) + offsets + lanes
+        spread += np.bincount(idx.ravel(), vals.ravel(), 4 * padded).reshape(4, padded)
     circle = spread[:, _SPREAD:-_SPREAD]
     circle[:, :_SPREAD] += spread[:, -_SPREAD:]
     circle[:, -_SPREAD:] += spread[:, :_SPREAD]
-    # FFT, divide out the Gaussian's transform
+    # FFT, divide by the Gaussian's transform
     j = np.arange(-k0, count - k0)
-    sums = np.fft.fft(circle)[:, j].real * (np.exp(tau * j * j) / (0.5 * size * math.sqrt(tau / math.pi)))
-    return np.stack([np.diagonal(a) @ (c.real**2 + c.imag**2) for a in mats])[:, None] + sums
+    sums = np.fft.fft(circle[:2] + 1j * circle[2:])[:, j].real
+    sums *= np.exp(tau * j * j) / (0.5 * size * math.sqrt(tau / math.pi))
+    return (mats.diagonal(0, 1, 2) @ (c.real**2 + c.imag**2))[:, None] + sums
 
 
 def _direct_rows(s: SpectralState, t: np.ndarray) -> np.ndarray:
-    """(2, T) rows <x>, <x^2>, each from its own exp and real BLAS products:
-    Re(c^dagger M c) = a^T M a + b^T M b for c = a + ib."""
+    """(2, T) rows <x>, <x^2>, each by its own exp: a^T M a + b^T M b,
+    c = a + ib."""
     basis = s.basis
     ph = np.exp(-1j * np.outer(t / basis.units.hbar, basis.energies)) * s.coefficients
     re, im = np.stack((ph.real, ph.imag))
-    return np.array([np.einsum("ti,ti->t", re @ mat, re) + np.einsum("ti,ti->t", im @ mat, im)
-                     for mat in (basis.x_matrix, basis.x2_matrix())])
+    return np.array([np.einsum("ti,ti->t", re @ a, re) + np.einsum("ti,ti->t", im @ a, im)
+                     for a in (basis.x_matrix, basis.x2_matrix())])
 
 
 def evolve(s: SpectralState, t: float) -> SpectralState:
@@ -345,7 +344,7 @@ def evolve(s: SpectralState, t: float) -> SpectralState:
 
 
 def _variance(rows: np.ndarray, basis: Eigenbasis) -> np.ndarray:
-    """Var(x) from rows <x>, <x^2>, refused if negative beyond rounding."""
+    """<x^2> - <x>^2 of rows, refused if negative beyond rounding."""
     var = rows[1] - rows[0] * rows[0]
     if np.any(var < -1e-10 * basis.units.l_g**2):
         raise NumericalError(f"variance {np.min(var)} is negative beyond tolerance")
@@ -354,8 +353,9 @@ def _variance(rows: np.ndarray, basis: Eigenbasis) -> np.ndarray:
 
 def _kept_rows(s: SpectralState, times) -> np.ndarray:
     """Read-only (2, T) rows <x>, <x^2> over times, kept while times equal the
-    state's grid.  Rows up to the last at exactly k h (dt * arange; linspace
-    from 0 but its end point) take _uniform_rows, others _direct_rows."""
+    state's grid.  Rows up to the last at k h (dt * arange, linspace but its
+    end) take _uniform_rows if it uses fewer exps (2 _SPREAD + 1 a pair and 1
+    a row, against N a row), others _direct_rows."""
     times = _check_times(times)
     kept = s._rows
     if kept is not None and np.array_equal(kept[0], times):
@@ -363,11 +363,14 @@ def _kept_rows(s: SpectralState, times) -> np.ndarray:
     t = np.ravel(times)
     h = t[1] if t.size > 1 else 0.0
     off = t != h * np.arange(t.size)
-    rows = np.empty((2, t.size))
-    if not off.all():
-        count = int(np.flatnonzero(~off)[-1]) + 1
+    count = 0 if off.all() else int(np.flatnonzero(~off)[-1]) + 1
+    n = s.coefficients.size
+    if n * (n - 1) // 2 * (2 * _SPREAD + 1) + count < count * n:
+        rows = np.empty((2, t.size))
         rows[:, :count] = _uniform_rows(s, count, h)
-    rows[:, off] = _direct_rows(s, t[off])
+        rows[:, off] = _direct_rows(s, t[off])
+    else:
+        rows = _direct_rows(s, t)
     grid = times.copy()
     grid.flags.writeable = rows.flags.writeable = False
     object.__setattr__(s, "_rows", (grid, rows))

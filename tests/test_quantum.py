@@ -355,101 +355,123 @@ class TestEvolution:
 
 class TestPhaseTableReuse:
     """A state keeps the <x> and <x^2> rows of the last grid its observables
-    were evolved over, matched to the next grid by value."""
+    were evolved over, matched to the next grid by value.  At N = 26 the
+    101-row grid takes direct rows and the 1001-row one the NUFFT."""
 
     GRID = np.linspace(0.0, 50.0, 101)
+    LONG = 0.05 * np.arange(1001)
+    GRIDS = ((GRID, "direct"), (LONG, "kernel"))
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """Row counts of the uniform-grid kernel calls."""
-        sizes = []
-        real = quantum._uniform_rows
+        """(path, rows) of every row evaluation with rows, kernel or direct
+        (a grid all at k h still hands an empty remainder to the direct rows)."""
+        calls = []
+        kernel, direct = quantum._uniform_rows, quantum._direct_rows
 
-        def counting(s, count, h):
-            sizes.append(count)
-            return real(s, count, h)
+        def counting_kernel(s, count, h):
+            calls.append(("kernel", count))
+            return kernel(s, count, h)
 
-        monkeypatch.setattr(quantum, "_uniform_rows", counting)
-        return sizes
+        def counting_direct(s, t):
+            if t.size:
+                calls.append(("direct", t.size))
+            return direct(s, t)
+
+        monkeypatch.setattr(quantum, "_uniform_rows", counting_kernel)
+        monkeypatch.setattr(quantum, "_direct_rows", counting_direct)
+        return calls
 
     @staticmethod
     def fresh(state):
         return SpectralState(state.basis, state.coefficients, state.time)
 
     def test_mean_then_variance_builds_one_table(self, packet_state, built):
-        state = self.fresh(packet_state)
-        expectation_x_evolution(state, self.GRID)
-        variance_x_evolution(state, self.GRID.copy())  # equal values, another array
-        assert built == [self.GRID.size]
+        for grid, path in self.GRIDS:
+            built.clear()
+            state = self.fresh(packet_state)
+            expectation_x_evolution(state, grid)
+            variance_x_evolution(state, grid.copy())  # equal values, another array
+            assert built == [(path, grid.size)]
 
     def test_repeated_call_matches_fresh_state(self, packet_state):
-        state = self.fresh(packet_state)
-        for _ in range(2):
-            mean = expectation_x_evolution(state, self.GRID)
-            var = variance_x_evolution(state, self.GRID)
-        assert np.array_equal(mean, expectation_x_evolution(self.fresh(packet_state), self.GRID))
-        assert np.array_equal(var, variance_x_evolution(self.fresh(packet_state), self.GRID))
+        for grid, _ in self.GRIDS:
+            state = self.fresh(packet_state)
+            for _ in range(2):
+                mean = expectation_x_evolution(state, grid)
+                var = variance_x_evolution(state, grid)
+            assert np.array_equal(mean, expectation_x_evolution(self.fresh(packet_state), grid))
+            assert np.array_equal(var, variance_x_evolution(self.fresh(packet_state), grid))
 
     def test_times_changed_in_place_are_seen(self, packet_state):
-        state = self.fresh(packet_state)
-        times = self.GRID.copy()
-        before = expectation_x_evolution(state, times)
-        times *= 2.0
-        after = expectation_x_evolution(state, times)
-        assert np.array_equal(after, expectation_x_evolution(self.fresh(packet_state), times))
-        assert not np.array_equal(after, before)
+        for grid, _ in self.GRIDS:
+            state = self.fresh(packet_state)
+            times = grid.copy()
+            before = expectation_x_evolution(state, times)
+            times *= 2.0
+            after = expectation_x_evolution(state, times)
+            assert np.array_equal(after, expectation_x_evolution(self.fresh(packet_state), times))
+            assert not np.array_equal(after, before)
 
     def test_second_grid_replaces_kept_one(self, packet_state, built):
         state = self.fresh(packet_state)
         other = np.linspace(0.0, 5.0, 11)
-        for times in (self.GRID, other, other, self.GRID):
+        for times in (self.GRID, other, other, self.LONG, self.LONG, self.GRID):
             expectation_x_evolution(state, times)
-        assert built == [self.GRID.size, other.size, self.GRID.size]
+        assert built == [("direct", self.GRID.size), ("direct", other.size),
+                         ("kernel", self.LONG.size), ("direct", self.GRID.size)]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_bad_times_rejected_after_valid_grid(self, packet_state, bad):
-        state = self.fresh(packet_state)
-        expectation_x_evolution(state, self.GRID)
-        times = self.GRID.copy()
-        times[-1] = bad
-        for func in (expectation_x_evolution, variance_x_evolution):
-            with pytest.raises(DomainError, match="finite and >= 0"):
-                func(state, times)
+        for grid, _ in self.GRIDS:
+            state = self.fresh(packet_state)
+            expectation_x_evolution(state, grid)
+            times = grid.copy()
+            times[-1] = bad
+            for func in (expectation_x_evolution, variance_x_evolution):
+                with pytest.raises(DomainError, match="finite and >= 0"):
+                    func(state, times)
 
     def test_scalar_observables_leave_kept_table(self, packet_state, built):
-        want = expectation_x(packet_state), variance_x(packet_state)
-        state = self.fresh(packet_state)
-        expectation_x_evolution(state, self.GRID)
-        kept = state._rows
-        assert (expectation_x(state), variance_x(state)) == want
-        variance_x_evolution(state, self.GRID)
-        assert state._rows is kept
-        assert built == [self.GRID.size]
+        # the scalars are the evolution at duration 0, each from its own
+        # one-row direct evaluation, and leave the kept rows alone
+        at_zero = self.fresh(packet_state)
+        want = expectation_x_evolution(at_zero, [0.0])[0], variance_x_evolution(at_zero, [0.0])[0]
+        for grid, path in self.GRIDS:
+            state = self.fresh(packet_state)
+            built.clear()
+            expectation_x_evolution(state, grid)
+            kept = state._rows
+            assert (expectation_x(state), variance_x(state)) == want
+            variance_x_evolution(state, grid)
+            assert state._rows is kept
+            assert built == [(path, grid.size), ("direct", 1), ("direct", 1)]
 
     def test_variance_reuses_kept_mean(self, packet_state, monkeypatch):
         # after <x>, Var(x) on an equal grid evaluates no row at all
-        state = self.fresh(packet_state)
-        expectation_x_evolution(state, self.GRID)
-
         def refuse(*args):
             raise AssertionError("rows evaluated again")
 
-        for name in ("_uniform_rows", "_direct_rows"):
-            monkeypatch.setattr(quantum, name, refuse)
-        var = variance_x_evolution(state, self.GRID.copy())
-        monkeypatch.undo()
-        assert np.array_equal(var, variance_x_evolution(self.fresh(packet_state), self.GRID))
+        for grid, _ in self.GRIDS:
+            state = self.fresh(packet_state)
+            expectation_x_evolution(state, grid)
+            for name in ("_uniform_rows", "_direct_rows"):
+                monkeypatch.setattr(quantum, name, refuse)
+            var = variance_x_evolution(state, grid.copy())
+            monkeypatch.undo()
+            assert np.array_equal(var, variance_x_evolution(self.fresh(packet_state), grid))
 
     def test_returned_rows_are_copies(self, packet_state):
-        state = self.fresh(packet_state)
-        mean = expectation_x_evolution(state, self.GRID)
-        var = variance_x_evolution(state, self.GRID)
-        mean[:] = var[:] = 0.0
-        fresh = self.fresh(packet_state)
-        assert np.array_equal(expectation_x_evolution(state, self.GRID),
-                              expectation_x_evolution(fresh, self.GRID))
-        assert np.array_equal(variance_x_evolution(state, self.GRID),
-                              variance_x_evolution(fresh, self.GRID))
+        for grid, _ in self.GRIDS:
+            state = self.fresh(packet_state)
+            mean = expectation_x_evolution(state, grid)
+            var = variance_x_evolution(state, grid)
+            mean[:] = var[:] = 0.0
+            fresh = self.fresh(packet_state)
+            assert np.array_equal(expectation_x_evolution(state, grid),
+                                  expectation_x_evolution(fresh, grid))
+            assert np.array_equal(variance_x_evolution(state, grid),
+                                  variance_x_evolution(fresh, grid))
 
 
 def grid_rows(state, times):
@@ -459,10 +481,20 @@ def grid_rows(state, times):
     return quantum._kept_rows(fresh, times).copy()
 
 
+def direct_table(state, times):
+    """Reference phase table, every row from its own exp: c_n exp(-i E_n t / hbar)."""
+    basis = state.basis
+    arg = np.outer(np.asarray(times, dtype=float) / basis.units.hbar, basis.energies)
+    return np.exp(-1j * arg) * state.coefficients
+
+
 def direct_rows(state, times):
-    """Reference rows, every time from its own exp: <x> and <x^2> as the real
-    forms a^T M a + b^T M b of c_n exp(-i E_n t / hbar) = a + ib."""
-    return quantum._direct_rows(state, np.asarray(times, dtype=float))
+    """Reference rows <x> and <x^2> of direct_table: the real forms
+    a^T M a + b^T M b of each row a + ib, on contiguous planes."""
+    table = direct_table(state, times)
+    re, im = table.real.copy(), table.imag.copy()
+    return np.array([np.einsum("ti,ti->t", re @ m, re) + np.einsum("ti,ti->t", im @ m, im)
+                     for m in (state.basis.x_matrix, state.basis.x2_matrix())])
 
 
 def relative_gap(rows, want):
@@ -471,13 +503,14 @@ def relative_gap(rows, want):
 
 
 class TestBlockedPhaseTable:
-    """Rows at exactly k h (h = t_1) come from one NUFFT over the state pairs
-    (quantum._uniform_rows); every other row takes its own exp."""
+    """Rows up to a grid's last at exactly k h (h = t_1) come from one NUFFT
+    over the state pairs (quantum._uniform_rows) when that takes fewer
+    exponentials than direct rows; every other row takes its own exp."""
 
     def test_uniform_grid_takes_blocked_exponentials(self, packet_state, monkeypatch):
-        # one exp per pair for its phase at K0 h, 2 _SPREAD Gaussian weights per
-        # pair and one deconvolution factor per row: ten times the rows add
-        # 900 exps, where a T x N table would add 900 N
+        # the kernel takes one exp per pair for its phase at K0 h, 2 _SPREAD
+        # Gaussian weights per pair and one deconvolution factor per row, the
+        # direct rows N a row; at N = 26 the kernel wins from 430 rows on
         sizes = []
         real = np.exp
 
@@ -487,52 +520,48 @@ class TestBlockedPhaseTable:
 
         monkeypatch.setattr(quantum.np, "exp", counting)
         n = packet_state.basis.n_max
-        for rows in (101, 1001):
+        for rows in (101, 429, 430, 1001):
             sizes.clear()
             expectation_x_evolution(SpectralState(packet_state.basis, packet_state.coefficients, 0.0),
                                     0.5 * np.arange(rows))
-            assert sum(sizes) == n * (n - 1) // 2 * (1 + 2 * quantum._SPREAD) + rows
+            kernel = n * (n - 1) // 2 * (1 + 2 * quantum._SPREAD) + rows
+            assert sum(sizes) == min(kernel, n * rows)
+            assert (sizes == [n * rows]) == (rows <= 429)  # direct rows: one exp call
 
-    @pytest.mark.parametrize("grid", [0.05 * np.arange(401), np.linspace(0.0, 1000.0, 20001)])
+    @pytest.mark.parametrize("grid", [0.05 * np.arange(1001), np.linspace(0.0, 1000.0, 20001)])
     def test_uniform_grid_matches_direct_table(self, packet_state, grid):
         # the direct rows round the phase E t (to 2.5e4 rad here), the kernel
-        # omega h per pair; measured 3.6e-15 / 4.4e-13 (<x>) and 4.2e-15 /
-        # 5.6e-13 (<x^2>) at 490 and 2.5e4 rad
+        # omega h per pair; measured 1.4e-14 / 4.4e-13 (<x>) and 2.0e-14 /
+        # 5.6e-13 (<x^2>) at 1.2e3 and 2.5e4 rad
         bound = 4 * EPS * max(1.0, grid[-1] * packet_state.basis.energies[-1])
         assert relative_gap(grid_rows(packet_state, grid), direct_rows(packet_state, grid)) <= bound
 
     @pytest.mark.parametrize("grid", [
         np.array([0.0, 0.3, 1.1, 2.0, 7.5, 250.0]),
-        np.sort(np.random.default_rng(5).uniform(0.0, 300.0, 500)),
+        np.array([0.0, 0.0, 1.0, 2.0]),
         np.array([2.5, 2.5, 0.0]),
     ])
     def test_non_uniform_grid_is_the_direct_table(self, packet_state, grid):
-        # rows off the k h grid are the direct rows of those times, bit for bit;
-        # the few rows on it (t_1, and t_0 = 0) come from the kernel (measured
-        # gaps <= 2.9e-16)
-        on = grid == grid[1] * np.arange(grid.size)
-        rows = grid_rows(packet_state, grid)
-        assert np.array_equal(rows[:, ~on], direct_rows(packet_state, grid[~on]))
-        assert np.abs(rows[:, on] - direct_rows(packet_state, grid[on])).max() <= 1e-14 * np.abs(rows).max()
+        # a k h prefix of a few rows is too short for the kernel
+        assert np.array_equal(grid_rows(packet_state, grid), direct_rows(packet_state, grid))
 
     def test_mixed_grid(self, packet_state):
-        # rows 0-3 are k h and come from the kernel, rows 4 and 5 are not
         h = 0.05
+        # rows 0-3 are k h, too few for the kernel: every row is direct
         grid = np.array([0.0, h, 2 * h, 3 * h, 0.7, 250.0])
+        assert np.array_equal(grid_rows(packet_state, grid), direct_rows(packet_state, grid))
+        # a 600-row k h prefix takes the kernel, the two rows after it are
+        # direct; measured 8.8e-15 against direct rows at phases to 1.5e3 rad
+        grid = np.append(h * np.arange(600), [0.7, 250.0])
         rows = grid_rows(packet_state, grid)
-        assert np.array_equal(rows[:, 4:], direct_rows(packet_state, grid[4:]))
-        assert relative_gap(rows[:, :4], direct_rows(packet_state, grid[:4])) <= 1e-14
+        assert np.array_equal(rows[:, 600:], direct_rows(packet_state, grid[600:]))
+        bound = 4 * EPS * grid[599] * packet_state.basis.energies[-1]
+        assert relative_gap(rows[:, :600], direct_rows(packet_state, grid[:600])) <= bound
 
     @pytest.mark.parametrize("t", [0.0, 3.7])
     def test_one_row_grid(self, packet_state, t):
-        # [0.0] is the one-row uniform grid, [3.7] a direct row
-        rows, want = grid_rows(packet_state, [t]), direct_rows(packet_state, [t])
-        if t:
-            assert np.array_equal(rows, want)
-        assert relative_gap(rows, want) <= 1e-15
-        basis = packet_state.basis
-        c = packet_state.coefficients * np.exp(-1j * np.outer([t / basis.units.hbar], basis.energies))[0]
-        assert np.array_equal(evolve(packet_state, t).coefficients, c)
+        assert np.array_equal(grid_rows(packet_state, [t]), direct_rows(packet_state, [t]))
+        assert np.array_equal(evolve(packet_state, t).coefficients, direct_table(packet_state, [t])[0])
 
     def test_empty_grid(self, packet_state):
         fresh = SpectralState(packet_state.basis, packet_state.coefficients, 0.0)
@@ -540,13 +569,15 @@ class TestBlockedPhaseTable:
         assert quantum._uniform_rows(fresh, 0, 0.0).shape == (2, 0)
 
     def test_all_zero_grid(self, packet_state):
-        # h = 0: every row is k h and equals the rows of the coefficients
-        rows = grid_rows(packet_state, np.zeros(7))
-        assert relative_gap(rows, direct_rows(packet_state, np.zeros(7))) <= 1e-14
-        assert relative_gap(rows[:1], np.full((1, 7), expectation_x(packet_state))) <= 1e-14
+        # h = 0 and seven rows, too few for the kernel: direct rows of a table
+        # whose every row is the coefficients themselves
+        table = direct_table(packet_state, np.zeros(7))
+        assert (table == packet_state.coefficients).all()
+        assert np.array_equal(grid_rows(packet_state, np.zeros(7)), direct_rows(packet_state, np.zeros(7)))
 
     @pytest.mark.parametrize("count", [1, 2, 3, 5, 7, 16, 33, 401])
     def test_short_grids(self, packet_state, count):
+        # the kernel stays exact on grids too short to be chosen for;
         # measured <= 4.2e-15 (count 401), against phases to 20 rad
         h = 0.05
         rows = quantum._uniform_rows(packet_state, count, h)
@@ -616,15 +647,14 @@ class TestPhaseOracle:
         with mpmath.workdps(40):
             exact = self.exact_mean(mpmath, state, grid[rows])
         uniform = expectation_x_evolution(state, grid)
-        # the sampled times alone are no uniform grid: all rows but the second
-        # (a two-row uniform prefix) take their own exp
+        # the sampled times alone are no long uniform grid: each row takes its own exp
         direct = expectation_x_evolution(state, grid[rows])
-        # measured 9.9e-14 / 1.8e-13 kernel and 4.7e-12 / 8.9e-12 direct
+        # measured 9.9e-14 / 1.9e-13 kernel and 4.7e-12 / 8.9e-12 direct
         # (x0 = 20 / 30): the direct rows round phases E t up to 4.5e4 rad
         assert np.abs(uniform[rows] - exact).max() <= 5e-13
         assert np.abs(direct - exact).max() <= 1e-11
         # the whole grid against the direct rows, relative to each column's
-        # maximum; measured 8.0e-13 / 9.0e-13 (<x>) and 9.4e-13 / 1.0e-12 (Var)
+        # maximum; measured 8.0e-13 / 9.0e-13 (<x>) and 9.3e-13 / 1.0e-12 (Var)
         mean, second = direct_rows(state, grid)
         var = second - mean**2
         assert np.abs(uniform - mean).max() <= 5e-12 * np.abs(mean).max()
