@@ -124,7 +124,7 @@ class SpectralState:
 
     The state keeps the <x> and <x^2> rows of the last grid its observables
     were evolved over (2 T floats), so <x> and then Var(x) on it evaluate them
-    once; long uniform grids take one NUFFT over state pairs.
+    once (by one NUFFT if the grid is long and uniform).
     """
 
     basis: Eigenbasis
@@ -291,7 +291,7 @@ def project_packet(p: PacketSpec, basis: Eigenbasis) -> SpectralState:
 
 def _uniform_rows(s: SpectralState, count: int, h: float) -> np.ndarray:
     """(2, count) rows <x>, <x^2> at times k h, k < count, by a type-1 NUFFT
-    over pairs m < n (Greengard & Lee, SIAM Rev. 46, 443 (2004)).  With
+    over pairs m < n (Greengard & Lee, SIAM Rev. 46, 2004).  With
     omega = (E_n - E_m)/hbar, K0 = count // 2 and j = k - K0,
     <M> = sum_n |c_n|^2 M_nn + 2 Re sum_mn a_mn exp(-i omega h j),
     a = conj(c_m) c_n M_mn exp(-i omega K0 h)."""
@@ -301,28 +301,29 @@ def _uniform_rows(s: SpectralState, count: int, h: float) -> np.ndarray:
     omega = (basis.energies[n] - basis.energies[m]) / basis.units.hbar
     k0 = count // 2
     amp = np.conj(c[m]) * c[n] * np.exp(-1j * (omega * (k0 * h))) * mats[:, m, n]
-    amp = np.concatenate((amp.real, amp.imag))[:, None]
-    # Gaussians on 2 _SPREAD points of a circle of the least 2^a, 3 2^a or
-    # 5 2^a >= least points, padded by _SPREAD
+    amp = np.stack((amp.real, amp.imag))[:, :, None]
+    # Gaussians on 2 _SPREAD points of a circle padded by _SPREAD, of the
+    # least 2^a, 3 2^a or 5 2^a >= least points
     least = max(_OVERSAMPLE * count, 4 * _SPREAD)
     size = min(f << ((least - 1) // f).bit_length() for f in (1, 3, 5))
     cell, padded = 2.0 * math.pi / size, size + 2 * _SPREAD
     tau = math.pi * _SPREAD / (size * (size - 0.5 * count))
     offsets = np.arange(1, 2 * _SPREAD + 1)[:, None]
-    lanes = padded * np.arange(4)[:, None, None]
-    spread = np.zeros((4, padded))
+    spread = np.zeros((2, padded), complex)
     for lo in range(0, omega.size, _PAIR_BLOCK):
         q, rem = np.divmod(omega[lo:lo + _PAIR_BLOCK] * h, cell)
         gauss = rem - cell * (offsets - _SPREAD)
         vals = np.exp(gauss * gauss / (-4.0 * tau)) * amp[..., lo:lo + _PAIR_BLOCK]
-        idx = (q % size).astype(np.intp) + offsets + lanes
-        spread += np.bincount(idx.ravel(), vals.ravel(), 4 * padded).reshape(4, padded)
+        idx = (q % size).astype(np.intp) + offsets
+        idx = np.stack((idx, idx + padded)).ravel()
+        for out, part in zip((spread.real, spread.imag), vals):
+            out += np.bincount(idx, part.ravel(), 2 * padded).reshape(2, padded)
     circle = spread[:, _SPREAD:-_SPREAD]
     circle[:, :_SPREAD] += spread[:, -_SPREAD:]
     circle[:, -_SPREAD:] += spread[:, :_SPREAD]
     # FFT, divide by the Gaussian's transform
     j = np.arange(-k0, count - k0)
-    sums = np.fft.fft(circle[:2] + 1j * circle[2:])[:, j].real
+    sums = np.fft.fft(circle)[:, j].real
     sums *= np.exp(tau * j * j) / (0.5 * size * math.sqrt(tau / math.pi))
     return (mats.diagonal(0, 1, 2) @ (c.real**2 + c.imag**2))[:, None] + sums
 
@@ -332,9 +333,9 @@ def _direct_rows(s: SpectralState, t: np.ndarray) -> np.ndarray:
     c = a + ib."""
     basis = s.basis
     ph = np.exp(-1j * np.outer(t / basis.units.hbar, basis.energies)) * s.coefficients
-    re, im = np.stack((ph.real, ph.imag))
-    return np.array([np.einsum("ti,ti->t", re @ a, re) + np.einsum("ti,ti->t", im @ a, im)
-                     for a in (basis.x_matrix, basis.x2_matrix())])
+    ab = np.stack((ph.real, ph.imag))
+    mats = (basis.x_matrix, basis.x2_matrix())
+    return np.array([np.einsum("pti,pti->t", ab @ m, ab) for m in mats])
 
 
 def evolve(s: SpectralState, t: float) -> SpectralState:
@@ -354,8 +355,8 @@ def _variance(rows: np.ndarray, basis: Eigenbasis) -> np.ndarray:
 def _kept_rows(s: SpectralState, times) -> np.ndarray:
     """Read-only (2, T) rows <x>, <x^2> over times, kept while times equal the
     state's grid.  Rows up to the last at k h (dt * arange, linspace but its
-    end) take _uniform_rows if it uses fewer exps (2 _SPREAD + 1 a pair and 1
-    a row, against N a row), others _direct_rows."""
+    end) take _uniform_rows if that needs fewer exps (2 _SPREAD + 1 a pair, 1 a
+    row) than _direct_rows (N a row), which takes the rest."""
     times = _check_times(times)
     kept = s._rows
     if kept is not None and np.array_equal(kept[0], times):

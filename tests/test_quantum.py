@@ -490,10 +490,11 @@ def direct_table(state, times):
 
 def direct_rows(state, times):
     """Reference rows <x> and <x^2> of direct_table: the real forms
-    a^T M a + b^T M b of each row a + ib, on contiguous planes."""
+    a^T M a + b^T M b of each row a + ib, with a and b stacked as two
+    contiguous planes (BLAS rounds a one-row product apart from a stacked one)."""
     table = direct_table(state, times)
-    re, im = table.real.copy(), table.imag.copy()
-    return np.array([np.einsum("ti,ti->t", re @ m, re) + np.einsum("ti,ti->t", im @ m, im)
+    planes = np.array([table.real, table.imag])
+    return np.array([np.einsum("pti,pti->t", planes @ m, planes)
                      for m in (state.basis.x_matrix, state.basis.x2_matrix())])
 
 
