@@ -5,7 +5,8 @@ a configurable order.
 For a linear potential the second-order moments decouple from everything
 else and solve in closed form; saturated initial data keep the uncertainty
 product at hbar^2/4 for all times.  Those closed forms, a fixed-step RK4
-integrator for general polynomial potentials, and the dispersion envelope
+integrator for polynomial potentials (one precomputed map per step where the
+degree is <= 2 and the hierarchy is linear), and the dispersion envelope
 around the classical bounce all live here.
 """
 
@@ -41,8 +42,8 @@ __all__ = [
 ]
 
 
-# Step cap for integrate: 1e8 RK4 steps take about 40 minutes at ~4.5e4 steps/s
-# (orders 2-6, 2-core x86_64 host), and their trajectory is
+# Step cap for integrate: 1e8 RK4 steps take about 7 (degree <= 2) to 40
+# minutes (orders 2-6, 2-core x86_64 host), and their trajectory is
 # 8e8 (order + 2)(order + 3)/2 bytes before the first step.
 _MAX_STEPS = 10**8
 _EPS = float(np.finfo(float).eps)
@@ -230,15 +231,11 @@ def _eom_tables(order: int, coefficients: tuple[float, ...], m: float) -> tuple:
     the first degree rows (0 outside G): b/m, then a, negated for n = 2, where
     G^{0,1} = 0 leaves only -G^{a-1,b+1}.  horner holds, per n = 1..degree, the
     coefficients of V^(n) from the top power down and (n-1)!; g_slots the slots
-    of G^{0,n-1}, n >= 3.  A constant potential gets the tables of V' = 0.
-
-    For degree <= 2, V'' is constant: idx keeps only the degree rows that are
-    read, w[1] is already V'' w[1], horner holds V' alone and g_slots is None.
+    of G^{0,n-1}, n >= 3.  A potential of degree < 2 is padded to degree 2.
     """
     pairs = moment_pairs(order)
     zero = len(pairs) + 2
-    if len(coefficients) == 1:
-        coefficients = (*coefficients, 0.0)
+    coefficients += (0.0,) * (3 - len(coefficients))
     degree = len(coefficients) - 1
 
     def at(a, b):
@@ -263,10 +260,6 @@ def _eom_tables(order: int, coefficients: tuple[float, ...], m: float) -> tuple:
         for n in range(1, degree + 1)
     )
     g_slots = tuple(at(0, n - 1) for n in range(3, degree + 1))
-    if degree <= 2:
-        if degree == 2:  # c_2 = V''/1!, rounded as moment_eom rounds it
-            w[1] *= horner[1][0][0] / horner[1][1]
-        idx, horner, g_slots = idx[:degree], horner[:1], None
     idx.flags.writeable = w.flags.writeable = False
     return idx, w, horner, g_slots
 
@@ -283,33 +276,49 @@ def moment_eom(s: MomentState, V: PolynomialPotential, m: float) -> MomentState:
 
     Moments outside the truncation are closed to zero.  One gather y[idx]
     reads them all; the terms add up in the order above, with c_n a formed
-    first, so each entry rounds as the term-by-term sum does.  For degree
-    <= 2 the weights are constant and one multiply forms both terms.
+    first, so each entry rounds as the term-by-term sum does.
     """
     idx, w, horner, g_slots = _eom_tables(s.order, V.coefficients, m)
     y = s._y
     x = y.item(0)
-    c = []  # V^(n)(x)/(n-1)!, n = 1..degree (n = 1 alone when g_slots is None)
+    c = []  # V^(n)(x)/(n-1)!, n = 1..degree
     for coeffs, factorial in horner:
         acc = coeffs[0]
         for cj in coeffs[1:]:
             acc = acc * x + cj
         c.append(acc / factorial)
     dp = -c[0]
-    if g_slots is None:  # degree <= 2: w[1] already holds c_2 w[1]
-        terms = w * y[idx]
-        out = terms[0] + terms[1] if len(terms) > 1 else terms[0]
-    else:
-        G = y[idx]
-        out = w[0] * G[0]
-        out += (c[1] * w[1]) * G[1]
-        for j, i in enumerate(g_slots, 2):  # n = j + 1 >= 3
-            g = y.item(i)
-            out += (c[j] * w[j]) * (g * G[-1] - G[j])
-            dp -= c[j] * g
+    G = y[idx]
+    out = w[0] * G[0]
+    out += (c[1] * w[1]) * G[1]
+    for j, i in enumerate(g_slots, 2):  # n = j + 1 >= 3
+        g = y.item(i)
+        out += (c[j] * w[j]) * (g * G[-1] - G[j])
+        dp -= c[j] * g
     out[0] = y.item(1) / m
     out[1] = dp
     return MomentState._wrap(out, s.order)
+
+
+def _rk4_propagator(s0: MomentState, V: PolynomialPotential, m: float, h: float):
+    """(D, r) such that one RK4 step of h maps y to y + D y + r, for degree <= 2.
+
+    moment_eom is then affine, y' = A y + b: b is its value on the zero state
+    and column j of A its value on e_j minus b (the trailing zero slot is not
+    probed).  The four stages sum to D = h M A and r = h M b, with
+    M = I + hA/2 + (hA)^2/6 + (hA)^3/24.
+    """
+    def f(y):
+        return moment_eom(MomentState._wrap(y, s0.order), V, m)._y
+
+    k = s0._y.size
+    b = f(np.zeros(k))
+    hA = np.array([f(e) - b for e in np.eye(k)[:-1]] + [np.zeros(k)]).T * h
+    M = np.zeros_like(hA)
+    for coef in (1 / 24, 1 / 6, 0.5, 1.0):  # Horner in hA
+        M = hA @ M
+        M.flat[:: k + 1] += coef
+    return M @ hA, M @ (h * b)
 
 
 class _StateRows(SequenceABC):
@@ -367,9 +376,12 @@ def integrate(
 ) -> MomentTrajectory:
     """Fixed-step classical RK4 integration of the moment equations.
 
-    Deterministic; samples at k*dt for k = 0..round(t_end/dt).  State updates
-    use compensated (Kahan) accumulation so conserved combinations hold to
-    ~1e-13 relative over tens of thousands of steps.
+    Deterministic; samples at k*dt for k = 0..round(t_end/dt).  For a
+    potential of degree <= 2 the equations are affine and each step applies
+    one RK4 map built from moment_eom before the loop; otherwise moment_eom
+    runs once per stage.  State updates use compensated (Kahan) accumulation
+    so conserved combinations hold to ~1e-13 relative over tens of thousands
+    of steps.
 
     If the uncertainty product G^{0,2} G^{2,0} - (G^{1,1})^2 drops more than
     1e-6 (relative) below its reference value - hbar^2/4 when hbar is given,
@@ -392,26 +404,34 @@ def integrate(
     rows = np.empty((n_steps + 1, s0._y.size))
     rows[0] = y = s0._y
     comp = np.zeros_like(y)
-    zeros, stage = np.zeros_like(y), np.empty_like(y)  # stage: input of stages 2-4
-    stage_state = MomentState._wrap(stage, order)
+    zeros, stage, term = np.zeros_like(y), np.empty_like(y), np.empty_like(y)
+    stage_state = MomentState._wrap(stage, order)  # input of stages 2-4
     half, sixth = 0.5 * dt, dt / 6.0
+    affine = V.degree <= 2
+    if affine:
+        D, r = _rk4_propagator(s0, V, m, dt)
     for step in range(1, n_steps + 1):
-        k1 = moment_eom(MomentState._wrap(y, order), V, m)._y
-        np.add(y, np.multiply(half, k1, out=stage), out=stage)
-        k2 = moment_eom(stage_state, V, m)._y
-        np.add(y, np.multiply(half, k2, out=stage), out=stage)
-        k3 = moment_eom(stage_state, V, m)._y
-        np.add(y, np.multiply(dt, k3, out=stage), out=stage)
-        k4 = moment_eom(stage_state, V, m)._y
-        # the Kahan term (dt/6)((k1 + 2 k2) + 2 k3 + k4) - comp, in place on k2
-        k2 *= 2.0
-        k2 += k1
-        k2 += np.multiply(2.0, k3, out=k3)
-        k2 += k4
-        k2 *= sixth
-        k2 -= comp
-        total = np.add(y, k2, out=rows[step])
-        np.subtract(np.subtract(total, y, out=comp), k2, out=comp)
+        if affine:
+            np.dot(D, y, out=term)
+            term += r
+        else:
+            k1 = moment_eom(MomentState._wrap(y, order), V, m)._y
+            np.add(y, np.multiply(half, k1, out=stage), out=stage)
+            k2 = moment_eom(stage_state, V, m)._y
+            np.add(y, np.multiply(half, k2, out=stage), out=stage)
+            k3 = moment_eom(stage_state, V, m)._y
+            np.add(y, np.multiply(dt, k3, out=stage), out=stage)
+            k4 = moment_eom(stage_state, V, m)._y
+            # (dt/6)((k1 + 2 k2) + 2 k3 + k4), in place on k2
+            k2 *= 2.0
+            k2 += k1
+            k2 += np.multiply(2.0, k3, out=k3)
+            k2 += k4
+            term = np.multiply(sixth, k2, out=term)
+        # Kahan: add term - comp, keep what the sum dropped in comp
+        term -= comp
+        total = np.add(y, term, out=rows[step])
+        np.subtract(np.subtract(total, y, out=comp), term, out=comp)
         y = total
         # 0 * y is NaN exactly where y is +-inf or NaN, and a NaN term makes the sum NaN
         if math.isnan(zeros.dot(y)):

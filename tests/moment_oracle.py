@@ -1,15 +1,18 @@
 """Reference moment equations: the dict-loop right-hand side the array form in
 qbouncer.moments replaced, an RK4 driven by it (plain or Kahan-compensated),
-and the exact all-order free fall and harmonic rotation.
+the same RK4 in 50-digit mpmath, and the exact all-order free fall and
+harmonic rotation.
 
-All four read states only through MomentState's public accessors (x, p,
-moment(a, b)), and the first two evaluate V^(n) with
+The float oracles read states only through MomentState's public accessors
+(x, p, moment(a, b)), and the first two evaluate V^(n) with
 PolynomialPotential.derivative, so none shares an index table or weight with
-the code under test.
+the code under test.  rk4_mp takes plain numbers and imports nothing from
+qbouncer.
 """
 
 import math
 
+import mpmath
 import numpy as np
 
 from qbouncer.moments import MomentState, PolynomialPotential, moment_pairs
@@ -79,6 +82,56 @@ def rk4(s0: MomentState, V: PolynomialPotential, m: float, dt: float, steps: int
         total = y + term
         comp = (total - y) - term
         rows.append(total)
+    return np.array(rows)
+
+
+def rk4_mp(x: float, p: float, G: dict, coefficients, m: float, dt: float, steps: int,
+           order: int) -> np.ndarray:
+    """Classical RK4 on the dict-loop equations of moment_eom above, in mpmath
+    at 50 digits; V = sum_j coefficients[j] x^j.  Row k is the state after k
+    steps, [x, p, G...] with G in (a + b, a) order, rounded to float once.
+
+    The inputs are taken exactly (floats are binary fractions), so the rows are
+    the float inputs' RK4 map to ~1e-50: what any float evaluation of that map,
+    in whatever order, rounds away from.
+    """
+    with mpmath.workdps(50):
+        mpf = mpmath.mpf
+        c = [mpf(v) for v in coefficients]
+        m, dt = mpf(m), mpf(dt)
+        pairs = [(a, total - a) for total in range(2, order + 1) for a in range(total + 1)]
+        slot = {key: i + 2 for i, key in enumerate(pairs)}
+
+        def rhs(y):
+            def moment(a, b):
+                return y[slot[a, b]] if (a, b) in slot else mpf(0)
+
+            # V^(n)(x) for n = 0..order + 1, 0 past the degree
+            dV = [sum((c[j] * math.perm(j, n) * y[0] ** (j - n) for j in range(n, len(c))), mpf(0))
+                  for n in range(order + 2)]
+            dy = [y[1] / m, -dV[1]]
+            for b in range(2, order + 1):
+                dy[1] -= dV[b + 1] / math.factorial(b) * moment(0, b)
+            for a, b in pairs:
+                val = b / m * moment(a + 1, b - 1)
+                for n in range(2, min(len(c), order + 2)):
+                    val += a * dV[n] / math.factorial(n - 1) * (
+                        moment(0, n - 1) * moment(a - 1, b) - moment(a - 1, b + n - 1))
+                dy.append(val)
+            return dy
+
+        def shift(y, h, k):
+            return [yi + h * ki for yi, ki in zip(y, k)]
+
+        y = [mpf(x), mpf(p)] + [mpf(G[key]) for key in pairs]
+        rows = [[float(v) for v in y]]
+        for _ in range(steps):
+            k1 = rhs(y)
+            k2 = rhs(shift(y, dt / 2, k1))
+            k3 = rhs(shift(y, dt / 2, k2))
+            k4 = rhs(shift(y, dt, k3))
+            y = [yi + dt / 6 * (a + 2 * b + 2 * c_ + d) for yi, a, b, c_, d in zip(y, k1, k2, k3, k4)]
+            rows.append([float(v) for v in y])
     return np.array(rows)
 
 

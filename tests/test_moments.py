@@ -181,6 +181,28 @@ class TestEquationsOfMotion:
             want = moment_oracle.as_vector(moment_oracle.moment_eom(s, V, 0.7))
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    @pytest.mark.parametrize("coefficients", [(0.3, -1.2), (0.1, 0.4, 0.9), (0.4,)],
+                             ids=["linear", "quadratic", "constant"])
+    def test_affine_for_degree_at_most_two(self, order, coefficients):
+        # what integrate's one-map RK4 step rests on: for degree <= 2,
+        # moment_eom(y) = A y + b, with b its value on the zero state and column
+        # j of A its value on the unit vector e_j minus b
+        V = PolynomialPotential(coefficients)
+        pairs = moment_pairs(order)
+
+        def rhs(x, p, G):
+            return moment_oracle.as_vector(moment_eom(MomentState.make(x, p, order, G), V, 0.7))
+
+        b = rhs(0.0, 0.0, {})
+        units = [(1.0, 0.0, {}), (0.0, 1.0, {})] + [(0.0, 0.0, {key: 1.0}) for key in pairs]
+        A = np.array([rhs(*unit) - b for unit in units]).T
+        rng = np.random.default_rng(order)
+        for _ in range(5):
+            y = rng.uniform(-2.0, 2.0, len(pairs) + 2)
+            got = rhs(y[0], y[1], dict(zip(pairs, y[2:])))
+            assert np.all(np.abs(got - (A @ y + b)) <= 4 * EPS * (np.abs(A) @ np.abs(y) + np.abs(b)))
+
 
 class TestClosedForm:
     def test_initial_values(self):
@@ -423,11 +445,12 @@ class TestIntegrate:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_moment_raises_at_step_one(self, bad):
         # under gravity no equation reads G^{0,4}, so the bad value stays in
-        # that one slot; the check must still see it after the first step
-        _, V, _ = self.linear_setup()
+        # that one slot; the harmonic step feeds it to G^{1,3}.  Both take
+        # integrate's one-map RK4 step, and the check must see it after step 1
         s0 = MomentState.make(1.0, 0.0, 4, {**_gaussian_moments(4), (0, 4): bad})
-        with np.errstate(all="ignore"), pytest.raises(NumericalError, match=r"step 1 \(t = 0\.01\)"):
-            integrate(s0, V, self.u.m, 1.0, 0.01)
+        for V in (PolynomialPotential.gravity(self.u.m, self.u.g), PolynomialPotential.harmonic(self.u.m, 1.3)):
+            with np.errstate(all="ignore"), pytest.raises(NumericalError, match=r"step 1 \(t = 0\.01\)"):
+                integrate(s0, V, self.u.m, 1.0, 0.01)
 
     @pytest.mark.parametrize("order", [4, 6])
     def test_quartic_run_matches_oracle_rk4(self, order):
@@ -444,15 +467,14 @@ class TestIntegrate:
         assert (np.abs(got - want) / np.abs(want).max(axis=0)).max() < 1e-13
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("coefficients", [
-        (0.0, 0.7 * 1.3), (0.0, 0.0, 0.5 * 0.7 * 1.3**2), (0.0, 0.0, 0.5, 0.05, 0.1), (0.4,),
-    ], ids=["gravity", "harmonic", "quartic", "constant"])
+    @pytest.mark.parametrize("coefficients", [(0.0, 0.0, 0.5, 0.05, 0.1)], ids=["quartic"])
     def test_rows_equal_compensated_oracle_rk4(self, order, coefficients):
-        # integrate against the Kahan-compensated RK4 on the dict-loop
-        # equations, bit for bit (signs of zeros too): the kernel rounds every
-        # entry as the loop does, and the step adds its stages in the same
-        # order, so any reordering of the step's arithmetic shows here.  A
-        # Gaussian state (odd moments exactly 0) and a non-Gaussian one.
+        # degree >= 3, where moment_eom runs once per stage: integrate against
+        # the Kahan-compensated RK4 on the dict-loop equations, bit for bit
+        # (signs of zeros too): the kernel rounds every entry as the loop does,
+        # and the step adds its stages in the same order, so any reordering of
+        # the step's arithmetic shows here.  A Gaussian state (odd moments
+        # exactly 0) and a non-Gaussian one.
         V = PolynomialPotential(coefficients)
         rng = np.random.default_rng(order)
         random = {key: rng.uniform(-1.0, 1.0) for key in moment_pairs(order)}
@@ -464,6 +486,31 @@ class TestIntegrate:
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("coefficients", [
+        (0.0, 0.7 * 1.3), (0.0, 0.0, 0.5 * 0.7 * 1.3**2), (0.4,),
+    ], ids=["gravity", "harmonic", "constant"])
+    def test_affine_rows_match_mpmath_rk4(self, order, coefficients):
+        # degree <= 2: every step applies one RK4 map built from moment_eom,
+        # whose matrix products round apart from the stage-by-stage sum.  Held,
+        # on the setups above, to the same RK4 in 50-digit mpmath, which shares
+        # no code with qbouncer.moments: measured <= 2.6 eps relative to each
+        # column's max (the compensated dict-loop RK4: <= 1.2 eps, checked too,
+        # so the two oracles vouch for each other).  A column that is 0
+        # throughout must stay exactly 0.
+        V = PolynomialPotential(coefficients)
+        rng = np.random.default_rng(order)
+        random = {key: rng.uniform(-1.0, 1.0) for key in moment_pairs(order)}
+        for G in (_gaussian_moments(order), random):
+            s0 = MomentState.make(1.0, 0.3, order, G)
+            traj = integrate(s0, V, 0.7, 0.5, 0.01)
+            got = np.array([moment_oracle.as_vector(s) for s in traj.states])
+            want = moment_oracle.rk4_mp(1.0, 0.3, G, coefficients, 0.7, 0.01, 50, order)
+            bound = 16 * EPS * np.abs(want).max(axis=0)
+            assert np.all(np.abs(got - want) <= bound)
+            dict_loop = moment_oracle.rk4(s0, V, 0.7, 0.01, 50, compensated=True)
+            assert np.all(np.abs(dict_loop - want) <= bound)
+
     @pytest.mark.parametrize("order,bound", [
         (2, 16 * EPS), (3, 16 * EPS), (4, 16 * EPS), (5, 8e-9), (6, 5e-9),
     ])
@@ -472,7 +519,7 @@ class TestIntegrate:
         # exact G^{a,b}(t) = sum_k C(b, k) (t/m)^k G^{a+k,b-k}(0): every moment
         # is fed by its (a+1, b-1) neighbour only.  RK4 is exact for
         # polynomials of degree <= 4 in t, so orders 2-4 agree to rounding
-        # (measured 3.4 / 7.0 / 3.6 eps); at orders 5-6 the t^5, t^6 terms
+        # (measured 3.4 / 3.9 / 3.6 eps); at orders 5-6 the t^5, t^6 terms
         # leave a truncation gap (measured 2.8e-9 / 1.6e-9, 16x smaller at dt/2),
         # bounded at about 3x.  Relative to each component's largest value.
         m, g = 0.7, 1.3
@@ -516,9 +563,10 @@ class TestIntegrate:
         assert coarse < bound
         assert 15.0 < coarse / gap(0.005) < 17.0
 
-    def test_one_moment_eom_call_per_stage(self, monkeypatch):
-        # the RK4 loop reads moment_eom as a module global, once per stage;
-        # the benchmark tracer counts the kernel by patching that name
+    @staticmethod
+    def count_moment_eom_calls(monkeypatch):
+        # integrate reads moment_eom as a module global; the benchmark tracer
+        # counts the kernel by patching that name
         calls = []
         kernel = moments.moment_eom
 
@@ -527,9 +575,26 @@ class TestIntegrate:
             return kernel(*args)
 
         monkeypatch.setattr(moments, "moment_eom", counting)
-        _, V, s0 = self.linear_setup()
-        traj = integrate(s0, V, self.u.m, 1.0, 0.01)
+        return calls
+
+    def test_one_moment_eom_call_per_stage(self, monkeypatch):
+        # degree >= 3: one call per RK4 stage
+        calls = self.count_moment_eom_calls(monkeypatch)
+        s0 = MomentState.make(1.0, 0.0, 4, _gaussian_moments(4))
+        traj = integrate(s0, PolynomialPotential((0.0, 0.0, 0.5, 0.05, 0.1)), 1.0, 1.0, 0.01)
         assert len(traj) == 101 and len(calls) == 4 * 100
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_affine_moment_eom_calls_do_not_grow_with_steps(self, monkeypatch, order):
+        # degree <= 2: moment_eom runs on the zero state and on each unit vector
+        # but the trailing zero slot's, once per call of integrate, not per step
+        calls = self.count_moment_eom_calls(monkeypatch)
+        s0 = MomentState.make(1.0, 0.0, order, _gaussian_moments(order))
+        for V in (PolynomialPotential.gravity(self.u.m, self.u.g), PolynomialPotential.harmonic(self.u.m, 1.3)):
+            for steps in (10, 1000):
+                calls.clear()
+                traj = integrate(s0, V, self.u.m, steps * 0.01, 0.01)
+                assert len(traj) == steps + 1 and len(calls) == len(moment_pairs(order)) + 3
 
     def test_trajectory_iterates_pairs(self):
         _, V, s0 = self.linear_setup()
