@@ -311,14 +311,18 @@ def _rk4_propagator(s0: MomentState, V: PolynomialPotential, m: float, h: float)
     def f(y):
         return moment_eom(MomentState._wrap(y, s0.order), V, m)._y
 
+    def times_m(v):
+        # M v by Horner in hA, on vectors only: a matrix product would touch
+        # the BLAS work buffer and raise peak memory
+        u = v / 24.0
+        for coef in (1 / 6, 0.5, 1.0):
+            u = hA @ u + coef * v
+        return u
+
     k = s0._y.size
     b = f(np.zeros(k))
     hA = np.array([f(e) - b for e in np.eye(k)[:-1]] + [np.zeros(k)]).T * h
-    M = np.zeros_like(hA)
-    for coef in (1 / 24, 1 / 6, 0.5, 1.0):  # Horner in hA
-        M = hA @ M
-        M.flat[:: k + 1] += coef
-    return M @ hA, M @ (h * b)
+    return np.array([times_m(col) for col in hA.T]).T, times_m(h * b)
 
 
 class _StateRows(SequenceABC):
