@@ -467,14 +467,26 @@ class TestIntegrate:
         assert (np.abs(got - want) / np.abs(want).max(axis=0)).max() < 1e-13
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("coefficients", [(0.0, 0.0, 0.5, 0.05, 0.1)], ids=["quartic"])
+    @pytest.mark.parametrize("coefficients", [
+        (0.0, 0.7 * 1.3), (0.0, 0.0, 0.5 * 0.7 * 1.3**2), (0.0, 0.0, 0.5, 0.05, 0.1), (0.4,),
+    ], ids=["gravity", "harmonic", "quartic", "constant"])
     def test_rows_equal_compensated_oracle_rk4(self, order, coefficients):
-        # degree >= 3, where moment_eom runs once per stage: integrate against
-        # the Kahan-compensated RK4 on the dict-loop equations, bit for bit
-        # (signs of zeros too): the kernel rounds every entry as the loop does,
-        # and the step adds its stages in the same order, so any reordering of
-        # the step's arithmetic shows here.  A Gaussian state (odd moments
-        # exactly 0) and a non-Gaussian one.
+        # integrate against the Kahan-compensated RK4 on the dict-loop
+        # equations.  A Gaussian state (odd moments exactly 0) and a
+        # non-Gaussian one.
+        #
+        # degree >= 3, where moment_eom runs once per stage: bit for bit (signs
+        # of zeros too): the kernel rounds every entry as the loop does, and
+        # the step adds its stages in the same order, so any reordering of the
+        # step's arithmetic shows here.
+        #
+        # degree <= 2: every step applies one RK4 map built from moment_eom,
+        # whose matrix products round apart from the stage-by-stage sum.  Both
+        # are held to the same RK4 in 50-digit mpmath, which shares no code
+        # with qbouncer.moments: measured <= 2.6 eps relative to each column's
+        # max for integrate, <= 1.2 eps for the compensated dict-loop RK4, so
+        # the two oracles vouch for each other.  A column that is 0 throughout
+        # must stay exactly 0.
         V = PolynomialPotential(coefficients)
         rng = np.random.default_rng(order)
         random = {key: rng.uniform(-1.0, 1.0) for key in moment_pairs(order)}
@@ -483,33 +495,14 @@ class TestIntegrate:
             traj = integrate(s0, V, 0.7, 0.5, 0.01)
             got = np.array([moment_oracle.as_vector(s) for s in traj.states])
             want = moment_oracle.rk4(s0, V, 0.7, 0.01, 50, compensated=True)
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
-
-    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("coefficients", [
-        (0.0, 0.7 * 1.3), (0.0, 0.0, 0.5 * 0.7 * 1.3**2), (0.4,),
-    ], ids=["gravity", "harmonic", "constant"])
-    def test_affine_rows_match_mpmath_rk4(self, order, coefficients):
-        # degree <= 2: every step applies one RK4 map built from moment_eom,
-        # whose matrix products round apart from the stage-by-stage sum.  Held,
-        # on the setups above, to the same RK4 in 50-digit mpmath, which shares
-        # no code with qbouncer.moments: measured <= 2.6 eps relative to each
-        # column's max (the compensated dict-loop RK4: <= 1.2 eps, checked too,
-        # so the two oracles vouch for each other).  A column that is 0
-        # throughout must stay exactly 0.
-        V = PolynomialPotential(coefficients)
-        rng = np.random.default_rng(order)
-        random = {key: rng.uniform(-1.0, 1.0) for key in moment_pairs(order)}
-        for G in (_gaussian_moments(order), random):
-            s0 = MomentState.make(1.0, 0.3, order, G)
-            traj = integrate(s0, V, 0.7, 0.5, 0.01)
-            got = np.array([moment_oracle.as_vector(s) for s in traj.states])
-            want = moment_oracle.rk4_mp(1.0, 0.3, G, coefficients, 0.7, 0.01, 50, order)
-            bound = 16 * EPS * np.abs(want).max(axis=0)
-            assert np.all(np.abs(got - want) <= bound)
-            dict_loop = moment_oracle.rk4(s0, V, 0.7, 0.01, 50, compensated=True)
-            assert np.all(np.abs(dict_loop - want) <= bound)
+            if V.degree >= 3:
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+                continue
+            exact = moment_oracle.rk4_mp(1.0, 0.3, G, coefficients, 0.7, 0.01, 50, order)
+            bound = 16 * EPS * np.abs(exact).max(axis=0)
+            assert np.all(np.abs(got - exact) <= bound)
+            assert np.all(np.abs(want - exact) <= bound)
 
     @pytest.mark.parametrize("order,bound", [
         (2, 16 * EPS), (3, 16 * EPS), (4, 16 * EPS), (5, 8e-9), (6, 5e-9),
