@@ -335,3 +335,157 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as info:
             main(["orbit"])
         assert info.value.code == 2
+
+
+_USAGE = "usage: qbouncer [-h] {spectrum,classical,quantum,moments,compare} ...\n"
+_MOMENTS_USAGE = """\
+usage: qbouncer moments [-h] [--preset {natural,neutron}] [--mass MASS]
+                        [--gravity GRAVITY] [--hbar HBAR] [--x0 X0]
+                        [--sigma SIGMA] [--alpha ALPHA] [--nmax NMAX]
+                        [--nterms NTERMS] [--tend TEND] [--dt DT] [--out OUT]
+                        [--config CONFIG] [--envreset | --no-envreset]
+"""
+_HELP = _USAGE + """
+Quantum bouncer scenarios: exact classical bounce, Airy-basis spectral
+evolution, and semiclassical moment dynamics.
+
+positional arguments:
+  {spectrum,classical,quantum,moments,compare}
+    spectrum            eigenvalue table with the asymptotic comparison
+    classical           folded bounce trajectory and its Fourier series
+    quantum             spectral <x>(t), the closed-form series, and Var(x)
+    moments             moment-hierarchy integration from saturated initial
+                        data
+    compare             all descriptions on one aligned time grid
+
+options:
+  -h, --help            show this help message and exit
+"""
+_MOMENTS_HELP = _MOMENTS_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --preset {natural,neutron}
+                        unit preset
+  --mass MASS           particle mass (overrides preset)
+  --gravity GRAVITY     gravitational acceleration
+  --hbar HBAR           reduced Planck constant
+  --x0 X0               release height
+  --sigma SIGMA         packet width (0 disables quantum columns)
+  --alpha ALPHA         initial position variance in units of l_g^2
+  --nmax NMAX           number of basis states (0 disables)
+  --nterms NTERMS       Fourier series terms
+  --tend TEND           final time
+  --dt DT               time-grid spacing
+  --out OUT             output CSV path, '-' for stdout
+  --config CONFIG       flat key=value config file
+  --envreset, --no-envreset
+                        restart the dispersion clock at every bounce period in
+                        the envelope columns
+"""
+
+
+@pytest.mark.parametrize("argv, out, err, code", [
+    (["-h"], _HELP, "", 0),
+    (["moments", "-h"], _MOMENTS_HELP, "", 0),
+    ([], "", _USAGE + "qbouncer: error: the following arguments are required: command\n", 2),
+    (["foo"], "", _USAGE + "qbouncer: error: argument command: invalid choice: 'foo' (choose from "
+     "'spectrum', 'classical', 'quantum', 'moments', 'compare')\n", 2),
+    (["moments", "--bogus", "1"], "", _USAGE + "qbouncer: error: unrecognized arguments: --bogus 1\n", 2),
+    (["moments", "--x0"], "", _MOMENTS_USAGE + "qbouncer moments: error: argument --x0: expected one argument\n", 2),
+], ids=["help", "moments-help", "no-command", "unknown-command", "unknown-option", "missing-value"])
+def test_help_and_usage_text(argv, out, err, code, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    argv = ["classical", "--x0", "1", "--tend", "0", "--out", "-"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr("sys.argv", ["qbouncer", *argv])
+    assert main() == 0
+    assert capsys.readouterr().out == expected
+
+
+def _oracle_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def _oracle_csv(header, rows) -> str:
+    return "".join([",".join(header) + "\n", *(",".join(map(_oracle_cell, r)) + "\n" for r in rows)])
+
+
+def _oracle_table(kind, u, x0=10.0, sigma=2.0, alpha=1.0, nmax=48, nterms=200, tend=25.0, dt=0.05):
+    """The CSV of `qbouncer kind` rebuilt row by row from the library API.
+
+    Time-dependent columns come from one library call on the whole grid, as
+    spectral rows depend in their last bit on the grid they share."""
+    from qbouncer import classical, moments, quantum
+    from qbouncer.specfun import airy_zero, airy_zero_asymptotic
+
+    grid = np.array([0.0]) if tend == 0 else dt * np.arange(max(1, round(tend / dt)) + 1)
+    bounce = classical.BounceSpec(x0=x0, g=u.g)
+    if kind == "spectrum":
+        rows = []
+        for n in range(1, nmax + 1):
+            exact, seed = airy_zero(n), airy_zero_asymptotic(n)
+            rows.append([n, exact, seed, u.e_g * exact, 100.0 * abs(exact - seed) / exact])
+        return _oracle_csv(["n", "x_n", "x_n_asymptotic", "E_n", "rel_err_percent"], rows)
+    if kind == "classical":
+        cols = [grid, classical.bounce_trajectory(bounce, grid), classical.bounce_fourier(bounce, grid, nterms)]
+        return _oracle_csv(["t", "x_classical", "x_fourier"], zip(*cols))
+    if kind == "moments":
+        ic = moments.saturated_ic(alpha, u)
+        V = moments.PolynomialPotential.gravity(u.m, u.g)
+        s0 = moments.initial_state(ic, x0=x0)
+        samples = [(0.0, s0)] if tend == 0 else moments.integrate(s0, V, u.m, tend, dt, hbar=u.hbar)
+        rows = [[t, s.x, s.p, s.moment(2, 0), s.moment(1, 1), s.moment(0, 2),
+                 moments.uncertainty_product(s), moments.effective_hamiltonian(s, V, u.m)]
+                for t, s in samples]
+        return _oracle_csv(["t", "x", "p", "G20", "G11", "G02", "uncertainty", "energy"], rows)
+    state = None
+    if nmax >= 1 and sigma > 0:
+        state = quantum.project_packet(quantum.PacketSpec(x0=x0, sigma=sigma), quantum.build_basis(nmax, u))
+    series = u.l_g * quantum.expectation_x_series(
+        quantum.PacketSpec(x0=x0 / u.l_g, sigma=sigma / u.l_g), grid / u.t_g, nterms)
+    if kind == "quantum":
+        cols = [grid, quantum.expectation_x_evolution(state, grid), series,
+                quantum.variance_x_evolution(state, grid)]
+        return _oracle_csv(["t", "x_quantum", "x_series", "var_x"], zip(*cols))
+    assert kind == "compare" and sigma > 0 and alpha > 0
+    ic = moments.saturated_ic(alpha, u)
+    lo, hi = moments.envelope(x0, ic, u.m, u.g, grid)
+    g20, g11, g02 = moments.closed_form_linear(ic, u.m, grid)
+    x_qm = [None] * grid.size if state is None else quantum.expectation_x_evolution(state, grid)
+    cols = [grid, classical.bounce_trajectory(bounce, grid), x_qm, series, lo, hi, g02, g11, g20]
+    return _oracle_csv(["t", "x_classical", "x_quantum", "x_series",
+                        "env_lower", "env_upper", "G02", "G11", "G20"], zip(*cols))
+
+
+@pytest.mark.parametrize("argv", [
+    "spectrum --nmax 10",
+    "classical --x0 1 --tend 4 --dt 0.01",
+    "quantum --x0 10 --sigma 1.5 --nmax 26 --tend 20 --dt 0.05",
+    "moments --x0 2 --alpha 1 --tend 5 --dt 0.01",
+    "compare --x0 10 --alpha 0.4277 --nmax 0 --tend 12 --dt 0.05",
+    "compare --x0 10 --alpha 0.4277 --nmax 26 --tend 12 --dt 0.05",
+    # two terms up to 3.6e9 times their difference: libm pow and x*x squares differ here
+    "moments --preset neutron --x0 2.3 --alpha 0.7 --tend 50 --dt 0.003",
+    "moments --x0 2 --alpha 1 --tend 0",
+])
+def test_csv_bytes_match_row_oracle(argv, capsys):
+    kind, *flags = argv.split()
+    opts = dict(zip(flags[::2], flags[1::2]))
+    u = neutron_units() if opts.pop("--preset", "natural") == "neutron" else natural_units()
+    kwargs = {k[2:]: int(v) if k == "--nmax" else float(v) for k, v in opts.items()}
+    assert main([kind, *flags, "--out", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == _oracle_table(kind, u, **kwargs)
