@@ -181,11 +181,10 @@ def _time_grid(cfg: ScenarioConfig) -> np.ndarray:
 
 def run_spectrum(cfg: ScenarioConfig):
     header = ["n", "x_n", "x_n_asymptotic", "E_n", "rel_err_percent"]
-    rows = []
-    for n, exact in enumerate(airy_zeros(cfg.nmax).tolist(), start=1):
-        seed = airy_zero_asymptotic(n)
-        rows.append([n, exact, seed, cfg.units.e_g * exact, 100.0 * abs(exact - seed) / exact])
-    return header, rows
+    n = np.arange(1, cfg.nmax + 1)
+    exact = airy_zeros(cfg.nmax)
+    seed = np.array([airy_zero_asymptotic(k) for k in n.tolist()])
+    return header, [n, exact, seed, cfg.units.e_g * exact, 100.0 * abs(exact - seed) / exact]
 
 
 def run_classical(cfg: ScenarioConfig):
@@ -193,8 +192,7 @@ def run_classical(cfg: ScenarioConfig):
     grid = _time_grid(cfg)
     x_exact = classical.bounce_trajectory(spec, grid)
     x_fourier = classical.bounce_fourier(spec, grid, cfg.nterms)
-    header = ["t", "x_classical", "x_fourier"]
-    return header, [[t, a, b] for t, a, b in zip(grid, x_exact, x_fourier)]
+    return ["t", "x_classical", "x_fourier"], [grid, x_exact, x_fourier]
 
 
 def _quantum_columns(cfg: ScenarioConfig, grid: np.ndarray, with_variance: bool):
@@ -216,8 +214,7 @@ def run_quantum(cfg: ScenarioConfig):
     grid = _time_grid(cfg)
     mean, var = _quantum_columns(cfg, grid, with_variance=True)
     series = _series_column(cfg, grid)
-    header = ["t", "x_quantum", "x_series", "var_x"]
-    return header, [[t, a, b, c] for t, a, b, c in zip(grid, mean, series, var)]
+    return ["t", "x_quantum", "x_series", "var_x"], [grid, mean, series, var]
 
 
 def run_moments(cfg: ScenarioConfig):
@@ -227,26 +224,18 @@ def run_moments(cfg: ScenarioConfig):
     s0 = moments.initial_state(ic, x0=cfg.x0)
     header = ["t", "x", "p", "G20", "G11", "G02", "uncertainty", "energy"]
     if cfg.tend == 0.0:
-        samples = [(0.0, s0)]
+        times, rows = np.zeros(1), s0._y[None]
     else:
         traj = moments.integrate(s0, potential, u.m, cfg.tend, cfg.dt, hbar=u.hbar)
         for msg in traj.warnings:
             print(f"warning: {msg}", file=sys.stderr)
-        samples = list(traj)
-    rows = [
-        [
-            t,
-            s.x,
-            s.p,
-            s.moment(2, 0),
-            s.moment(1, 1),
-            s.moment(0, 2),
-            moments.uncertainty_product(s),
-            moments.effective_hamiltonian(s, potential, u.m),
-        ]
-        for t, s in samples
-    ]
-    return header, rows
+        times, rows = traj.times, traj.states._rows
+    X, P, G02, G11, G20 = rows[:, :5].T
+    # the operations of uncertainty_product (libm pow, not numpy's x*x) and
+    # effective_hamiltonian, in order
+    unc = [a * b - c ** 2 for a, b, c in zip(G02.tolist(), G20.tolist(), G11.tolist())]
+    energy = P * P / (2.0 * u.m) + potential.value(X) + G20 / (2.0 * u.m)
+    return header, [times, X, P, G20, G11, G02, unc, energy]
 
 
 def run_compare(cfg: ScenarioConfig):
@@ -281,15 +270,7 @@ def run_compare(cfg: ScenarioConfig):
         )
         g20, g11, g02 = moments.closed_form_linear(ic, u.m, grid)
 
-    def col(arr, i):
-        return None if arr is None else arr[i]
-
-    rows = [
-        [grid[i], x_cl[i], col(x_qm, i), col(series, i),
-         col(env_lo, i), col(env_hi, i), col(g02, i), col(g11, i), col(g20, i)]
-        for i in range(len(grid))
-    ]
-    return header, rows
+    return header, [grid, x_cl, x_qm, series, env_lo, env_hi, g02, g11, g20]
 
 
 _RUNNERS = {
@@ -301,18 +282,12 @@ _RUNNERS = {
 }
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def write_table(header, rows, out: str) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+def write_table(header, cols, out: str) -> None:
+    template = ",".join("" if c is None else "%d" if getattr(c, "dtype", float) == int else "%.17g"
+                        for c in cols) + "\n"
+    # one 2-D tolist(): a list per column kept cli_readme's peak RSS rising
+    rows = np.column_stack([c for c in cols if c is not None]).tolist()
+    text = ",".join(header) + "\n" + "".join([template % tuple(r) for r in rows])
     if out == "-":
         sys.stdout.write(text)
     else:
@@ -320,49 +295,52 @@ def write_table(header, rows, out: str) -> None:
             fh.write(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """Options go on the `command` subparser only."""
     parser = argparse.ArgumentParser(
         prog="qbouncer",
         description="Quantum bouncer scenarios: exact classical bounce, Airy-basis "
         "spectral evolution, and semiclassical moment dynamics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
+    p = {name: sub.add_parser(name, help=text) for name, text in (
         ("spectrum", "eigenvalue table with the asymptotic comparison"),
         ("classical", "folded bounce trajectory and its Fourier series"),
         ("quantum", "spectral <x>(t), the closed-form series, and Var(x)"),
         ("moments", "moment-hierarchy integration from saturated initial data"),
         ("compare", "all descriptions on one aligned time grid"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--preset", choices=["natural", "neutron"], help="unit preset")
-        p.add_argument("--mass", type=float, help="particle mass (overrides preset)")
-        p.add_argument("--gravity", type=float, help="gravitational acceleration")
-        p.add_argument("--hbar", type=float, help="reduced Planck constant")
-        p.add_argument("--x0", type=float, help="release height")
-        p.add_argument("--sigma", type=float, help="packet width (0 disables quantum columns)")
-        p.add_argument("--alpha", type=float, help="initial position variance in units of l_g^2")
-        p.add_argument("--nmax", type=int, help="number of basis states (0 disables)")
-        p.add_argument("--nterms", type=int, help="Fourier series terms")
-        p.add_argument("--tend", type=float, help="final time")
-        p.add_argument("--dt", type=float, help="time-grid spacing")
-        p.add_argument("--out", help="output CSV path, '-' for stdout")
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument(
-            "--envreset",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-            help="restart the dispersion clock at every bounce period in the envelope columns",
-        )
+    )}.get(command)
+    if p is None:
+        return parser
+    p.add_argument("--preset", choices=["natural", "neutron"], help="unit preset")
+    p.add_argument("--mass", type=float, help="particle mass (overrides preset)")
+    p.add_argument("--gravity", type=float, help="gravitational acceleration")
+    p.add_argument("--hbar", type=float, help="reduced Planck constant")
+    p.add_argument("--x0", type=float, help="release height")
+    p.add_argument("--sigma", type=float, help="packet width (0 disables quantum columns)")
+    p.add_argument("--alpha", type=float, help="initial position variance in units of l_g^2")
+    p.add_argument("--nmax", type=int, help="number of basis states (0 disables)")
+    p.add_argument("--nterms", type=int, help="Fourier series terms")
+    p.add_argument("--tend", type=float, help="final time")
+    p.add_argument("--dt", type=float, help="time-grid spacing")
+    p.add_argument("--out", help="output CSV path, '-' for stdout")
+    p.add_argument("--config", help="flat key=value config file")
+    p.add_argument(
+        "--envreset",
+        action=argparse.BooleanOptionalAction,
+        help="restart the dispersion clock at every bounce period in the envelope columns",
+    )
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser takes only -h, so the command is the first non-option
+    args = build_parser(next((a for a in argv if a[:1] != "-"), None)).parse_args(argv)
     try:
         cfg = resolve_config(args)
-        header, rows = _RUNNERS[cfg.kind](cfg)
-        write_table(header, rows, cfg.out)
+        header, cols = _RUNNERS[cfg.kind](cfg)
+        write_table(header, cols, cfg.out)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
