@@ -476,7 +476,7 @@ def _oracle_table(kind, u, x0=10.0, sigma=2.0, alpha=1.0, nmax=48, nterms=200, t
     "moments --x0 2 --alpha 1 --tend 5 --dt 0.01",
     "compare --x0 10 --alpha 0.4277 --nmax 0 --tend 12 --dt 0.05",
     "compare --x0 10 --alpha 0.4277 --nmax 26 --tend 12 --dt 0.05",
-    # two terms up to 3.6e9 times their difference: libm pow and x*x squares differ here
+    # terms up to 4.3e9 times their difference: libm pow and x*x squares differ here
     "moments --preset neutron --x0 2.3 --alpha 0.7 --tend 50 --dt 0.003",
     "moments --x0 2 --alpha 1 --tend 0",
 ])
