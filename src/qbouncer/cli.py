@@ -26,22 +26,23 @@ from .specfun import airy_zero, airy_zero_asymptotic, airy_zeros  # noqa: F401
 __all__ = ["ScenarioConfig", "main", "entry",
            "run_spectrum", "run_classical", "run_quantum", "run_moments", "run_compare"]
 
-_DEFAULTS = {
-    "preset": "natural",
-    "x0": 10.0,
-    "sigma": 2.0,
-    "alpha": 1.0,
-    "nmax": 48,
-    "nterms": 200,
-    "tend": 25.0,
-    "dt": 0.05,
-    "out": "-",
-    "envreset": False,
+# every configuration key in help order: (type, default, help); a None
+# default is unset, and unset mass, gravity and hbar come from the preset
+_OPTIONS = {
+    "preset": (str, "natural", "unit preset"),
+    "mass": (float, None, "particle mass (overrides preset)"),
+    "gravity": (float, None, "gravitational acceleration"),
+    "hbar": (float, None, "reduced Planck constant"),
+    "x0": (float, 10.0, "release height"),
+    "sigma": (float, 2.0, "packet width (0 disables quantum columns)"),
+    "alpha": (float, 1.0, "initial position variance in units of l_g^2"),
+    "nmax": (int, 48, "number of basis states (0 disables)"),
+    "nterms": (int, 200, "Fourier series terms"),
+    "tend": (float, 25.0, "final time"),
+    "dt": (float, 0.05, "time-grid spacing"),
+    "out": (str, "-", "output CSV path, '-' for stdout"),
+    "envreset": (bool, False, "restart the dispersion clock at every bounce period in the envelope columns"),
 }
-_INT_KEYS = {"nmax", "nterms"}
-_FLOAT_KEYS = {"mass", "gravity", "hbar", "x0", "sigma", "alpha", "tend", "dt"}
-_STR_KEYS = {"preset", "out"}
-_BOOL_KEYS = {"envreset"}
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ def _parse_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -74,30 +75,25 @@ def _parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOOL_KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = val
     return values
 
 
-def _coerce(key: str, value):
-    if value is None or not isinstance(value, str):
-        return value
+def _coerce(key: str, value: str):
+    kind = _OPTIONS[key][0]
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
-            lowered = value.lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(f"expected a boolean, got {value!r}")
+        if kind is not bool:
+            return kind(value)
+        lowered = value.lower()
+        if lowered in ("true", "1", "yes"):
+            return True
+        if lowered in ("false", "0", "no"):
+            return False
+        raise ValueError(f"expected a boolean, got {value!r}")
     except ValueError as exc:
         raise ConfigError(f"field {key!r}: {exc}") from exc
-    return value
 
 
 def _positive(name: str, value, allow_zero: bool = False) -> None:
@@ -110,40 +106,29 @@ def _positive(name: str, value, allow_zero: bool = False) -> None:
 def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     file_vals = _parse_config_file(args.config) if args.config else {}
     merged = {}
-    for key in _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOOL_KEYS:
-        flag = getattr(args, key, None)
+    for key, (_, default, _) in _OPTIONS.items():
+        flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
         elif key in file_vals:
             merged[key] = _coerce(key, file_vals[key])
         else:
-            merged[key] = _DEFAULTS.get(key)
+            merged[key] = default
 
-    explicit = [k for k in ("mass", "gravity", "hbar") if merged.get(k) is not None]
-    if explicit:
-        missing = [k for k in ("mass", "gravity", "hbar") if merged.get(k) is None]
-        if missing:
-            raise ConfigError(f"explicit units need mass, gravity and hbar; missing {missing[0]!r}")
-        units = make_units(merged["mass"], merged["gravity"], merged["hbar"])
+    preset = merged.pop("preset")
+    scales = [merged.pop(k) for k in ("mass", "gravity", "hbar")]
+    if any(v is not None for v in scales):
+        if None in scales:
+            missing = ("mass", "gravity", "hbar")[scales.index(None)]
+            raise ConfigError(f"explicit units need mass, gravity and hbar; missing {missing!r}")
+        units = make_units(*scales)
     else:
         try:
-            units = units_from_preset(merged["preset"])
+            units = units_from_preset(preset)
         except DomainError as exc:
             raise ConfigError(f"field 'preset': {exc}") from exc
 
-    cfg = ScenarioConfig(
-        kind=args.command,
-        units=units,
-        x0=merged["x0"],
-        sigma=merged["sigma"],
-        alpha=merged["alpha"],
-        nmax=merged["nmax"],
-        nterms=merged["nterms"],
-        tend=merged["tend"],
-        dt=merged["dt"],
-        out=merged["out"],
-        envreset=merged["envreset"],
-    )
+    cfg = ScenarioConfig(kind=args.command, units=units, **merged)
     _validate(cfg)
     return cfg
 
@@ -291,8 +276,11 @@ def write_table(header, cols, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {out!r}: {exc}") from exc
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
@@ -312,24 +300,15 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     )}.get(command)
     if p is None:
         return parser
-    p.add_argument("--preset", choices=["natural", "neutron"], help="unit preset")
-    p.add_argument("--mass", type=float, help="particle mass (overrides preset)")
-    p.add_argument("--gravity", type=float, help="gravitational acceleration")
-    p.add_argument("--hbar", type=float, help="reduced Planck constant")
-    p.add_argument("--x0", type=float, help="release height")
-    p.add_argument("--sigma", type=float, help="packet width (0 disables quantum columns)")
-    p.add_argument("--alpha", type=float, help="initial position variance in units of l_g^2")
-    p.add_argument("--nmax", type=int, help="number of basis states (0 disables)")
-    p.add_argument("--nterms", type=int, help="Fourier series terms")
-    p.add_argument("--tend", type=float, help="final time")
-    p.add_argument("--dt", type=float, help="time-grid spacing")
-    p.add_argument("--out", help="output CSV path, '-' for stdout")
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument(
-        "--envreset",
-        action=argparse.BooleanOptionalAction,
-        help="restart the dispersion clock at every bounce period in the envelope columns",
-    )
+    for key, (kind, _, text) in _OPTIONS.items():
+        if key == "preset":
+            p.add_argument("--preset", choices=["natural", "neutron"], help=text)
+        elif kind is bool:
+            p.add_argument(f"--{key}", action=argparse.BooleanOptionalAction, help=text)
+        else:
+            p.add_argument(f"--{key}", type=kind, help=text)
+        if key == "out":
+            p.add_argument("--config", help="flat key=value config file")
     return parser
 
 

@@ -408,8 +408,7 @@ def integrate(
     rows = np.empty((n_steps + 1, s0._y.size))
     rows[0] = y = s0._y
     comp = np.zeros_like(y)
-    zeros, stage, term = np.zeros_like(y), np.empty_like(y), np.empty_like(y)
-    stage_state = MomentState._wrap(stage, order)  # input of stages 2-4
+    zeros, term = np.zeros_like(y), np.empty_like(y)
     half, sixth = 0.5 * dt, dt / 6.0
     affine = V.degree <= 2
     if affine:
@@ -420,18 +419,10 @@ def integrate(
             term += r
         else:
             k1 = moment_eom(MomentState._wrap(y, order), V, m)._y
-            np.add(y, np.multiply(half, k1, out=stage), out=stage)
-            k2 = moment_eom(stage_state, V, m)._y
-            np.add(y, np.multiply(half, k2, out=stage), out=stage)
-            k3 = moment_eom(stage_state, V, m)._y
-            np.add(y, np.multiply(dt, k3, out=stage), out=stage)
-            k4 = moment_eom(stage_state, V, m)._y
-            # (dt/6)((k1 + 2 k2) + 2 k3 + k4), in place on k2
-            k2 *= 2.0
-            k2 += k1
-            k2 += np.multiply(2.0, k3, out=k3)
-            k2 += k4
-            term = np.multiply(sixth, k2, out=term)
+            k2 = moment_eom(MomentState._wrap(y + half * k1, order), V, m)._y
+            k3 = moment_eom(MomentState._wrap(y + half * k2, order), V, m)._y
+            k4 = moment_eom(MomentState._wrap(y + dt * k3, order), V, m)._y
+            term = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # Kahan: add term - comp, keep what the sum dropped in comp
         term -= comp
         total = np.add(y, term, out=rows[step])

@@ -256,6 +256,78 @@ class TestConfigHandling:
     def test_missing_config_file(self, capsys):
         assert main(["compare", "--config", "/nonexistent/run.cfg"]) == 2
 
+    # x0 = 2, g = 2: sampled at half drop times past one period, so the
+    # envelope columns tell envreset on from off
+    _ENV = ["compare", "--x0", "2", "--nmax", "0", "--tend", str(8 * math.sqrt(2.0)),
+            "--dt", str(math.sqrt(2.0) / 2)]
+    _SPECTRUM = ["spectrum", "--nmax", "2"]
+
+    @staticmethod
+    def _stdout(argv, capsys):
+        assert main([*argv, "--out", "-"]) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("base,text,flags,other", [
+        (_ENV, "envreset = yes", ["--envreset"], ["--no-envreset"]),
+        (_ENV, "envreset = No", ["--no-envreset"], ["--envreset"]),
+        (_ENV, "envreset = 0", ["--no-envreset"], ["--envreset"]),
+        (_SPECTRUM, "preset = neutron", ["--preset", "neutron"], []),
+        (_SPECTRUM, "mass = 2\ngravity = 3\nhbar = 0.5",
+         ["--mass", "2", "--gravity", "3", "--hbar", "0.5"], []),
+    ], ids=["bool-yes", "bool-No", "bool-0", "preset", "units"])
+    def test_file_value_acts_as_its_flag(self, base, text, flags, other, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\n")
+        from_file = self._stdout([*base, "--config", str(cfg)], capsys)
+        assert from_file == self._stdout([*base, *flags], capsys)
+        assert from_file != self._stdout([*base, *other], capsys)
+
+    @pytest.mark.parametrize("base,text,flags", [
+        (_SPECTRUM, "nmax = 5", ["--nmax", "3"]),
+        (["classical", "--x0", "1", "--dt", "0.5"], "tend = 2", ["--tend", "1"]),
+        (_SPECTRUM, "preset = neutron", ["--preset", "natural"]),
+        (_ENV, "envreset = yes", ["--no-envreset"]),
+    ], ids=["int", "float", "str", "bool"])
+    def test_flag_overrides_file_value(self, base, text, flags, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\n")
+        both = self._stdout([*base, "--config", str(cfg), *flags], capsys)
+        assert both == self._stdout([*base, *flags], capsys)
+        assert both != self._stdout([*base, "--config", str(cfg)], capsys)
+
+    @pytest.mark.parametrize("text,name", [
+        ("envreset = maybe", "'envreset'"),
+        ("nmax = 2.5", "'nmax'"),
+        ("preset = moon", "'preset'"),
+        ("config = x", "'config'"),
+    ], ids=["bool", "int", "preset", "config-key"])
+    def test_bad_file_entry_rejected(self, text, name, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\n")
+        assert main(["classical", "--x0", "1", "--tend", "0", "--config", str(cfg), "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and name in captured.err
+
+    @staticmethod
+    def _assert_one_error_line(argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"x0 = 1\xff\n")
+        err = self._assert_one_error_line(["compare", "--config", str(cfg)], capsys)
+        assert "cannot read config file" in err
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out(self, target, tmp_path, capsys):
+        out = tmp_path / "nonexistent" / "x.csv" if target == "missing-dir" else tmp_path
+        argv = ["classical", "--x0", "1", "--tend", "1", "--dt", "0.5", "--out", str(out)]
+        err = self._assert_one_error_line(argv, capsys)
+        assert "cannot write output file" in err
+
     def test_partial_explicit_units_rejected(self, capsys):
         assert main(["spectrum", "--nmax", "1", "--mass", "1.0"]) == 2
         err = capsys.readouterr().err
