@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -318,6 +319,11 @@ def main(argv=None) -> int:
     args = build_parser(next((a for a in argv if a[:1] != "-"), None)).parse_args(argv)
     try:
         cfg = resolve_config(args)
+        # refused before the run, which may be long; write_table reports the rest
+        if cfg.out != "-" and os.path.isdir(cfg.out):
+            raise ConfigError(f"cannot write output file {cfg.out!r}: it is a directory")
+        if cfg.out != "-" and not os.path.isdir(os.path.dirname(cfg.out) or "."):
+            raise ConfigError(f"cannot write output file {cfg.out!r}: its directory does not exist")
         header, cols = _RUNNERS[cfg.kind](cfg)
         write_table(header, cols, cfg.out)
     except (ConfigError, DomainError) as exc:

@@ -56,7 +56,7 @@ _TRUNCATION_LIMIT = 1e-3
 # NUFFT Gaussian half-width (12 fails the mpmath test), oversampling, block
 _SPREAD = 16
 _OVERSAMPLE = 2
-_PAIR_BLOCK = 512
+_PAIR_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -301,30 +301,39 @@ def _uniform_rows(s: SpectralState, count: int, h: float) -> np.ndarray:
     omega = (basis.energies[n] - basis.energies[m]) / basis.units.hbar
     k0 = count // 2
     amp = np.conj(c[m]) * c[n] * np.exp(-1j * (omega * (k0 * h))) * mats[:, m, n]
-    amp = np.stack((amp.real, amp.imag))[:, :, None]
+    amp = np.concatenate((amp.real, amp.imag))[:, :, None]
     # Gaussians on 2 _SPREAD points of a circle padded by _SPREAD, of the
-    # least 2^a, 3 2^a or 5 2^a >= least points
+    # least 2^a, 3 2^a or 5 2^a >= least points, one row each for Re a, Im a
     least = max(_OVERSAMPLE * count, 4 * _SPREAD)
     size = min(f << ((least - 1) // f).bit_length() for f in (1, 3, 5))
     cell, padded = 2.0 * math.pi / size, size + 2 * _SPREAD
     tau = math.pi * _SPREAD / (size * (size - 0.5 * count))
-    offsets = np.arange(1, 2 * _SPREAD + 1)[:, None]
-    spread = np.zeros((2, padded), complex)
+    offsets = np.arange(1, 2 * _SPREAD + 1)
+    spread = np.zeros((4, padded))
     for lo in range(0, omega.size, _PAIR_BLOCK):
-        q, rem = np.divmod(omega[lo:lo + _PAIR_BLOCK] * h, cell)
-        gauss = rem - cell * (offsets - _SPREAD)
-        vals = np.exp(gauss * gauss / (-4.0 * tau)) * amp[..., lo:lo + _PAIR_BLOCK]
-        idx = (q % size).astype(np.intp) + offsets
-        idx = np.stack((idx, idx + padded)).ravel()
-        for out, part in zip((spread.real, spread.imag), vals):
-            out += np.bincount(idx, part.ravel(), 2 * padded).reshape(2, padded)
+        q, w = np.divmod(omega[lo:lo + _PAIR_BLOCK, None] * h, cell)
+        w = w - cell * (offsets - _SPREAD)
+        w *= w
+        w /= -4.0 * tau
+        np.exp(w, out=w)
+        idx = ((q % size).astype(np.intp) + offsets).ravel()
+        for out, a in zip(spread, amp[:, lo:lo + _PAIR_BLOCK]):
+            out += np.bincount(idx, (w * a).ravel(), padded)
     circle = spread[:, _SPREAD:-_SPREAD]
     circle[:, :_SPREAD] += spread[:, -_SPREAD:]
     circle[:, -_SPREAD:] += spread[:, :_SPREAD]
-    # FFT, divide by the Gaussian's transform
+    # Re F(z), z = re + i im, is F of z's Hermitian part: a real irfft of the
+    # conjugate of twice its half, re[k] + re[-k] + i (im[-k] - im[k])
+    half = size // 2
+    herm = np.empty((2, half + 1), complex)
+    herm[:, 0] = 2.0 * circle[:2, 0]
+    np.add(circle[:2, 1:half + 1], circle[:2, :half - 1:-1], out=herm.real[:, 1:])
+    np.subtract(circle[2:, :half - 1:-1], circle[2:, 1:half + 1], out=herm.imag[:, 1:])
+    sums = np.fft.irfft(herm, size, norm="forward")
+    # rows j = -K0 ... count - K0 - 1, divided by the Gaussian's transform
+    sums = np.concatenate((sums[:, size - k0:], sums[:, :count - k0]), 1)
     j = np.arange(-k0, count - k0)
-    sums = np.fft.fft(circle)[:, j].real
-    sums *= np.exp(tau * j * j) / (0.5 * size * math.sqrt(tau / math.pi))
+    sums *= np.exp(tau * j * j) / (size * math.sqrt(tau / math.pi))
     return (mats.diagonal(0, 1, 2) @ (c.real**2 + c.imag**2))[:, None] + sums
 
 

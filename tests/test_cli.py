@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import qbouncer.cli as cli
 from qbouncer.cli import main
 from qbouncer.quantum import PacketSpec
 from qbouncer.scaling import natural_units, neutron_units
@@ -327,6 +328,19 @@ class TestConfigHandling:
         argv = ["classical", "--x0", "1", "--tend", "1", "--dt", "0.5", "--out", str(out)]
         err = self._assert_one_error_line(argv, capsys)
         assert "cannot write output file" in err
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out_refused_before_the_run(self, target, tmp_path, capsys, monkeypatch):
+        def no_run(cfg):
+            raise AssertionError("the scenario ran before --out was checked")
+
+        monkeypatch.setitem(cli._RUNNERS, "quantum", no_run)
+        out = tmp_path / "nonexistent" / "x.csv" if target == "missing-dir" else tmp_path
+        argv = ["quantum", "--x0", "25", "--sigma", "2", "--nmax", "64", "--tend", "300",
+                "--dt", "0.05", "--out", str(out)]
+        err = self._assert_one_error_line(argv, capsys)
+        assert "cannot write output file" in err
+        assert [p.name for p in tmp_path.iterdir()] == []
 
     def test_partial_explicit_units_rejected(self, capsys):
         assert main(["spectrum", "--nmax", "1", "--mass", "1.0"]) == 2

@@ -532,7 +532,7 @@ class TestBlockedPhaseTable:
     @pytest.mark.parametrize("grid", [0.05 * np.arange(1001), np.linspace(0.0, 1000.0, 20001)])
     def test_uniform_grid_matches_direct_table(self, packet_state, grid):
         # the direct rows round the phase E t (to 2.5e4 rad here), the kernel
-        # omega h per pair; measured 1.4e-14 / 4.4e-13 (<x>) and 2.0e-14 /
+        # omega h per pair; measured 1.5e-14 / 4.4e-13 (<x>) and 1.8e-14 /
         # 5.6e-13 (<x^2>) at 1.2e3 and 2.5e4 rad
         bound = 4 * EPS * max(1.0, grid[-1] * packet_state.basis.energies[-1])
         assert relative_gap(grid_rows(packet_state, grid), direct_rows(packet_state, grid)) <= bound
@@ -552,7 +552,7 @@ class TestBlockedPhaseTable:
         grid = np.array([0.0, h, 2 * h, 3 * h, 0.7, 250.0])
         assert np.array_equal(grid_rows(packet_state, grid), direct_rows(packet_state, grid))
         # a 600-row k h prefix takes the kernel, the two rows after it are
-        # direct; measured 8.8e-15 against direct rows at phases to 1.5e3 rad
+        # direct; measured 9.2e-15 against direct rows at phases to 1.5e3 rad
         grid = np.append(h * np.arange(600), [0.7, 250.0])
         rows = grid_rows(packet_state, grid)
         assert np.array_equal(rows[:, 600:], direct_rows(packet_state, grid[600:]))
@@ -579,10 +579,22 @@ class TestBlockedPhaseTable:
     @pytest.mark.parametrize("count", [1, 2, 3, 5, 7, 16, 33, 401])
     def test_short_grids(self, packet_state, count):
         # the kernel stays exact on grids too short to be chosen for;
-        # measured <= 4.2e-15 (count 401), against phases to 20 rad
+        # measured <= 4.1e-15 (count 401), against phases to 20 rad
         h = 0.05
         rows = quantum._uniform_rows(packet_state, count, h)
         assert relative_gap(rows, direct_rows(packet_state, h * np.arange(count))) <= 1e-14
+
+    @pytest.mark.parametrize("count", [700, 701, 1024, 1025, 1100, 1101])
+    def test_negative_frequencies_fold_on_every_circle(self, packet_state, count):
+        # circles of 3 2^9, 2^11 and 5 2^9 points, each under an even and an
+        # odd count (K0 = count // 2 centres the rows); the real transform
+        # pairs circle point k with -k, its own partner at k = 0 and size/2.
+        # Held to the direct rows with the bound of the long uniform grids;
+        # measured <= 2.2e-14 (<x>) and 2.7e-14 (<x^2>), bounds >= 7.6e-13
+        h = 0.05
+        rows = quantum._uniform_rows(packet_state, count, h)
+        bound = 4 * EPS * max(1.0, (count - 1) * h * packet_state.basis.energies[-1])
+        assert relative_gap(rows, direct_rows(packet_state, h * np.arange(count))) <= bound
 
     def test_zero_step(self, packet_state):
         rows = quantum._uniform_rows(packet_state, 7, 0.0)
@@ -598,7 +610,7 @@ class TestBlockedPhaseTable:
 
     def test_long_grid_keeps_o_t_memory(self, basis64):
         # a (2, T, N) phase table of 200 001 times at N = 64 alone would take
-        # 205 MB; measured peak 46 MB, and the state keeps 3 T floats
+        # 205 MB; measured peak 39.5 MB, and the state keeps 3 T floats
         state = project_packet(PacketSpec(x0=25.0, sigma=2.0), basis64)
         grid = 0.05 * np.arange(200_001)
         basis64.x2_matrix()
@@ -650,12 +662,12 @@ class TestPhaseOracle:
         uniform = expectation_x_evolution(state, grid)
         # the sampled times alone are no long uniform grid: each row takes its own exp
         direct = expectation_x_evolution(state, grid[rows])
-        # measured 9.9e-14 / 1.9e-13 kernel and 4.7e-12 / 8.9e-12 direct
+        # measured 9.8e-14 / 1.9e-13 kernel and 4.7e-12 / 8.9e-12 direct
         # (x0 = 20 / 30): the direct rows round phases E t up to 4.5e4 rad
         assert np.abs(uniform[rows] - exact).max() <= 5e-13
         assert np.abs(direct - exact).max() <= 1e-11
         # the whole grid against the direct rows, relative to each column's
-        # maximum; measured 8.0e-13 / 9.0e-13 (<x>) and 9.3e-13 / 1.0e-12 (Var)
+        # maximum; measured 8.0e-13 / 9.0e-13 (<x>) and 9.4e-13 / 1.0e-12 (Var)
         mean, second = direct_rows(state, grid)
         var = second - mean**2
         assert np.abs(uniform - mean).max() <= 5e-12 * np.abs(mean).max()
