@@ -27,7 +27,7 @@ import numpy as np
 from .classical import _bounce_series, _check_times
 from .errors import DomainError, InsufficientBasisError, NumericalError
 from .scaling import UnitSystem
-from .specfun import airy_ai, airy_ai_prime, airy_ai_smoothed, airy_zeros, integrate_1d
+from .specfun import airy, airy_ai, airy_ai_smoothed, airy_zeros, integrate_1d
 
 __all__ = [
     "PacketSpec",
@@ -189,10 +189,9 @@ def build_basis(n_max: int, u: UnitSystem) -> Eigenbasis:
     if n_max > _N_MAX_CHECKED:
         raise DomainError(f"n_max {n_max} above {_N_MAX_CHECKED}, the largest basis checked against mpmath")
     zeros = airy_zeros(n_max)
-    ai = airy_ai(-zeros)
-    slopes = airy_ai_prime(-zeros)
-    norms = 1.0 / np.abs(slopes)
-    nrm = norms**2 * (slopes**2 + zeros * ai**2)
+    v = airy(-zeros)
+    norms = 1.0 / np.abs(v.ai_prime)
+    nrm = norms**2 * (v.ai_prime**2 + zeros * v.ai**2)
     bad = np.flatnonzero(~(np.abs(nrm - 1.0) <= _NORM_CHECK_TOL))
     if bad.size:
         i = int(bad[0])
@@ -207,6 +206,19 @@ def build_basis(n_max: int, u: UnitSystem) -> Eigenbasis:
     )
 
 
+def _overlaps(func, basis: Eigenbasis, lo: float, hi: float) -> np.ndarray:
+    """Integrals of func(x) psi_n(x) over [lo, hi] for every state n, by one
+    vector-valued adaptive quadrature; DomainError unless lo and hi are finite."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"projection interval must be finite, got [{lo!r}, {hi!r}]")
+
+    def integrand(x):
+        return _eigenfunction_table(basis, x) * func(x)[:, None]
+
+    panels = _initial_panels((hi - lo) / basis.units.l_g, float(basis.zeros[-1]))
+    return integrate_1d(integrand, lo, hi, initial_panels=panels)
+
+
 def project_function(func, basis: Eigenbasis, lo: float, hi: float) -> SpectralState:
     """Project an arbitrary real wave function (physical coordinates) onto the basis.
 
@@ -216,12 +228,7 @@ def project_function(func, basis: Eigenbasis, lo: float, hi: float) -> SpectralS
     """
     if not lo >= 0:
         raise DomainError(f"projection needs lo >= 0 (the mirror), got lo = {lo!r}")
-
-    def integrand(x):
-        return _eigenfunction_table(basis, x) * func(x)[:, None]
-
-    panels = _initial_panels((hi - lo) / basis.units.l_g, float(basis.zeros[-1]))
-    coeffs = integrate_1d(integrand, lo, hi, initial_panels=panels)
+    coeffs = _overlaps(func, basis, lo, hi)
     return SpectralState(basis=basis, coefficients=coeffs.astype(complex), time=0.0)
 
 
@@ -275,11 +282,7 @@ def project_packet(p: PacketSpec, basis: Eigenbasis) -> SpectralState:
     coeffs = (2.0 * math.pi) ** 0.25 * math.sqrt(width) * basis.norms * smoothed
     lo = p.x0 - 9.0 * p.sigma
     if lo < 0.0:
-        def below(x):
-            return _eigenfunction_table(basis, x) * p.wavefunction(x)[:, None]
-
-        panels = _initial_panels(-lo / l_g, float(basis.zeros[-1]))
-        coeffs = coeffs - integrate_1d(below, lo, 0.0, initial_panels=panels)
+        coeffs = coeffs - _overlaps(p.wavefunction, basis, lo, 0.0)
     state = SpectralState(basis=basis, coefficients=(rescale * coeffs).astype(complex), time=0.0)
     if state.truncation_loss > _TRUNCATION_LIMIT:
         raise InsufficientBasisError(

@@ -4,7 +4,9 @@ adaptive Gauss-Legendre integrator.
 Everything here is self-contained (no scipy): Ai and Ai' are evaluated
 piecewise from the power series of the defining ODE y'' = x*y, from Taylor
 expansions about precomputed anchor points, and from the standard large-|x|
-asymptotic expansions.  All functions are pure and accept either scalars or
+asymptotic expansions.  Each region's series is one coefficient table built
+at import, Ai's rows first, evaluated by one Horner helper; Ai' is computed
+only when asked for.  All functions are pure and accept either scalars or
 numpy arrays.  airy_ai_smoothed gives Ai convolved with a Gaussian in closed
 form, as another Airy function.
 
@@ -17,6 +19,7 @@ entries still moving.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -106,138 +109,129 @@ _ANCHOR_SPLIT = 0.5 * (_ANCHOR_X[1:] + _ANCHOR_X[:-1])
 _N_MAC = 36
 
 
-def _maclaurin_coefficients():
+def _maclaurin_table():
     # f solves y''=xy with (1, 0) initial data, g with (0, 1);
-    # f = sum fc[k] x^{3k}, g = sum gc[k] x^{3k+1}.
+    # f = sum fc[k] x^{3k}, g = sum gc[k] x^{3k+1}.  Rows, as polynomials in
+    # x^3: f, g / x, then x f' and g' (coefficients fc[k] 3k and gc[k] (3k+1)).
     fc = np.empty(_N_MAC)
     gc = np.empty(_N_MAC)
     fc[0] = gc[0] = 1.0
     for k in range(1, _N_MAC):
         fc[k] = fc[k - 1] / ((3 * k) * (3 * k - 1))
         gc[k] = gc[k - 1] / ((3 * k + 1) * (3 * k))
-    return fc, gc
+    k3 = 3 * np.arange(_N_MAC)
+    return np.stack((fc, gc, fc * k3, gc * (k3 + 1)))
 
 
-_F_C, _G_C = _maclaurin_coefficients()
+_MACLAURIN = _maclaurin_table()
 
 _K_ANCHOR = 26
 
 
-def _anchor_coefficients():
-    # Taylor coefficients of Ai about each anchor via the ODE recurrence
-    # c[j] = (x0*c[j-2] + c[j-3]) / (j*(j-1)).
+def _anchor_table():
+    # Taylor coefficients c[j] of Ai about each anchor via the ODE recurrence
+    # c[j] = (x0*c[j-2] + c[j-3]) / (j*(j-1)); rows Ai (c[j]) and h Ai' (c[j] j),
+    # each (anchors, powers).
     coef = np.zeros((len(_ANCHORS), _K_ANCHOR))
     for i, (x0, ai, aip) in enumerate(_ANCHORS):
         c = coef[i]
         c[0], c[1] = ai, aip
         for j in range(2, _K_ANCHOR):
             c[j] = (x0 * c[j - 2] + (c[j - 3] if j >= 3 else 0.0)) / (j * (j - 1))
-    return coef
+    return np.stack((coef, coef * np.arange(_K_ANCHOR)))
 
 
-_ANCHOR_COEF = _anchor_coefficients()
+_ANCHOR_TABLE = _anchor_table()
 
 _K_ASYMP = 26
 
 
-def _asymptotic_coefficients():
+def _asymptotic_tables():
+    # (-1)^k u_k and (-1)^k v_k as rows in powers of 1/zeta (x > 0), and their
+    # even (P) and odd (Q) terms as rows in powers of 1/zeta^2 (x < 0).
     u = np.empty(_K_ASYMP)
     v = np.empty(_K_ASYMP)
     u[0] = v[0] = 1.0
     for k in range(1, _K_ASYMP):
         u[k] = u[k - 1] * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
         v[k] = u[k] * (6 * k + 1) / (1.0 - 6 * k)
-    return u, v
+    sign = np.where(np.arange(_K_ASYMP) % 2, -1.0, 1.0)
+    even_odd = np.stack((u[0::2], u[1::2], v[0::2], v[1::2]))
+    return sign * np.stack((u, v)), sign[: _K_ASYMP // 2] * even_odd
 
 
-_U_AS, _V_AS = _asymptotic_coefficients()
+_ASYMP_POSITIVE, _ASYMP_NEGATIVE = _asymptotic_tables()
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def _eval_maclaurin(x, ai=True, aip=True):
-    w = x * x * x
-    f = fp = g = gp = np.zeros_like(x)
-    for k in range(_N_MAC - 1, -1, -1):
-        if ai:
-            f = f * w + _F_C[k]
-            g = g * w + _G_C[k]
-        if aip:
-            fp = fp * w + _F_C[k] * (3 * k)
-            gp = gp * w + _G_C[k] * (3 * k + 1)
-    if aip:
-        xsafe = np.where(x == 0.0, 1.0, x)
-        fp = np.where(x == 0.0, 0.0, fp / xsafe)
-    return (_AI0 * f + _AIP0 * (g * x) if ai else None,
-            _AI0 * fp + _AIP0 * gp if aip else None)
+def _horner(table, t):
+    """Each row of table (one column per power) as a polynomial at t; Horner from zeros."""
+    acc = np.zeros((len(table), t.size))
+    for col in table.T[::-1]:
+        acc *= t
+        acc += col[:, None]
+    return acc
 
 
-def _eval_anchor(x, ai=True, aip=True):
-    rows = np.searchsorted(_ANCHOR_SPLIT, x)
-    h = x - _ANCHOR_X[rows]
-    val = der = np.zeros_like(x)
+def _eval_maclaurin(x, prime):
+    f, g, *deriv = _horner(_MACLAURIN if prime else _MACLAURIN[:2], x * x * x)
+    ai = _AI0 * f + _AIP0 * (g * x)
+    if not prime:
+        return (ai,)
+    xf, gp = deriv
+    fp = np.where(x == 0.0, 0.0, xf / np.where(x == 0.0, 1.0, x))
+    return ai, _AI0 * fp + _AIP0 * gp
+
+
+def _eval_anchor(x, prime):
+    # each point has its own anchor, so each power gathers its own column
+    idx = np.searchsorted(_ANCHOR_SPLIT, x)
+    h = x - _ANCHOR_X[idx]
+    table = _ANCHOR_TABLE if prime else _ANCHOR_TABLE[:1]
+    acc = np.zeros((len(table), x.size))
     for j in range(_K_ANCHOR - 1, -1, -1):
-        c = _ANCHOR_COEF[rows, j]
-        if ai:
-            val = val * h + c
-        if aip:
-            der = der * h + c * j
-    if aip:
-        hsafe = np.where(h == 0.0, 1.0, h)
-        der = np.where(h == 0.0, _ANCHOR_COEF[rows, 1], der / hsafe)
-    return val if ai else None, der if aip else None
+        acc *= h
+        acc += table[:, idx, j]
+    if not prime:
+        return (acc[0],)
+    return acc[0], np.where(h == 0.0, table[0, idx, 1], acc[1] / np.where(h == 0.0, 1.0, h))
 
 
-def _asymptotic_positive_undamped(x, ai=True, aip=True):
-    """zeta = (2/3) x^(3/2) and the large-x expansions of e^zeta Ai(x) and
-    e^zeta Ai'(x): Ai and Ai' without their factor e^(-zeta)."""
+def _asymptotic_positive_undamped(x, prime):
+    """zeta = (2/3) x^(3/2) and the large-x expansions of e^zeta Ai(x) and,
+    if prime, of e^zeta Ai'(x): Ai and Ai' without their factor e^(-zeta)."""
     zeta = (2.0 / 3.0) * x**1.5
-    z = 1.0 / zeta
-    s_ai = s_aip = np.zeros_like(x)
-    for k in range(_K_ASYMP - 1, -1, -1):
-        sgn = -1.0 if k % 2 else 1.0
-        if ai:
-            s_ai = s_ai * z + sgn * _U_AS[k]
-        if aip:
-            s_aip = s_aip * z + sgn * _V_AS[k]
+    s = _horner(_ASYMP_POSITIVE if prime else _ASYMP_POSITIVE[:1], 1.0 / zeta)
     root4 = x**0.25
-    return (zeta, s_ai / (2.0 * _SQRT_PI * root4) if ai else None,
-            -root4 * s_aip / (2.0 * _SQRT_PI) if aip else None)
+    ai = s[0] / (2.0 * _SQRT_PI * root4)
+    return zeta, ((ai, -root4 * s[1] / (2.0 * _SQRT_PI)) if prime else (ai,))
 
 
-def _eval_asymptotic_positive(x, ai=True, aip=True):
-    zeta, val, der = _asymptotic_positive_undamped(x, ai, aip)
+def _eval_asymptotic_positive(x, prime):
+    zeta, undamped = _asymptotic_positive_undamped(x, prime)
     damp = np.exp(-zeta)
-    return damp * val if ai else None, damp * der if aip else None
+    return [damp * v for v in undamped]
 
 
-def _eval_asymptotic_negative(x, ai=True, aip=True):
+def _eval_asymptotic_negative(x, prime):
     zmag = -x
     zeta = (2.0 / 3.0) * zmag**1.5
-    w = 1.0 / (zeta * zeta)
-    p_ai = q_ai = p_aip = q_aip = np.zeros_like(x)
-    for k in range((_K_ASYMP + 1) // 2 - 1, -1, -1):
-        sgn = -1.0 if k % 2 else 1.0
-        if ai:
-            p_ai = p_ai * w + sgn * _U_AS[2 * k]
-        if aip:
-            p_aip = p_aip * w + sgn * _V_AS[2 * k]
-    for k in range(_K_ASYMP // 2 - 1, -1, -1):
-        sgn = -1.0 if k % 2 else 1.0
-        if ai:
-            q_ai = q_ai * w + sgn * _U_AS[2 * k + 1]
-        if aip:
-            q_aip = q_aip * w + sgn * _V_AS[2 * k + 1]
+    p_ai, q_ai, *pq = _horner(_ASYMP_NEGATIVE if prime else _ASYMP_NEGATIVE[:2], 1.0 / (zeta * zeta))
     chi = zeta - 0.25 * math.pi
     c, s = np.cos(chi), np.sin(chi)
     root4 = zmag**0.25
-    return ((c * p_ai + s * q_ai / zeta) / (_SQRT_PI * root4) if ai else None,
-            (root4 / _SQRT_PI) * (s * p_aip - c * q_aip / zeta) if aip else None)
+    ai = (c * p_ai + s * q_ai / zeta) / (_SQRT_PI * root4)
+    if not prime:
+        return (ai,)
+    p_aip, q_aip = pq
+    return ai, (root4 / _SQRT_PI) * (s * p_aip - c * q_aip / zeta)
 
 
-def _airy_core(x: np.ndarray, ai=True, aip=True):
-    """Ai and Ai' on a 1-d array, each only if asked for (else None): neither
-    one's arithmetic reads the other, so skipping one leaves the other's bits."""
-    out = (np.empty_like(x) if ai else None, np.empty_like(x) if aip else None)
+def _airy_core(x: np.ndarray, prime=True):
+    """[Ai] on an array, or [Ai, Ai'] if prime.  Each region's table has Ai's
+    rows first, evaluated by _horner (anchors: their own loop); Ai-only calls
+    take those rows, which read no Ai' row, so prime leaves Ai's bits."""
+    out = [np.empty_like(x) for _ in range(2 if prime else 1)]
     small = (x >= -_SERIES_CUT) & (x <= _SERIES_CUT_POSITIVE)
     mid = (np.abs(x) <= _ASYMP_CUT) & ~small
     pos = x > _ASYMP_CUT
@@ -245,9 +239,8 @@ def _airy_core(x: np.ndarray, ai=True, aip=True):
     for where, evaluate in ((small, _eval_maclaurin), (mid, _eval_anchor),
                             (pos, _eval_asymptotic_positive), (neg, _eval_asymptotic_negative)):
         if where.any():
-            for dst, val in zip(out, evaluate(x[where], ai, aip)):
-                if dst is not None:
-                    dst[where] = val
+            for dst, val in zip(out, evaluate(x[where], prime)):
+                dst[where] = val
     return out
 
 
@@ -262,16 +255,14 @@ def airy_ai(x):
     """Ai(x).  Absolute error below 1e-12 for |x| <= 15; for x >= 0, relative
     error below 1e-14 up to x = 9 and below 1e-13 up to x = 40."""
     arr = _checked_array(x)
-    ai, _ = _airy_core(np.atleast_1d(arr), aip=False)
+    (ai,) = _airy_core(np.atleast_1d(arr), prime=False)
     return float(ai[0]) if arr.ndim == 0 else ai.reshape(arr.shape)
 
 
 def airy_ai_prime(x):
     """Ai'(x).  Absolute error below 1e-10 for |x| <= 15; for x >= 0, relative
     error below 1e-14 up to x = 9 and below 1e-13 up to x = 40."""
-    arr = _checked_array(x)
-    _, aip = _airy_core(np.atleast_1d(arr), ai=False)
-    return float(aip[0]) if arr.ndim == 0 else aip.reshape(arr.shape)
+    return airy(x).ai_prime
 
 
 def airy(x) -> AiryValue:
@@ -306,17 +297,25 @@ def airy_ai_smoothed(y, a: float):
     near = ~far
     if near.any():
         zn = z[near]
-        out[near] = np.exp(a * zn - a * a * a / 3.0) * _airy_core(zn, aip=False)[0]
+        out[near] = np.exp(a * zn - a * a * a / 3.0) * _airy_core(zn, prime=False)[0]
     if far.any():
         zf = z[far]
-        _, ai, _ = _asymptotic_positive_undamped(zf, aip=False)
+        _, (ai,) = _asymptotic_positive_undamped(zf, prime=False)
         root = np.sqrt(zf)
         out[far] = np.exp(-((root - a) ** 2) * (2.0 * root + a) / 3.0) * ai
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
+def _index(n) -> int:
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise DomainError(f"zero index must be an integer, got {n!r}") from None
+
+
 def airy_zero_asymptotic(n: int) -> float:
     """Large-n estimate [3*pi/2 * (n - 1/4)]^(2/3) of the n-th zero magnitude."""
+    n = _index(n)
     if n < 1:
         raise DomainError("zero index must be >= 1")
     return (1.5 * math.pi * (n - 0.25)) ** (2.0 / 3.0)
@@ -361,7 +360,7 @@ def airy_zero(n: int) -> float:
 
 def airy_zeros(n_max: int) -> np.ndarray:
     """First n_max zero magnitudes, ascending."""
-    return _newton_zeros(range(1, n_max + 1))
+    return _newton_zeros(range(1, _index(n_max) + 1))
 
 
 # 15-point Gauss-Legendre rule used on every panel.

@@ -148,6 +148,24 @@ class TestBasis:
         build_basis(26, units)
         assert calls == []
 
+    def test_basis_takes_one_airy_call(self, units, monkeypatch):
+        # Ai(-x_n) and Ai'(-x_n) from one airy() call on the N zeros
+        sizes = []
+        real = quantum.airy
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return real(x)
+
+        def refuse(x):
+            raise AssertionError("build_basis evaluated Ai or Ai' on its own")
+
+        monkeypatch.setattr(quantum, "airy", counted)
+        monkeypatch.setattr(quantum, "airy_ai", refuse)
+        monkeypatch.setattr(quantum, "airy_ai_prime", refuse, raising=False)
+        build_basis(26, units)
+        assert sizes == [26]
+
     def test_norm_check_fires(self, units, monkeypatch):
         # x_5 moved by 1e-4: Ai(-x_5) ~ 1e-4 Ai'(-x_5), so the closed-form
         # norm is off by about x_5 * 1e-8 = 9e-8, above the 1e-8 check, which
@@ -190,6 +208,11 @@ class TestProjection:
         # continuation there would be silently wrong
         with pytest.raises(DomainError, match="lo >= 0"):
             project_function(lambda x: np.exp(-x * x), basis12, -6.0, 4.0)
+
+    @pytest.mark.parametrize("hi", [math.inf, math.nan])
+    def test_nonfinite_interval_rejected(self, basis12, hi):
+        with pytest.raises(DomainError, match="finite"):
+            project_function(lambda x: np.exp(-x * x), basis12, 0.0, hi)
 
     def test_projection_refines_from_two_panels(self, basis26, packet_state, monkeypatch):
         # two starting panels over the packet's [0, x0 + 9 sigma] cannot

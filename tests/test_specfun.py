@@ -59,15 +59,25 @@ class TestAiryValues:
     @pytest.mark.parametrize("lo,hi", [(-4.5, 1.5), (-9.0, 9.0), (9.0, 40.0), (-40.0, -9.0)],
                              ids=["maclaurin", "anchor", "asymptotic+", "asymptotic-"])
     def test_single_functions_equal_the_pair_bitwise(self, lo, hi):
-        # airy_ai and airy_ai_prime skip the other function's arithmetic on
-        # every branch; neither reads the other, so the bits are the pair's.
-        # Ends, the anchors themselves (h = 0) and x = 0 included.
+        # airy_ai skips the rows of Ai' in every region's table and no Ai row
+        # reads them; airy_ai_prime is the pair's Ai'.  So the bits are the
+        # pair's.  Ends, the anchors themselves (h = 0) and x = 0 included.
         xs = np.concatenate([np.linspace(lo, hi, 4001), [-7.875, 0.0, 4.125]])
         xs = xs[(xs >= lo) & (xs <= hi)]
         v = airy(xs)
         for got, want in ((airy_ai(xs), v.ai), (airy_ai_prime(xs), v.ai_prime)):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_array_equals_scalar_bitwise(self):
+        # every region, each cut with its neighbours, two anchors (h = 0) and 0
+        cuts = [-9.0, -4.5, 1.5, 9.0]
+        xs = [-30.0, -6.1, -1.3, 0.7, 5.2, 20.0, -7.875, 4.125, 0.0]
+        xs += [y for c in cuts for y in (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf))]
+        v = airy(np.array(xs))
+        w = [airy(float(x)) for x in xs]
+        for got, want in ((v.ai, [p.ai for p in w]), (v.ai_prime, [p.ai_prime for p in w])):
+            assert got.tobytes() == np.array(want).tobytes()
 
     def test_printed_first_zero_location(self):
         # the tabulated 6-digit zero gives |Ai| below 1e-5 there
@@ -244,6 +254,17 @@ class TestAiryZeros:
             airy_zero_asymptotic(0)
         with pytest.raises(DomainError):
             airy_zero(0)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, math.nan, np.float64(2.0), "3"])
+    def test_non_integer_index_rejected(self, bad):
+        # airy_zero(2.5) once returned x_50: its seed lies between x_2 and x_3
+        for f in (airy_zero, airy_zeros, airy_zero_asymptotic):
+            with pytest.raises(DomainError, match="integer"):
+                f(bad)
+
+    def test_numpy_integer_index(self):
+        assert airy_zero(np.int64(50)) == airy_zero(50)
+        assert airy_zeros(np.int32(12)).tobytes() == airy_zeros(12).tobytes()
 
 
 def _scalar_newton_zero(n):
