@@ -222,8 +222,8 @@ def _overlaps(func, basis: Eigenbasis, lo: float, hi: float) -> np.ndarray:
 def project_function(func, basis: Eigenbasis, lo: float, hi: float) -> SpectralState:
     """Project an arbitrary real wave function (physical coordinates) onto the basis.
 
-    func must be vectorized; [lo, hi] must cover its support on the half line
-    (lo >= 0: the basis states vanish below the mirror).  All n_max
+    func must be vectorized; [lo, hi] must be finite and cover its support on
+    the half line (lo >= 0: the basis states vanish below the mirror).  All n_max
     coefficients come from one vector-valued adaptive quadrature.
     """
     if not lo >= 0:
