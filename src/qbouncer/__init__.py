@@ -10,7 +10,6 @@ from .errors import (
     DomainError,
     InsufficientBasisError,
     NumericalError,
-    QuadratureError,
 )
 from .moments import (
     MomentState,
@@ -47,7 +46,6 @@ from .scaling import (
 )
 from .specfun import (
     AiryValue,
-    QuadratureSpec,
     airy,
     airy_ai,
     airy_ai_prime,

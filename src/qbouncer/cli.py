@@ -218,7 +218,8 @@ def run_moments(cfg: ScenarioConfig):
         times, rows = traj.times, traj.states._rows
     X, P, G02, G11, G20 = rows[:, :5].T
     # the operations of uncertainty_product (libm pow, not numpy's x*x) and
-    # effective_hamiltonian, in order
+    # effective_hamiltonian, in order; integrate has refused a G02 G20 or G11^2
+    # that overflows, where c ** 2 would raise OverflowError
     unc = [a * b - c ** 2 for a, b, c in zip(G02.tolist(), G20.tolist(), G11.tolist())]
     energy = P * P / (2.0 * u.m) + potential.value(X) + G20 / (2.0 * u.m)
     return header, [times, X, P, G20, G11, G02, unc, energy]

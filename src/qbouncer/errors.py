@@ -13,17 +13,5 @@ class NumericalError(RuntimeError):
     """A numerical procedure failed to reach its accuracy target (CLI exit code 3)."""
 
 
-class QuadratureError(NumericalError):
-    """Adaptive quadrature ran out of subdivisions.
-
-    Carries the best estimate obtained so far and the accumulated error bound.
-    """
-
-    def __init__(self, message, best_estimate, error_bound):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-        self.error_bound = error_bound
-
-
 class InsufficientBasisError(NumericalError):
     """A truncated eigenbasis cannot represent a state accurately enough."""

@@ -393,7 +393,8 @@ def integrate(
     (truncation of a nonlinear hierarchy can do this; it is not fatal).
     Drops within 4 eps (G^{0,2} G^{2,0} + (G^{1,1})^2), the product's
     rounding error, do not count.
-    A non-finite state is fatal: NumericalError names its step and time.
+    A non-finite state is fatal: NumericalError names its step and time, and
+    so does a finite one whose G^{0,2} G^{2,0} + (G^{1,1})^2 overflows.
     More than _MAX_STEPS steps (t_end/dt, also when it overflows) is refused
     before the trajectory is allocated.
     """
@@ -434,6 +435,13 @@ def integrate(
     rows.flags.writeable = False
     # uncertainty product G02 G20 - G11^2 of every sample (slots 2, 3, 4)
     g02, g11, g20 = rows[:, 2], rows[:, 3], rows[:, 4]
+    # finite states can still overflow the product's terms (alpha far from 1)
+    with np.errstate(over="ignore"):
+        scale = g02 * g20 + g11 ** 2
+    overflow = np.flatnonzero(~np.isfinite(scale))
+    if overflow.size:
+        k = int(overflow[0])
+        raise NumericalError(f"uncertainty product overflows at step {k} (t = {times[k]:.6g})")
     product = g02 * g20 - g11 ** 2
     reference = hbar * hbar / 4.0 if hbar is not None else product[0]
     worst = 0.0
@@ -441,7 +449,7 @@ def integrate(
         # rounding moves the product by about eps (G02 G20 + G11^2) (up to 1.2x
         # under gravity), which can exceed 1e-6 of it: count drops past 4x that
         drop = (reference - product)[1:]
-        drop[drop <= 4.0 * _EPS * (g02 * g20 + g11 ** 2)[1:]] = 0.0
+        drop[drop <= 4.0 * _EPS * scale[1:]] = 0.0
         worst = max(0.0, float((drop / reference).max()))
     warnings = ()
     if worst > 1e-6:

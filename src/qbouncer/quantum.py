@@ -13,8 +13,8 @@ The position matrix elements have closed forms in the zeros x_n alone
 776 (1999)), so building a basis runs no quadrature.  A Gaussian packet
 projects onto it in closed form too, as Ai smoothed by a Gaussian is another
 Airy function; only the packet's tail below the mirror, when it reaches
-there, and projections of arbitrary functions take an adaptive quadrature,
-one vector-valued integral over all states.
+there, and projections of arbitrary functions take a quadrature: one
+vector-valued fixed Gauss-Legendre rule over all states.
 """
 
 from __future__ import annotations
@@ -74,9 +74,14 @@ class PacketSpec:
     def __post_init__(self):
         if not (self.x0 > 0 and math.isfinite(self.x0)):
             raise DomainError("packet x0 must be positive and finite")
-        # sigma below about 1.5e-162 squares to 0.0, and the packet divides by sigma**2
-        if not (self.sigma > 0 and self.sigma**2 > 0):
-            raise DomainError(f"packet sigma must be positive with sigma**2 > 0, got {self.sigma!r}")
+        # the packet divides by sigma**2, which is 0.0 below about 1.5e-162 and
+        # overflows above about 1.3e154; sigma = inf is the classical limit
+        try:
+            square = self.sigma**2
+        except OverflowError:
+            square = math.inf
+        if not (self.sigma == math.inf or (self.sigma > 0 and 0 < square < math.inf)):
+            raise DomainError(f"packet sigma must be inf or have 0 < sigma**2 < inf, got {self.sigma!r}")
 
     def wavefunction(self, x):
         amp = (2.0 / (math.pi * self.sigma**2)) ** 0.25
@@ -144,7 +149,7 @@ class SpectralState:
 
 
 def _initial_panels(span_star: float, x_top: float) -> int:
-    """Starting panel count for the projection integral over span_star l_g of
+    """Panel count for the projection integral over span_star l_g of
     states up to the zero x_top.  Ai(x - x_n)^2 turns through at most
     2 sqrt(x_top) radians per unit x (at the mirror, for n = top); no panel
     spans more than 18 of them, and there are at least 8."""
@@ -208,7 +213,8 @@ def build_basis(n_max: int, u: UnitSystem) -> Eigenbasis:
 
 def _overlaps(func, basis: Eigenbasis, lo: float, hi: float) -> np.ndarray:
     """Integrals of func(x) psi_n(x) over [lo, hi] for every state n, by one
-    vector-valued adaptive quadrature; DomainError unless lo and hi are finite."""
+    vector-valued integrate_1d call on _initial_panels panels; DomainError
+    unless lo and hi are finite, NumericalError if a panel fails its check."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"projection interval must be finite, got [{lo!r}, {hi!r}]")
 
@@ -216,7 +222,7 @@ def _overlaps(func, basis: Eigenbasis, lo: float, hi: float) -> np.ndarray:
         return _eigenfunction_table(basis, x) * func(x)[:, None]
 
     panels = _initial_panels((hi - lo) / basis.units.l_g, float(basis.zeros[-1]))
-    return integrate_1d(integrand, lo, hi, initial_panels=panels)
+    return integrate_1d(integrand, lo, hi, panels)
 
 
 def project_function(func, basis: Eigenbasis, lo: float, hi: float) -> SpectralState:
@@ -224,7 +230,9 @@ def project_function(func, basis: Eigenbasis, lo: float, hi: float) -> SpectralS
 
     func must be vectorized; [lo, hi] must be finite and cover its support on
     the half line (lo >= 0: the basis states vanish below the mirror).  All n_max
-    coefficients come from one vector-valued adaptive quadrature.
+    coefficients come from one vector-valued fixed-rule quadrature (see
+    _overlaps), which raises NumericalError rather than refine a panel whose
+    halves disagree with it.
     """
     if not lo >= 0:
         raise DomainError(f"projection needs lo >= 0 (the mirror), got lo = {lo!r}")
@@ -256,7 +264,7 @@ def project_packet(p: PacketSpec, basis: Eigenbasis) -> SpectralState:
     taken on [x0 - 9 sigma, x0 + 9 sigma], cut at the mirror: when
     x0 < 9 sigma, the part on [x0 - 9 sigma, 0], against the Airy
     continuation of the states, is taken back out with one vector-valued
-    adaptive quadrature; otherwise no quadrature runs.
+    fixed-rule quadrature (see _overlaps); otherwise no quadrature runs.
     """
     if not math.isfinite(p.sigma):
         raise DomainError("projection needs a finite packet width")

@@ -1,5 +1,5 @@
-"""Special functions and quadrature: Airy Ai, Ai', its zeros, and an
-adaptive Gauss-Legendre integrator.
+"""Special functions and quadrature: Airy Ai, Ai', its zeros, and a fixed
+composite Gauss-Legendre rule that checks each panel against its halves.
 
 Everything here is self-contained (no scipy): Ai and Ai' are evaluated
 piecewise from the power series of the defining ODE y'' = x*y, from Taylor
@@ -14,6 +14,10 @@ The zeros come from one array Newton kernel: every requested index starts
 from the asymptotic seed [3 pi/2 (n - 1/4)]^(2/3) (the leading term of
 DLMF 9.9.6 and 9.9.18), and each sweep is one airy() call on all the
 entries still moving.
+
+integrate_1d takes one fixed rule: no panel is refined, and a panel whose
+halves disagree with it raises NumericalError.  The tests hold it to an
+adaptive engine of their own (tests/quadrature_oracle.py).
 """
 
 from __future__ import annotations
@@ -25,12 +29,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, QuadratureError
+from .errors import DomainError, NumericalError
 
 __all__ = [
     "AiryValue",
-    "QuadratureSpec",
-    "DEFAULT_QUAD",
     "airy_ai",
     "airy_ai_prime",
     "airy",
@@ -49,23 +51,6 @@ class AiryValue:
     ai: float | np.ndarray
     ai_prime: float | np.ndarray
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and budget for integrate_1d."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 4000
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUAD = QuadratureSpec()
 
 # Ai(0) and Ai'(0): 3^(-2/3)/Gamma(2/3) and -3^(-1/3)/Gamma(1/3).
 _AI0 = 0.3550280538878172
@@ -359,12 +344,30 @@ def airy_zero(n: int) -> float:
 
 
 def airy_zeros(n_max: int) -> np.ndarray:
-    """First n_max zero magnitudes, ascending."""
-    return _newton_zeros(range(1, _index(n_max) + 1))
+    """First n_max zero magnitudes, ascending; DomainError unless n_max >= 1."""
+    n_max = _index(n_max)
+    if n_max < 1:
+        raise DomainError(f"number of zeros must be >= 1, got {n_max}")
+    return _newton_zeros(range(1, n_max + 1))
 
 
-# 15-point Gauss-Legendre rule used on every panel.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# 15-point Gauss-Legendre rule on [-1, 1]: (node, weight) from the centre out.
+# The rule is its own mirror image, so these 8 pairs give all 15, equal to
+# numpy's leggauss(15) bit for bit without importing numpy.polynomial.
+_GL_HALF = (
+    (0.0, 0.2025782419255613),
+    (0.20119409399743451, 0.1984314853271116),
+    (0.3941513470775634, 0.1861610000155622),
+    (0.5709721726085388, 0.16626920581699398),
+    (0.7244177313601701, 0.13957067792615444),
+    (0.8482065834104272, 0.10715922046717141),
+    (0.9372733924007058, 0.0703660474881084),
+    (0.9879925180204854, 0.030753241996117203),
+)
+_GL_NODES = np.array([-x for x, _ in _GL_HALF[:0:-1]] + [x for x, _ in _GL_HALF])
+_GL_WEIGHTS = np.array([w for _, w in _GL_HALF[:0:-1]] + [w for _, w in _GL_HALF])
+# absolute and relative tolerance of every component of an integral
+_QUAD_TOL = 1e-10
 
 
 def _panel_values(f, lo, hi):
@@ -385,60 +388,41 @@ def _panel_values(f, lo, hi):
 
 
 def integrate_1d(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-    initial_panels: int = 1,
+    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, panels: int
 ) -> float | np.ndarray:
-    """Adaptive composite 15-point Gauss-Legendre integral of f on [a, b].
+    """Composite 15-point Gauss-Legendre integral of f on [a, b], on `panels`
+    equal panels and on their halves.
 
     f takes an ndarray of P evaluation points and returns an array of shape
-    (P, *shape); the result has that trailing shape (a float for shape ()).
-    Panels are bisected until, for every component k, the change under
-    refinement is below the locally apportioned tolerance
-    max(abs_tol, rel_tol*|result_k|) * panel_width / (b - a).  Deterministic
-    for fixed inputs.
+    (P, *shape); the result, the sum of the half-panel values, has that
+    trailing shape (a float for shape ()).  Every panel must pass, for every
+    component k, |halves - whole| <= max(1e-10, 1e-10 |estimate_k|) *
+    panel_width / (b - a), where estimate is the sum of the whole-panel
+    values; no panel is refined further.  Deterministic for fixed inputs.
 
-    Raises DomainError if f's result does not have the points on its leading
-    axis, and QuadratureError (carrying the best estimate and its error
-    bound, both of the component shape) if max_subdivisions panel splits are
-    not enough.
+    Raises DomainError for an interval that is not finite with a < b, for
+    panels < 1, or if f's result does not have the points on its leading
+    axis, and NumericalError naming the first panel that fails the test.
     """
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
         raise DomainError("integration interval must satisfy a < b and be finite")
-    span = b - a
-    edges = np.linspace(a, b, max(1, initial_panels) + 1)
+    if not panels >= 1:
+        raise DomainError(f"integrate_1d needs panels >= 1, got {panels!r}")
+    edges = np.linspace(a, b, panels + 1)
     lo = edges[:-1]
     hi = edges[1:]
-    parent = _panel_values(f, lo, hi)
-
-    accepted_sum = 0.0
-    accepted_err = 0.0
-    splits = 0
-    while lo.size:
-        estimate = accepted_sum + parent.sum(axis=0)
-        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(estimate))
-        mid = 0.5 * (lo + hi)
-        child_lo = np.concatenate([lo, mid])
-        child_hi = np.concatenate([mid, hi])
-        child = _panel_values(f, child_lo, child_hi)
-        refined = child[: lo.size] + child[lo.size :]
-        err = np.abs(refined - parent)
-        ok = (err.reshape(lo.size, -1) <= tol.reshape(-1) * (hi - lo)[:, None] / span).all(axis=1)
-        accepted_sum += refined[ok].sum(axis=0)
-        accepted_err += err[ok].sum(axis=0)
-        bad = ~ok
-        splits += int(bad.sum())
-        if splits > spec.max_subdivisions:
-            best = accepted_sum + refined[bad].sum(axis=0)
-            bound = accepted_err + err[bad].sum(axis=0)
-            raise QuadratureError(
-                f"subdivision cap {spec.max_subdivisions} exceeded on [{a}, {b}]",
-                best_estimate=best,
-                error_bound=bound,
-            )
-        lo = np.concatenate([lo[bad], mid[bad]])
-        hi = np.concatenate([mid[bad], hi[bad]])
-        parent = np.concatenate([child[: len(ok)][bad], child[len(ok) :][bad]])
-    return accepted_sum
+    mid = 0.5 * (lo + hi)
+    whole = _panel_values(f, lo, hi)
+    halves = _panel_values(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+    refined = halves[:panels] + halves[panels:]
+    tol = np.maximum(_QUAD_TOL, _QUAD_TOL * np.abs(whole.sum(axis=0)))
+    err = np.abs(refined - whole).reshape(panels, -1)
+    bad = np.flatnonzero(~(err <= tol.reshape(-1) * (hi - lo)[:, None] / (b - a)).all(axis=1))
+    if bad.size:
+        k = int(bad[0])
+        raise NumericalError(
+            f"quadrature panel {k + 1} of {panels}, [{float(lo[k])!r}, {float(hi[k])!r}], "
+            f"changed by up to {float(err[k].max()):.3g} on halving, above its tolerance"
+        )
+    # 0.0 + turns a -0.0 sum into 0.0, as an accumulated sum would
+    return 0.0 + refined.sum(axis=0)

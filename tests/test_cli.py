@@ -374,6 +374,25 @@ class TestConfigHandling:
         assert "sigma" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
+        ["quantum", "--nmax", "14"],
+        ["compare", "--alpha", "0.4", "--nmax", "0"],
+    ], ids=["quantum", "compare"])
+    def test_overflowing_sigma_rejected(self, command, capsys):
+        # sigma**2 overflows: PacketSpec once raised OverflowError (a traceback)
+        # from Python float **; it must refuse sigma by name, exit 2
+        argv = [*command, "--x0", "10", "--sigma", "1e300", "--tend", "1", "--dt", "0.5", "--out", "-"]
+        assert main(argv) == 2
+        assert "sigma" in capsys.readouterr().err
+
+    def test_overflowing_uncertainty_is_numerical_failure(self, capsys):
+        # alpha = 1e-300 keeps every moment finite, but G11^2 and G02 G20
+        # overflow: the uncertainty column once raised OverflowError from
+        # Python float **; integrate now refuses the product, exit 3
+        assert main(["moments", "--x0", "41.7", "--alpha", "1e-300", "--tend", "10", "--dt", "0.01",
+                     "--out", "-"]) == 3
+        assert "uncertainty product overflows at step 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
         ["compare", "--nmax", "0", "--tend", "0.1", "--dt", "0.05"],
         ["moments"],
     ], ids=["compare", "moments"])

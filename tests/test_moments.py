@@ -452,6 +452,15 @@ class TestIntegrate:
             with np.errstate(all="ignore"), pytest.raises(NumericalError, match=r"step 1 \(t = 0\.01\)"):
                 integrate(s0, V, self.u.m, 1.0, 0.01)
 
+    @pytest.mark.parametrize("hbar", [None, 1.0])
+    def test_overflowing_uncertainty_product_raises(self, hbar):
+        # alpha = 1e-300: every state stays finite, but G02 G20 overflows from
+        # step 1 (G02 = 1e296, G20 = 2.5e299); the deficit check once read the
+        # NaN product as no drop, behind numpy overflow warnings
+        _, V, s0 = self.linear_setup(x0=41.7, alpha=1e-300)
+        with pytest.raises(NumericalError, match=r"uncertainty product overflows at step 1 \(t = 0\.01\)"):
+            integrate(s0, V, self.u.m, 10.0, 0.01, hbar=hbar)
+
     @pytest.mark.parametrize("order", [4, 6])
     def test_quartic_run_matches_oracle_rk4(self, order):
         # 200 steps of V = x^2/2 + 0.05 x^3 + 0.1 x^4 from Gaussian moments

@@ -24,7 +24,9 @@ from qbouncer.quantum import (
     variance_x,
     variance_x_evolution,
 )
+from qbouncer.scaling import natural_units, neutron_units
 from qbouncer.specfun import airy_ai, airy_ai_prime, airy_zero
+import quadrature_oracle
 from quadrature_oracle import gaussian_projection, norm_integrals, overlap_matrix, weighted_matrix
 from series_tail import truncation_sup
 
@@ -119,7 +121,7 @@ class TestBasis:
     @pytest.mark.parametrize("n_max,bound", [(26, 3.5e-15), (64, 5e-15)])
     def test_norm_table_matches_adaptive_quadrature(self, units, n_max, bound):
         # the closed-form norm integral N_n^2 (Ai'(-x_n)^2 + x_n Ai(-x_n)^2)
-        # that build_basis checks, against one scalar integrate_1d per state
+        # that build_basis checks, against one scalar oracle quadrature per state
         # on the oracle's own panels; measured gap 1.8e-15 (N = 26) and 2.0e-15 (N = 64)
         basis = build_basis(n_max, units)
         z = basis.zeros
@@ -215,14 +217,14 @@ class TestProjection:
             project_function(lambda x: np.exp(-x * x), basis12, 0.0, hi)
 
     def test_projection_refines_from_two_panels(self, basis26, packet_state, monkeypatch):
-        # two starting panels over the packet's [0, x0 + 9 sigma] cannot
-        # resolve psi_n phi; project_function refines them and lands on the
-        # closed-form coefficients; measured gap 3.5e-16
+        # two panels over the packet's [0, x0 + 9 sigma] cannot resolve
+        # psi_n phi; the fixed rule refines no panel, so project_function
+        # refuses rather than return coefficients off by more than its check
         monkeypatch.setattr(quantum, "_initial_panels", lambda span, x_top: 2)
         rescale = 1.0 / math.sqrt(1.0 - PACKET.clipped_mass())
         hi = PACKET.x0 + 9.0 * PACKET.sigma
-        state = project_function(lambda x: rescale * PACKET.wavefunction(x), basis26, 0.0, hi)
-        assert np.abs(state.coefficients - packet_state.coefficients).max() <= 1e-13
+        with pytest.raises(NumericalError, match="panel 1 of 2"):
+            project_function(lambda x: rescale * PACKET.wavefunction(x), basis26, 0.0, hi)
 
     @staticmethod
     def _count_quadratures(monkeypatch):
@@ -244,6 +246,37 @@ class TestProjection:
         assert len(calls) == 1
         assert calls[0][1:3] == (PACKET.x0 - 9.0 * PACKET.sigma, 0.0)
         assert state.coefficients.shape == (basis26.n_max,)
+
+    # packets whose window [x0 - 9 sigma, x0 + 9 sigma] crosses the mirror, from
+    # the benchmark's input ranges: cli_readme (N = 26, x0 in [9, 11], sigma in
+    # [1.35, 1.65]) and revival (N = 64, x0 in [20, 30], sigma in [1.5, 2.5]),
+    # in natural and neutron units (x0 and sigma in l_g)
+    @pytest.mark.parametrize("preset", ["natural", "neutron"])
+    @pytest.mark.parametrize("n_max,x0s,sigmas", [
+        (26, (9.0, 10.0, 11.0), (1.35, 1.5, 1.65)),
+        (64, (20.0, 21.5, 22.4), (2.3, 2.4, 2.5)),
+    ], ids=["cli_readme", "revival"])
+    def test_mirror_correction_equals_oracle_bits(self, preset, n_max, x0s, sigmas, monkeypatch):
+        # every mirror correction: the fixed rule and the adaptive oracle on the
+        # same panels give the same bits, so the oracle refined no panel
+        u = natural_units() if preset == "natural" else neutron_units()
+        basis = build_basis(n_max, u)
+        real = quantum.integrate_1d
+        calls = []
+
+        def both(f, a, b, panels):
+            got = real(f, a, b, panels)
+            want = quadrature_oracle.integrate(f, a, b, initial_panels=panels)
+            assert got.tobytes() == want.tobytes()
+            calls.append(panels)
+            return got
+
+        monkeypatch.setattr(quantum, "integrate_1d", both)
+        for x0 in x0s:
+            for sigma in sigmas:
+                if x0 < 9.0 * sigma:
+                    project_packet(PacketSpec(x0=x0 * u.l_g, sigma=sigma * u.l_g), basis)
+        assert len(calls) == sum(x0 < 9.0 * sigma for x0 in x0s for sigma in sigmas) > 0
 
     def test_packet_clear_of_mirror_runs_no_quadrature(self, basis26, monkeypatch):
         # x0 >= 9 sigma: every coefficient is closed-form
@@ -847,7 +880,7 @@ class TestSeries:
 
 @pytest.fixture(scope="module")
 def neutron_basis():
-    from qbouncer.scaling import neutron_units
+    from qbouncer.scaling import natural_units, neutron_units
 
     return build_basis(18, neutron_units())
 

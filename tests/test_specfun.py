@@ -1,6 +1,10 @@
-"""Airy evaluation, zero finding, and adaptive quadrature."""
+"""Airy evaluation, zero finding, and quadrature: the fixed production rule
+and the adaptive oracle it is held to."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,9 +12,10 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbouncer.errors import DomainError, NumericalError, QuadratureError
+import qbouncer.specfun as specfun
+import quadrature_oracle
+from qbouncer.errors import DomainError, NumericalError
 from qbouncer.specfun import (
-    QuadratureSpec,
     airy,
     airy_ai,
     airy_ai_prime,
@@ -262,6 +267,13 @@ class TestAiryZeros:
             with pytest.raises(DomainError, match="integer"):
                 f(bad)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_nonpositive_count_rejected(self, count):
+        # airy_zeros(0) and airy_zeros(-3) once returned an empty array
+        for f in (airy_zero, airy_zeros, airy_zero_asymptotic):
+            with pytest.raises(DomainError, match=">= 1"):
+                f(count)
+
     def test_numpy_integer_index(self):
         assert airy_zero(np.int64(50)) == airy_zero(50)
         assert airy_zeros(np.int32(12)).tobytes() == airy_zeros(12).tobytes()
@@ -289,21 +301,25 @@ def _simpson(f, a, b, n=20001):
 
 
 class TestQuadrature:
+    """The adaptive oracle engine, quadrature_oracle.integrate; the interval
+    and leading-axis checks are the production rule's."""
+
     def test_constant(self):
-        assert integrate_1d(lambda x: np.ones_like(x), 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
+        val = quadrature_oracle.integrate(lambda x: np.ones_like(x), 0.0, 1.0)
+        assert val == pytest.approx(1.0, abs=1e-14)
 
     def test_eigen_normalization_identity(self):
         f = lambda x: airy_ai(x - ZERO_1) ** 2
-        val = integrate_1d(f, 0.0, 40.0, QuadratureSpec(1e-12, 1e-12))
+        val = quadrature_oracle.integrate(f, 0.0, 40.0, tol=1e-12)
         assert val == pytest.approx(AIP_AT_MINUS_ZERO_1**2, abs=1e-8)
         assert val == pytest.approx(_simpson(f, 0.0, 40.0), abs=1e-8)
 
     def test_gaussian_moment(self):
-        val = integrate_1d(lambda x: x * np.exp(-x * x), 0.0, 10.0)
+        val = quadrature_oracle.integrate(lambda x: x * np.exp(-x * x), 0.0, 10.0)
         assert val == pytest.approx(0.5, abs=1e-10)
 
     def test_oscillatory(self):
-        val = integrate_1d(np.cos, 0.0, 20.0, initial_panels=4)
+        val = quadrature_oracle.integrate(np.cos, 0.0, 20.0, initial_panels=4)
         assert val == pytest.approx(math.sin(20.0), abs=1e-10)
 
     @pytest.mark.parametrize(
@@ -311,7 +327,7 @@ class TestQuadrature:
     )
     def test_integrand_without_point_axis_rejected(self, f):
         with pytest.raises(DomainError, match="leading axis"):
-            integrate_1d(f, 0.0, 1.0)
+            integrate_1d(f, 0.0, 1.0, 1)
 
     def test_vector_integrand_matches_scalar_calls(self):
         parts = (
@@ -319,10 +335,10 @@ class TestQuadrature:
             lambda x: airy_ai(x - ZERO_2) ** 2 * x,
             lambda x: 1.0 / (1.0 + x * x),
         )
-        vec = integrate_1d(lambda x: np.stack([f(x) for f in parts], axis=1), 0.0, 12.0)
+        vec = quadrature_oracle.integrate(lambda x: np.stack([f(x) for f in parts], axis=1), 0.0, 12.0)
         assert vec.shape == (3,)
         for got, f in zip(vec, parts):
-            want = integrate_1d(f, 0.0, 12.0)
+            want = quadrature_oracle.integrate(f, 0.0, 12.0)
             assert abs(got - want) <= max(1e-10, 1e-10 * abs(want))
 
     @pytest.mark.parametrize(
@@ -335,13 +351,13 @@ class TestQuadrature:
     )
     def test_small_component_keeps_its_own_tolerance(self, small, exact):
         # a panel is accepted only when every component meets its own
-        # max(abs_tol, rel_tol*|estimate_k|), so the 5e7-sized component does
-        # not loosen the tolerance of the O(10) one; the kink converges slowly
+        # max(tol, tol*|estimate_k|), so the 5e7-sized component does not
+        # loosen the tolerance of the O(10) one; the kink converges slowly
         # enough to show it (off by 1e-3 under the large component's tolerance)
         def f(x):
             return np.stack([1e8 * x * np.exp(-x * x), small(x)], axis=1)
 
-        big, val = integrate_1d(f, 0.0, 10.0)
+        big, val = quadrature_oracle.integrate(f, 0.0, 10.0)
         assert abs(big - 5e7) <= 1e-10 * 5e7
         assert abs(val - exact) <= max(1e-10, 1e-10 * exact)
 
@@ -354,49 +370,75 @@ class TestQuadrature:
         ],
     )
     def test_tolerance_halving_stays_within_bound(self, f, a, b):
-        # halving tolerances must not move the result by more than the
+        # halving the tolerance must not move the result by more than the
         # prior call's guaranteed error bound
         for tol in (1e-6, 1e-8, 1e-10):
-            coarse = integrate_1d(f, a, b, QuadratureSpec(tol, tol))
-            fine = integrate_1d(f, a, b, QuadratureSpec(tol / 2, tol / 2))
+            coarse = quadrature_oracle.integrate(f, a, b, tol=tol)
+            fine = quadrature_oracle.integrate(f, a, b, tol=tol / 2)
             assert abs(fine - coarse) <= max(tol, tol * abs(coarse))
 
     def test_subdivision_cap(self):
         spiky = lambda x: np.exp(-1e4 * (x - 0.5) ** 2)
-        with pytest.raises(QuadratureError) as info:
-            integrate_1d(spiky, 0.0, 1.0, QuadratureSpec(1e-13, 1e-13, max_subdivisions=2))
-        err = info.value
-        exact = math.sqrt(math.pi / 1e4)
-        assert err.best_estimate == pytest.approx(exact, rel=0.5)
-        assert err.error_bound >= 0
-        assert isinstance(err, NumericalError)
-
-    def test_subdivision_cap_vector(self):
-        # the best estimate and its bound keep the integrand's component shape
-        scale = np.array([[1.0, 2.0], [3.0, 4.0]])
-        spiky = lambda x: np.exp(-1e4 * (x - 0.5) ** 2)[:, None, None] * scale
-        with pytest.raises(QuadratureError) as info:
-            integrate_1d(spiky, 0.0, 1.0, QuadratureSpec(1e-13, 1e-13, max_subdivisions=2))
-        err = info.value
-        exact = math.sqrt(math.pi / 1e4) * scale
-        assert err.best_estimate.shape == err.error_bound.shape == (2, 2)
-        assert np.allclose(err.best_estimate, exact, rtol=0.5)
-        assert (err.error_bound >= 0).all()
+        with pytest.raises(NumericalError, match="subdivision cap 2 "):
+            quadrature_oracle.integrate(spiky, 0.0, 1.0, tol=1e-13, max_subdivisions=2)
 
     def test_deterministic_for_fixed_inputs(self):
         f = lambda x: airy_ai(x - ZERO_1) ** 2 * np.cos(x)
-        first = integrate_1d(f, 0.0, 25.0, QuadratureSpec(1e-11, 1e-11))
-        second = integrate_1d(f, 0.0, 25.0, QuadratureSpec(1e-11, 1e-11))
+        first = quadrature_oracle.integrate(f, 0.0, 25.0, tol=1e-11)
+        second = quadrature_oracle.integrate(f, 0.0, 25.0, tol=1e-11)
         assert first == second  # bit-identical, not just close
 
     def test_bad_interval(self):
         with pytest.raises(DomainError):
-            integrate_1d(np.cos, 1.0, 0.0)
+            integrate_1d(np.cos, 1.0, 0.0, 1)
         with pytest.raises(DomainError):
-            integrate_1d(np.cos, 0.0, math.inf)
+            integrate_1d(np.cos, 0.0, math.inf, 1)
 
-    def test_spec_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_subdivisions=0)
+
+class TestFixedRule:
+    """specfun.integrate_1d: 15-point Gauss-Legendre on fixed panels, each
+    checked against its halves and never refined."""
+
+    def test_table_matches_leggauss_bits(self):
+        nodes, weights = np.polynomial.legendre.leggauss(15)
+        assert specfun._GL_NODES.tobytes() == nodes.tobytes()
+        assert specfun._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+    def test_import_leaves_numpy_polynomial_out(self):
+        code = "import sys, qbouncer; print('numpy.polynomial' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(specfun.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize(
+        "f,a,b,panels",
+        [
+            (lambda x: np.ones_like(x), 0.0, 1.0, 1),
+            (np.cos, 0.0, 20.0, 4),
+            (lambda x: x * np.exp(-x * x), 0.0, 10.0, 8),
+            (lambda x: np.stack([np.exp(-x) * np.sin(3 * x), airy_ai(x - ZERO_2) ** 2 * x], axis=1),
+             0.0, 12.0, 12),
+        ],
+        ids=["constant", "cos", "gaussian-moment", "vector"],
+    )
+    def test_equals_oracle_bits_when_every_panel_passes(self, f, a, b, panels):
+        # on starting panels that all pass, the adaptive oracle stops after one
+        # halving and sums exactly what the fixed rule sums
+        got = np.asarray(integrate_1d(f, a, b, panels))
+        want = np.asarray(quadrature_oracle.integrate(f, a, b, initial_panels=panels))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_failing_panel_raises_naming_it(self):
+        # the spike at 0.8 lies in the last of 4 panels; the oracle refines
+        # it, the fixed rule refuses
+        spiky = lambda x: np.exp(-1e4 * (x - 0.8) ** 2)
+        with pytest.raises(NumericalError, match=r"panel 4 of 4, \[0\.75, 1\.0\]"):
+            integrate_1d(spiky, 0.0, 1.0, 4)
+        val = quadrature_oracle.integrate(spiky, 0.0, 1.0, initial_panels=4)
+        assert val == pytest.approx(math.sqrt(math.pi / 1e4), rel=1e-10)
+
+    @pytest.mark.parametrize("panels", [0, -1])
+    def test_panels_must_be_positive(self, panels):
+        with pytest.raises(DomainError, match="panels >= 1"):
+            integrate_1d(np.cos, 0.0, 1.0, panels)
