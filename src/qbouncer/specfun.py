@@ -424,5 +424,5 @@ def integrate_1d(
             f"quadrature panel {k + 1} of {panels}, [{float(lo[k])!r}, {float(hi[k])!r}], "
             f"changed by up to {float(err[k].max()):.3g} on halving, above its tolerance"
         )
-    # 0.0 + turns a -0.0 sum into 0.0, as an accumulated sum would
+    # 0.0 + turns a -0.0 sum into 0.0, as the oracle's accumulated sum does
     return 0.0 + refined.sum(axis=0)
