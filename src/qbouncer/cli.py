@@ -269,6 +269,17 @@ _RUNNERS = {
 }
 
 
+def _check_finite(header, cols) -> None:
+    """Refuse a table with a nan or inf cell: NumericalError names its column and row."""
+    for name, col in zip(header, cols):
+        if col is None:
+            continue
+        bad = np.flatnonzero(~np.isfinite(col))
+        if bad.size:
+            k = bad[0]
+            raise NumericalError(f"column {name} is {col[k]} at row {k} ({header[0]} = {cols[0][k]:.6g})")
+
+
 def write_table(header, cols, out: str) -> None:
     template = ",".join("" if c is None else "%d" if getattr(c, "dtype", float) == int else "%.17g"
                         for c in cols) + "\n"
@@ -326,6 +337,7 @@ def main(argv=None) -> int:
         if cfg.out != "-" and not os.path.isdir(os.path.dirname(cfg.out) or "."):
             raise ConfigError(f"cannot write output file {cfg.out!r}: its directory does not exist")
         header, cols = _RUNNERS[cfg.kind](cfg)
+        _check_finite(header, cols)
         write_table(header, cols, cfg.out)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,10 +4,9 @@ a configurable order.
 
 For a linear potential the second-order moments decouple from everything
 else and solve in closed form; saturated initial data keep the uncertainty
-product at hbar^2/4 for all times.  Those closed forms, a fixed-step RK4
-integrator for polynomial potentials (one precomputed map per step where the
-degree is <= 2 and the hierarchy is linear), and the dispersion envelope
-around the classical bounce all live here.
+product at hbar^2/4 for all times.  Those closed forms, integrate (the exact
+flow for degree <= 2, fixed-step RK4 above) and the dispersion envelope
+around the classical bounce live here.
 """
 
 from __future__ import annotations
@@ -42,9 +41,8 @@ __all__ = [
 ]
 
 
-# Step cap for integrate: 1e8 RK4 steps take about 7 (degree <= 2) to 40
-# minutes (orders 2-6, 2-core x86_64 host), and their trajectory is
-# 8e8 (order + 2)(order + 3)/2 bytes before the first step.
+# integrate's step cap: 1e8 steps take 25-85 s (exact flow) or 40 min (RK4) on
+# a 2-core x86_64 host, into a trajectory of 8e8 (order + 1)(order + 2)/2 bytes.
 _MAX_STEPS = 10**8
 _EPS = float(np.finfo(float).eps)
 
@@ -300,29 +298,36 @@ def moment_eom(s: MomentState, V: PolynomialPotential, m: float) -> MomentState:
     return MomentState._wrap(out, s.order)
 
 
-def _rk4_propagator(s0: MomentState, V: PolynomialPotential, m: float, h: float):
-    """(D, r) such that one RK4 step of h maps y to y + D y + r, for degree <= 2.
+def _affine_rows(s0: MomentState, V: PolynomialPotential, m: float, dt: float, rows):
+    """Fill rows[1:] with the exact flow from rows[0], for degree <= 2.
 
-    moment_eom is then affine, y' = A y + b: b is its value on the zero state
-    and column j of A its value on e_j minus b (the trailing zero slot is not
-    probed).  The four stages sum to D = h M A and r = h M b, with
-    M = I + hA/2 + (hA)^2/6 + (hA)^3/24.
+    moment_eom is then y' = A y + b (b on the zero state, A e_j + b on e_j;
+    the trailing zero slot is not probed).  L steps add D y + c, [[D, c],
+    [0, 0]] = exp(L dt [[A, b], [0, 0]]) - I: Taylor at norm <= 1/2, then
+    D_2L = 2 D_L + D_L^2; apart from I, D keeps its relative precision.
+    einsum keeps the products off BLAS (threads, work buffer).
     """
     def f(y):
         return moment_eom(MomentState._wrap(y, s0.order), V, m)._y
 
-    def times_m(v):
-        # M v by Horner in hA, on vectors only: a matrix product would touch
-        # the BLAS work buffer and raise peak memory
-        u = v / 24.0
-        for coef in (1 / 6, 0.5, 1.0):
-            u = hA @ u + coef * v
-        return u
-
-    k = s0._y.size
+    k = rows.shape[1]
     b = f(np.zeros(k))
-    hA = np.array([f(e) - b for e in np.eye(k)[:-1]] + [np.zeros(k)]).T * h
-    return np.array([times_m(col) for col in hA.T]).T, times_m(h * b)
+    M = np.zeros((k + 1, k + 1))
+    M[:k] = np.array([f(e) - b for e in np.eye(k)[:-1]] + [np.zeros(k), b]).T
+    s = max(0, math.frexp(dt * np.abs(M).sum(axis=0).max())[1] + 1)
+    D = term = M = np.ldexp(dt * M, -s)
+    for j in range(2, 17):  # terms past the 16th are below eps/10 of D
+        term = np.einsum("ij,jk->ik", term, M) / j
+        D = D + term
+    for i in range(-s, (len(rows) - 1).bit_length()):  # D moves a row 2^i steps
+        if i > -s:
+            D = 2.0 * D + np.einsum("ij,jk->ik", D, D)
+        if i >= 0:
+            block = rows[2**i:2**(i + 1)]
+            n = len(block)
+            np.einsum("ij,kj->ik", rows[:n], D[:k, :k], out=block)
+            block += D[:k, k]
+            block += rows[:n]
 
 
 class _StateRows(SequenceABC):
@@ -378,25 +383,20 @@ def integrate(
     dt: float,
     hbar: float | None = None,
 ) -> MomentTrajectory:
-    """Fixed-step classical RK4 integration of the moment equations.
+    """The moment trajectory at k*dt for k = 0..round(t_end/dt).
 
-    Deterministic; samples at k*dt for k = 0..round(t_end/dt).  For a
-    potential of degree <= 2 the equations are affine and each step applies
-    one RK4 map built from moment_eom before the loop; otherwise moment_eom
-    runs once per stage.  State updates use compensated (Kahan) accumulation
-    so conserved combinations hold to ~1e-13 relative over tens of thousands
-    of steps.
+    For degree <= 2 the equations are affine and the rows are their exact
+    flow, to rounding.  Otherwise each step is classical RK4 (moment_eom once
+    per stage) added by compensated (Kahan) sums, so conserved combinations
+    hold to ~1e-13 relative over 1e4 steps.
 
-    If the uncertainty product G^{0,2} G^{2,0} - (G^{1,1})^2 drops more than
-    1e-6 (relative) below its reference value - hbar^2/4 when hbar is given,
-    otherwise the initial product - a warning is attached to the trajectory
-    (truncation of a nonlinear hierarchy can do this; it is not fatal).
-    Drops within 4 eps (G^{0,2} G^{2,0} + (G^{1,1})^2), the product's
-    rounding error, do not count.
-    A non-finite state is fatal: NumericalError names its step and time, and
-    so does a finite one whose G^{0,2} G^{2,0} + (G^{1,1})^2 overflows.
-    More than _MAX_STEPS steps (t_end/dt, also when it overflows) is refused
-    before the trajectory is allocated.
+    A drop of the uncertainty product G^{0,2} G^{2,0} - (G^{1,1})^2 more than
+    1e-6 (relative) below its reference (hbar^2/4 when hbar is given, else the
+    initial product) and past its rounding error 4 eps (G^{0,2} G^{2,0} +
+    (G^{1,1})^2) attaches a warning, not an error.  NumericalError names the
+    step and time of the first non-finite state, or of the first whose
+    G^{0,2} G^{2,0} + (G^{1,1})^2 overflows.  More than _MAX_STEPS steps
+    (t_end/dt, also when it overflows) is refused before allocation.
     """
     for name, value in (("dt", dt), ("t_end", t_end)):
         if not (math.isfinite(value) and value > 0):
@@ -408,30 +408,29 @@ def integrate(
     times = dt * np.arange(n_steps + 1)
     rows = np.empty((n_steps + 1, s0._y.size))
     rows[0] = y = s0._y
-    comp = np.zeros_like(y)
-    zeros, term = np.zeros_like(y), np.empty_like(y)
-    half, sixth = 0.5 * dt, dt / 6.0
-    affine = V.degree <= 2
-    if affine:
-        D, r = _rk4_propagator(s0, V, m, dt)
-    for step in range(1, n_steps + 1):
-        if affine:
-            np.dot(D, y, out=term)
-            term += r
-        else:
+    step = n_steps
+    if V.degree <= 2:
+        _affine_rows(s0, V, m, dt, rows)
+    else:
+        comp = np.zeros_like(y)
+        half, sixth = 0.5 * dt, dt / 6.0
+        for step in range(1, n_steps + 1):
             k1 = moment_eom(MomentState._wrap(y, order), V, m)._y
             k2 = moment_eom(MomentState._wrap(y + half * k1, order), V, m)._y
             k3 = moment_eom(MomentState._wrap(y + half * k2, order), V, m)._y
             k4 = moment_eom(MomentState._wrap(y + dt * k3, order), V, m)._y
             term = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # Kahan: add term - comp, keep what the sum dropped in comp
-        term -= comp
-        total = np.add(y, term, out=rows[step])
-        np.subtract(np.subtract(total, y, out=comp), term, out=comp)
-        y = total
-        # 0 * y is NaN exactly where y is +-inf or NaN, and a NaN term makes the sum NaN
-        if math.isnan(zeros.dot(y)):
-            raise NumericalError(f"moment state is not finite at step {step} (t = {times[step]:.6g})")
+            # Kahan: add term - comp, keep what the sum dropped in comp
+            term -= comp
+            total = np.add(y, term, out=rows[step])
+            np.subtract(np.subtract(total, y, out=comp), term, out=comp)
+            y = total
+            if not np.isfinite(y).all():
+                break
+    bad = np.flatnonzero(~np.isfinite(rows[1:step + 1]).all(axis=1))
+    if bad.size:
+        step = bad[0] + 1
+        raise NumericalError(f"moment state is not finite at step {step} (t = {times[step]:.6g})")
     rows.flags.writeable = False
     # uncertainty product G02 G20 - G11^2 of every sample (slots 2, 3, 4)
     g02, g11, g20 = rows[:, 2], rows[:, 3], rows[:, 4]
@@ -446,7 +445,7 @@ def integrate(
     reference = hbar * hbar / 4.0 if hbar is not None else product[0]
     worst = 0.0
     if reference > 0:
-        # rounding moves the product by about eps (G02 G20 + G11^2) (up to 1.2x
+        # rounding moves the product by about eps (G02 G20 + G11^2) (up to 1.5x
         # under gravity), which can exceed 1e-6 of it: count drops past 4x that
         drop = (reference - product)[1:]
         drop[drop <= 4.0 * _EPS * scale[1:]] = 0.0

@@ -392,6 +392,21 @@ class TestConfigHandling:
                      "--out", "-"]) == 3
         assert "uncertainty product overflows at step 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["classical", "--x0", "1e-300", "--tend", "1e300", "--dt", "1e300"],
+         "column x_fourier is nan at row 1 (t = 1e+300)"),
+        (["compare", "--x0", "1e300", "--sigma", "7.875", "--alpha", "40.4", "--tend", "2", "--dt", "1e300",
+          "--nmax", "0"], "column env_lower is -inf at row 1 (t = 1e+300)"),
+    ], ids=["classical-nan-fourier", "compare-inf-envelope"])
+    def test_non_finite_cell_is_numerical_failure(self, argv, message, capsys):
+        # the Fourier series overflows to nan at t = 1e300, and the envelope
+        # and G02 to +-inf: both CSVs were once written with exit 0.  Every
+        # table passes one finiteness gate before it is written: exit 3
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([*argv, "--out", "-"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"numerical failure: {message}\n"
+
     @pytest.mark.parametrize("command", [
         ["compare", "--nmax", "0", "--tend", "0.1", "--dt", "0.05"],
         ["moments"],
