@@ -53,6 +53,9 @@ _NORM_CHECK_TOL = 1e-8
 _N_MAX_CHECKED = 10_000
 _HALF_LINE_CLIP_LIMIT = 1e-6
 _TRUNCATION_LIMIT = 1e-3
+# the most values one projection table (30 points a panel, one column a state)
+# may hold, 32 MB; the projections tested need at most 94 080
+_MAX_OVERLAP_VALUES = 4_000_000
 # NUFFT Gaussian half-width (12 fails the mpmath test), oversampling, block
 _SPREAD = 16
 _OVERSAMPLE = 2
@@ -148,12 +151,13 @@ class SpectralState:
         return 1.0 - float(np.sum(np.abs(self.coefficients) ** 2))
 
 
-def _initial_panels(span_star: float, x_top: float) -> int:
+def _initial_panels(span_star: float, x_top: float) -> float:
     """Panel count for the projection integral over span_star l_g of
     states up to the zero x_top.  Ai(x - x_n)^2 turns through at most
     2 sqrt(x_top) radians per unit x (at the mirror, for n = top); no panel
-    spans more than 18 of them, and there are at least 8."""
-    return max(8, math.ceil(span_star * math.sqrt(x_top) / 9.0))
+    spans more than 18 of them, and there are at least 8.  A whole float,
+    inf where the count overflows."""
+    return max(8.0, float(np.ceil(span_star * math.sqrt(x_top) / 9.0)))
 
 
 def _eigenfunction_table(basis: Eigenbasis, x) -> np.ndarray:
@@ -214,15 +218,21 @@ def build_basis(n_max: int, u: UnitSystem) -> Eigenbasis:
 def _overlaps(func, basis: Eigenbasis, lo: float, hi: float) -> np.ndarray:
     """Integrals of func(x) psi_n(x) over [lo, hi] for every state n, by one
     vector-valued integrate_1d call on _initial_panels panels; DomainError
-    unless lo and hi are finite, NumericalError if a panel fails its check."""
+    unless lo and hi are finite or if its table of values would hold more
+    than _MAX_OVERLAP_VALUES, NumericalError if a panel fails its check."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"projection interval must be finite, got [{lo!r}, {hi!r}]")
+    panels = _initial_panels((hi - lo) / basis.units.l_g, float(basis.zeros[-1]))
+    if 30 * panels * basis.n_max > _MAX_OVERLAP_VALUES:
+        raise DomainError(
+            f"projection over [{lo!r}, {hi!r}] needs {panels:g} panels for {basis.n_max} states, "
+            f"more than {_MAX_OVERLAP_VALUES} values in one table"
+        )
 
     def integrand(x):
         return _eigenfunction_table(basis, x) * func(x)[:, None]
 
-    panels = _initial_panels((hi - lo) / basis.units.l_g, float(basis.zeros[-1]))
-    return integrate_1d(integrand, lo, hi, panels)
+    return integrate_1d(integrand, lo, hi, int(panels))
 
 
 def project_function(func, basis: Eigenbasis, lo: float, hi: float) -> SpectralState:

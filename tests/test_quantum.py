@@ -216,6 +216,20 @@ class TestProjection:
         with pytest.raises(DomainError, match="finite"):
             project_function(lambda x: np.exp(-x * x), basis12, 0.0, hi)
 
+    @pytest.mark.parametrize("hi", [1e12, 1e308])
+    def test_wide_interval_refused_before_allocating(self, basis12, hi):
+        # [0, 1e12] once sized a quadrature of 4e11 panels (and 1e308 a count
+        # that overflows a float); the table bound refuses both up front
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"needs \S+ panels for 12 states") as info:
+                project_function(lambda x: np.exp(-x * x), basis12, 0.0, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"[0.0, {hi!r}]" in str(info.value)
+        assert peak < 2**20
+
     def test_projection_refines_from_two_panels(self, basis26, packet_state, monkeypatch):
         # two panels over the packet's [0, x0 + 9 sigma] cannot resolve
         # psi_n phi; the fixed rule refines no panel, so project_function

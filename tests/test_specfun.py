@@ -1,6 +1,7 @@
 """Airy evaluation, zero finding, and quadrature: the fixed production rule
 and the adaptive oracle it is held to."""
 
+import decimal
 import math
 import os
 import subprocess
@@ -16,6 +17,7 @@ import qbouncer.specfun as specfun
 import quadrature_oracle
 from qbouncer.errors import DomainError, NumericalError
 from qbouncer.specfun import (
+    AiryValue,
     airy,
     airy_ai,
     airy_ai_prime,
@@ -62,7 +64,7 @@ class TestAiryValues:
         assert np.array_equal(v.ai_prime, airy_ai_prime(xs))
 
     @pytest.mark.parametrize("lo,hi", [(-4.5, 1.5), (-9.0, 9.0), (9.0, 40.0), (-40.0, -9.0)],
-                             ids=["maclaurin", "anchor", "asymptotic+", "asymptotic-"])
+                             ids=["near-origin", "anchor", "asymptotic+", "asymptotic-"])
     def test_single_functions_equal_the_pair_bitwise(self, lo, hi):
         # airy_ai skips the rows of Ai' in every region's table and no Ai row
         # reads them; airy_ai_prime is the pair's Ai'.  So the bits are the
@@ -76,8 +78,8 @@ class TestAiryValues:
 
     def test_array_equals_scalar_bitwise(self):
         # every region, each cut with its neighbours, two anchors (h = 0) and 0
-        cuts = [-9.0, -4.5, 1.5, 9.0]
-        xs = [-30.0, -6.1, -1.3, 0.7, 5.2, 20.0, -7.875, 4.125, 0.0]
+        cuts = [-9.0, 9.0]
+        xs = [-30.0, -6.1, -4.5, -1.3, 0.7, 1.5, 5.2, 20.0, -7.875, 4.125, 0.0]
         xs += [y for c in cuts for y in (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf))]
         v = airy(np.array(xs))
         w = [airy(float(x)) for x in xs]
@@ -133,14 +135,60 @@ class TestAiryValues:
         assert np.abs(fd - airy_ai_prime(xs)).max() < 1e-6
 
 
+def _series_oracle(xs, mpmath):
+    """Ai and Ai' at each x by the Maclaurin series of y'' = x y (DLMF 9.4.1),
+    60 terms in x^3 summed in 40-digit decimal arithmetic from mpmath's Ai(0)
+    and Ai'(0): at |x| <= 9 its cancellation costs at most 16 digits, and it
+    is much faster than 14 402 mpmath.airyai calls."""
+    with mpmath.workdps(45), decimal.localcontext() as ctx:
+        ctx.prec = 40
+        ai0, aip0 = (decimal.Decimal(mpmath.nstr(mpmath.airyai(0, derivative=d), 42)) for d in (0, 1))
+        # f = sum f_k x^(3k) and g = sum g_k x^(3k+1) solve the ODE from (1, 0) and (0, 1)
+        f, g = [decimal.Decimal(1)], [decimal.Decimal(1)]
+        for k in range(1, 60):
+            f.append(f[-1] / ((3 * k) * (3 * k - 1)))
+            g.append(g[-1] / ((3 * k + 1) * (3 * k)))
+        rows = (f, g, [c * 3 * k for k, c in enumerate(f)][1:], [c * (3 * k + 1) for k, c in enumerate(g)])
+        out = []
+        for x in xs:
+            d = decimal.Decimal(float(x))
+            t = d * d * d
+            sums = []
+            for row in rows:
+                acc = decimal.Decimal(0)
+                for c in reversed(row):
+                    acc = acc * t + c
+                sums.append(acc)
+            sf, sg, sfp, sgp = sums
+            out.append((float(ai0 * sf + aip0 * sg * d), float(ai0 * sfp * d * d + aip0 * sgp)))
+    return np.array(out).T
+
+
+class TestAiryAbsoluteAccuracy:
+    def test_absolute_error_against_mpmath_on_anchor_band(self):
+        # anchored Taylor steps on all of [-9, 9]: measured 1.1e-16 (Ai) and
+        # 2.2e-16 (Ai'); a Maclaurin series in doubles on [-4.5, 1.5] gave
+        # 4.2e-15 and 9.2e-15
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.linspace(-9.0, 9.0, 7201)
+        exact = _series_oracle(xs, mpmath)
+        with mpmath.workdps(30):  # the oracle itself, at every 100th point
+            for x, want in zip(xs[::100], exact.T[::100]):
+                assert want.tolist() == [float(mpmath.airyai(x, derivative=d)) for d in (0, 1)]
+        v = airy(xs)
+        for got, want, bound in ((v.ai, exact[0], 5e-16), (v.ai_prime, exact[1], 1e-15)):
+            err = np.abs(got - want).max()
+            assert err <= bound, (bound, err)
+
+
 class TestAiryRelativeAccuracy:
     """Ai and Ai' on x >= 0 held to mpmath relatively: callers scale Ai by
     e^(a x), which multiplies its relative error, not its absolute one."""
 
-    @pytest.mark.parametrize("lo,hi,step,bound", [(0.0, 9.0, 0.025, 1e-14), (9.0, 40.0, 0.1, 1e-13)])
+    @pytest.mark.parametrize("lo,hi,step,bound", [(0.0, 9.0, 0.025, 1.5e-15), (9.0, 40.0, 0.1, 1e-13)])
     def test_relative_error_against_mpmath(self, lo, hi, step, bound):
-        # on [0, 9] the Maclaurin branch used to lose 9e-11 near x = 4.49;
-        # measured <= 2.5e-15 there and 3.0e-14 on (9, 40]
+        # on [0, 9] every point is within 0.375 of an anchor: measured
+        # 6.7e-16 (Ai) and 6.0e-16 (Ai'); 2.8e-14 on (9, 40]
         mpmath = pytest.importorskip("mpmath")
         xs = np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)[1 if lo else 0:]
         with mpmath.workdps(30):
@@ -243,7 +291,7 @@ class TestAiryZeros:
         assert zeros == np.array([airy_zero(n) for n in range(1, 2001)]).tobytes()
         assert zeros == np.array([_scalar_newton_zero(n) for n in range(1, 2001)]).tobytes()
 
-    @pytest.mark.parametrize("n", [1, 100, 400, 1000, 3000, 10000])
+    @pytest.mark.parametrize("n", [1, 2, 100, 400, 1000, 3000, 10000])
     def test_zero_and_slope_match_mpmath(self, n):
         # the basis norms are 1/|Ai'(-x_n)| and its closed-form norm check
         # trusts both; measured relative errors <= 2.3e-16
@@ -393,6 +441,8 @@ class TestQuadrature:
             integrate_1d(np.cos, 1.0, 0.0, 1)
         with pytest.raises(DomainError):
             integrate_1d(np.cos, 0.0, math.inf, 1)
+        with pytest.raises(DomainError, match="finite width"):
+            integrate_1d(np.cos, -1e308, 1e308, 1)
 
 
 class TestFixedRule:
@@ -442,3 +492,53 @@ class TestFixedRule:
     def test_panels_must_be_positive(self, panels):
         with pytest.raises(DomainError, match="panels >= 1"):
             integrate_1d(np.cos, 0.0, 1.0, panels)
+
+    @pytest.mark.parametrize("panels", [2.5, np.float64(3.0)])
+    def test_panels_must_be_an_integer(self, panels):
+        # both once raised numpy's TypeError from linspace
+        with pytest.raises(DomainError, match="panel count must be an integer"):
+            integrate_1d(np.cos, 0.0, 1.0, panels)
+
+
+# any float at all, and the same in short lists (arrays)
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+ANY_ARGUMENT = st.one_of(ANY_FLOAT, st.lists(ANY_FLOAT, min_size=1, max_size=6))
+# integers and floats, most of them not usable as a count
+ANY_COUNT = st.one_of(st.integers(max_value=50), ANY_FLOAT)
+
+
+def _finite_or_refused(f, *args):
+    try:
+        out = f(*args)
+    except (DomainError, NumericalError):
+        return
+    parts = (out.ai, out.ai_prime) if isinstance(out, AiryValue) else (out,)
+    for part in parts:
+        assert np.isfinite(part).all(), (f.__name__, args, part)
+
+
+class TestEntryPointsProperty:
+    """Every public entry point of specfun, on arbitrary inputs, returns finite
+    values or raises DomainError or NumericalError: never a NaN, a numpy
+    warning (an error under this suite's filterwarnings) or another exception."""
+
+    @given(x=ANY_ARGUMENT)
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_airy(self, x):
+        for f in (airy, airy_ai, airy_ai_prime):
+            _finite_or_refused(f, x)
+
+    @given(y=ANY_ARGUMENT, a=ANY_FLOAT)
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_airy_ai_smoothed(self, y, a):
+        _finite_or_refused(airy_ai_smoothed, y, a)
+
+    @given(n=ANY_COUNT)
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_airy_zeros(self, n):
+        _finite_or_refused(airy_zeros, n)
+
+    @given(a=ANY_FLOAT, b=ANY_FLOAT, panels=st.one_of(st.integers(max_value=64), st.floats(-4.0, 64.0)))
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_integrate_1d(self, a, b, panels):
+        _finite_or_refused(integrate_1d, np.cos, a, b, panels)
