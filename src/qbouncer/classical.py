@@ -44,9 +44,14 @@ def _check_times(t):
 
 
 def free_fall(spec: BounceSpec, t):
-    """x0 + v0*t - (g/2)*t^2, no mirror."""
+    """x0 + v0*t - (g/2)*t^2, no mirror; DomainError where it overflows."""
     t = _check_times(t)
-    out = spec.x0 + spec.v0 * t - 0.5 * spec.g * t * t
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = spec.x0 + spec.v0 * t - 0.5 * spec.g * t * t
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise DomainError(f"free fall overflows at t={float(t[bad][0])!r} (x0={spec.x0!r}, "
+                          f"v0={spec.v0!r}, g={spec.g!r})")
     return float(out) if out.ndim == 0 else out
 
 
@@ -74,21 +79,41 @@ def _bounce_series(x0: float, T: float, t, n_terms: int, damping: float = 0.0):
                  * exp(-damping n^2) * cos(pi n t / T)
 
     The bounce Fourier series (damping = 0) and its Gaussian-damped
-    semiclassical form; T > 0 is the drop time.  The weights fall with n, so
-    the sum stops at the first one that underflows to 0: every later term is
-    +-0.0 and leaves the accumulator (never -0.0) unchanged.
+    semiclassical form; T > 0 is the drop time.  The coefficients
+    a_n = (-1)^(n+1) exp(-damping n^2)/n^2 fall with n, so they stop at the
+    first weight that underflows to 0.  The sum of a_n cos(n theta), with
+    theta = pi t/T, is Clenshaw's backward recurrence (Math. Comp. 9, 118
+    (1955)) on c = cos(theta):
+
+        b_n = a_n + 2 c b_(n+1) - b_(n+2),   sum = c b_1 - b_2,
+
+    one cos per time and three array operations per term.  Raises
+    DomainError when 4 x0/pi^2 or pi max(t)/T overflows.
     """
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
     t = _check_times(t)
-    acc = np.zeros_like(t)
+    amplitude = 4.0 * x0 / math.pi**2
+    if not math.isfinite(amplitude):
+        raise DomainError(f"x0={x0!r} overflows the series amplitude 4 x0/pi^2")
+    t_max = float(np.max(t, initial=0.0))
+    if not math.isfinite(math.pi / T * t_max):
+        raise DomainError(f"the series phase pi t/T overflows at T={T!r}, t={t_max!r}")
+    coeffs = []
     for n in range(1, n_terms + 1):
         weight = math.exp(-damping * n * n)
         if weight == 0.0:
             break
-        sign = 1.0 if n % 2 else -1.0
-        acc += sign / (n * n) * weight * np.cos((math.pi * n / T) * t)
-    out = (2.0 / 3.0) * x0 + (4.0 * x0 / math.pi**2) * acc
+        coeffs.append((1.0 if n % 2 else -1.0) / (n * n) * weight)
+    c = np.cos((math.pi / T) * t)
+    two_c = 2.0 * c
+    b1, b2, b0 = np.zeros_like(t), np.zeros_like(t), np.empty_like(t)
+    for a in reversed(coeffs):
+        np.multiply(two_c, b1, out=b0)
+        b0 -= b2
+        b0 += a
+        b0, b1, b2 = b2, b0, b1
+    out = (2.0 / 3.0) * x0 + amplitude * (c * b1 - b2)
     return float(out) if out.ndim == 0 else out
 
 

@@ -445,5 +445,6 @@ def expectation_x_series(p: PacketSpec, t, n_terms: int):
     convention of classical.bounce_fourier and reduces to it term by term
     when the damping factors are 1 (sigma -> inf).
     """
-    damping = math.pi**2 * p.x0 / (2.0 * p.sigma**2)
+    # sigma = inf is undamped even where pi^2 x0 overflows (inf/inf is nan)
+    damping = 0.0 if p.sigma == math.inf else math.pi**2 * p.x0 / (2.0 * p.sigma**2)
     return _bounce_series(p.x0, math.sqrt(p.x0), t, n_terms, damping)

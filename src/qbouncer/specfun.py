@@ -350,6 +350,10 @@ _GL_NODES = np.array([-x for x, _ in _GL_HALF[:0:-1]] + [x for x, _ in _GL_HALF]
 _GL_WEIGHTS = np.array([w for _, w in _GL_HALF[:0:-1]] + [w for _, w in _GL_HALF])
 # absolute and relative tolerance of every component of an integral
 _QUAD_TOL = 1e-10
+# refused before any array is sized: 200 000 panels take 6e6 nodes per call.
+# The projection needs at most 133 333 (its 4e6-value table at one state);
+# the tests and benchmark workloads use at most 49.
+_MAX_PANELS = 200_000
 
 
 def _panel_values(f, lo, hi):
@@ -383,7 +387,8 @@ def integrate_1d(
     values; no panel is refined further.  Deterministic for fixed inputs.
 
     Raises DomainError unless a < b with b - a finite, for a panel count
-    that is not an integer >= 1, or if f's result does not have the points
+    that is not an integer in 1.._MAX_PANELS (checked before any array is
+    sized), or if f's result does not have the points
     on its leading axis, and NumericalError naming the first panel that
     fails the test.
     """
@@ -392,6 +397,8 @@ def integrate_1d(
     panels = _index(panels, "panel count")
     if not panels >= 1:
         raise DomainError(f"integrate_1d needs panels >= 1, got {panels!r}")
+    if panels > _MAX_PANELS:
+        raise DomainError(f"integrate_1d takes at most {_MAX_PANELS} panels, got {panels!r}")
     edges = np.linspace(a, b, panels + 1)
     lo = edges[:-1]
     hi = edges[1:]

@@ -1,6 +1,7 @@
 """Classical bounce: free fall, fold, Heaviside-sum oracle, Fourier series."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from qbouncer.classical import BounceSpec, bounce_fourier, bounce_trajectory, free_fall
 from qbouncer.errors import DomainError
+from qbouncer.quantum import PacketSpec, expectation_x_series
 from series_tail import truncation_sup
 
 
@@ -45,6 +47,12 @@ class TestFreeFall:
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
             free_fall(BounceSpec(x0=1.0, g=2.0), -0.1)
+
+    @pytest.mark.parametrize("v0,g,t", [(0.0, 2.0, 1e200), (1e300, 1e300, 1e10)], ids=["overflow", "inf-minus-inf"])
+    def test_overflowing_height_rejected(self, v0, g, t):
+        # g t^2 (and v0 t) overflow: once a numpy warning and an inf or nan
+        with pytest.raises(DomainError, match=re.escape(f"free fall overflows at t={t!r}")):
+            free_fall(BounceSpec(x0=1.0, g=g, v0=v0), [0.0, t])
 
 
 @pytest.mark.parametrize("x0,g", [(1.0, 1e-320), (1.7e308, 2.0)])
@@ -131,9 +139,60 @@ class TestBounceFourier:
         with pytest.raises(DomainError):
             bounce_fourier(BounceSpec(x0=1.0, g=2.0, v0=1.0), 0.0, 5)
 
+    def test_overflowing_amplitude_rejected(self):
+        # 4 x0 overflows before the division by pi^2: once [inf, inf], silently
+        with pytest.raises(DomainError, match="x0=5e\\+307 overflows the series amplitude"):
+            bounce_fourier(BounceSpec(5e307, 10.0), [0.0, 1.0], 5)
+
+    def test_overflowing_phase_rejected(self):
+        # pi t/T overflows (T = 1e-150 here): once numpy overflow warnings and nan
+        with pytest.raises(DomainError, match=re.escape("pi t/T overflows at T=1e-150, t=1e+300")):
+            bounce_fourier(BounceSpec(1e-300, 2.0), [0.0, 1e300], 5)
+
     @given(st.floats(min_value=0.1, max_value=50.0), st.floats(min_value=0, max_value=40.0))
     @settings(max_examples=100)
     def test_series_tracks_fold(self, x0, t):
         spec = BounceSpec(x0=x0, g=9.81)
         err = abs(bounce_fourier(spec, t, 400) - bounce_trajectory(spec, t))
         assert err <= 2e-3 * x0
+
+
+# any float at all, and the same in short lists (arrays)
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+ANY_TIMES = st.one_of(ANY_FLOAT, st.lists(ANY_FLOAT, min_size=1, max_size=6))
+ANY_TERMS = st.integers(min_value=-2, max_value=400)
+
+
+def _finite_or_refused(f, *args):
+    try:
+        out = f(*args)
+    except DomainError:
+        return
+    assert np.isfinite(out).all(), (args, out)
+
+
+class TestEntryPointsProperty:
+    """free_fall, bounce_trajectory, bounce_fourier and expectation_x_series,
+    on arbitrary inputs, return finite values or raise DomainError: never a
+    NaN, a numpy warning (an error under this suite's filterwarnings) or
+    another exception."""
+
+    @given(x0=ANY_FLOAT, g=ANY_FLOAT, v0=ANY_FLOAT, t=ANY_TIMES)
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_free_fall(self, x0, g, v0, t):
+        _finite_or_refused(lambda: free_fall(BounceSpec(x0, g, v0), t))
+
+    @given(x0=ANY_FLOAT, g=ANY_FLOAT, v0=ANY_FLOAT, t=ANY_TIMES)
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_bounce_trajectory(self, x0, g, v0, t):
+        _finite_or_refused(lambda: bounce_trajectory(BounceSpec(x0, g, v0), t))
+
+    @given(x0=ANY_FLOAT, g=ANY_FLOAT, v0=ANY_FLOAT, t=ANY_TIMES, n_terms=ANY_TERMS)
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_bounce_fourier(self, x0, g, v0, t, n_terms):
+        _finite_or_refused(lambda: bounce_fourier(BounceSpec(x0, g, v0), t, n_terms))
+
+    @given(x0=ANY_FLOAT, sigma=ANY_FLOAT, t=ANY_TIMES, n_terms=ANY_TERMS)
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_expectation_x_series(self, x0, sigma, t, n_terms):
+        _finite_or_refused(lambda: expectation_x_series(PacketSpec(x0, sigma), t, n_terms))

@@ -398,14 +398,27 @@ class TestConfigHandling:
         (["compare", "--x0", "1e300", "--sigma", "7.875", "--alpha", "40.4", "--tend", "2", "--dt", "1e300",
           "--nmax", "0"], "column env_lower is -inf at row 1 (t = 1e+300)"),
     ], ids=["classical-nan-fourier", "compare-inf-envelope"])
-    def test_non_finite_cell_is_numerical_failure(self, argv, message, capsys):
-        # the Fourier series overflows to nan at t = 1e300, and the envelope
-        # and G02 to +-inf: both CSVs were once written with exit 0.  Every
-        # table passes one finiteness gate before it is written: exit 3
+    def test_non_finite_cell_is_numerical_failure(self, argv, message, capsys, monkeypatch):
+        # a Fourier series with nan at t = 1e300 (the series itself now
+        # refuses this grid, so a stand-in supplies the nan), and the envelope
+        # and G02 overflowing to +-inf: both CSVs were once written with exit
+        # 0.  Every table passes one finiteness gate before it is written: exit 3
+        monkeypatch.setattr(cli.classical, "bounce_fourier",
+                            lambda spec, t, n_terms: np.where(t < 1e300, 0.0, np.nan))
         with np.errstate(over="ignore", invalid="ignore"):
             assert main([*argv, "--out", "-"]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err == f"numerical failure: {message}\n"
+
+    def test_overflowing_series_phase_rejected(self, capsys):
+        # pi t/T overflows at t = 1e300 for T ~ 4.5e-151: the series once
+        # warned of overflow and wrote nan; it now refuses T and t by name,
+        # exit 2 (a numpy warning is an error under this suite)
+        argv = ["classical", "--x0", "1e-300", "--tend", "1e300", "--dt", "1e300", "--out", "-"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: the series phase pi t/T overflows at T=")
+        assert err.count("\n") == 1 and "t=1e+300" in err and "RuntimeWarning" not in err
 
     @pytest.mark.parametrize("command", [
         ["compare", "--nmax", "0", "--tend", "0.1", "--dt", "0.05"],

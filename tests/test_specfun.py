@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -492,6 +493,25 @@ class TestFixedRule:
     def test_panels_must_be_positive(self, panels):
         with pytest.raises(DomainError, match="panels >= 1"):
             integrate_1d(np.cos, 0.0, 1.0, panels)
+
+    @pytest.mark.parametrize("panels", [200_001, 10**9, 10**30])
+    def test_panel_count_capped_before_any_array(self, panels):
+        # 10**9 panels once sized linspace and node arrays of 1e9-4.5e10 values
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=f"at most 200000 panels, got {panels}"):
+                integrate_1d(np.cos, 0.0, 1.0, panels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_panel_cap_admits_every_projection(self):
+        # the projection refuses a table of more than _MAX_OVERLAP_VALUES
+        # values (30 nodes per panel and state) first, so the cap never binds there
+        from qbouncer.quantum import _MAX_OVERLAP_VALUES
+
+        assert math.ceil(_MAX_OVERLAP_VALUES / 30) <= specfun._MAX_PANELS
 
     @pytest.mark.parametrize("panels", [2.5, np.float64(3.0)])
     def test_panels_must_be_an_integer(self, panels):
