@@ -205,24 +205,15 @@ def run_quantum(cfg: ScenarioConfig):
 
 def run_moments(cfg: ScenarioConfig):
     u = cfg.units
-    ic = moments.saturated_ic(cfg.alpha, u)
     potential = moments.PolynomialPotential.gravity(u.m, u.g)
-    s0 = moments.initial_state(ic, x0=cfg.x0)
-    header = ["t", "x", "p", "G20", "G11", "G02", "uncertainty", "energy"]
-    if cfg.tend == 0.0:
-        times, rows = np.zeros(1), s0._y[None]
-    else:
-        traj = moments.integrate(s0, potential, u.m, cfg.tend, cfg.dt, hbar=u.hbar)
-        for msg in traj.warnings:
-            print(f"warning: {msg}", file=sys.stderr)
-        times, rows = traj.times, traj.states._rows
-    X, P, G02, G11, G20 = rows[:, :5].T
-    # the operations of uncertainty_product (libm pow, not numpy's x*x) and
-    # effective_hamiltonian, in order; integrate has refused a G02 G20 or G11^2
-    # that overflows, where c ** 2 would raise OverflowError
-    unc = [a * b - c ** 2 for a, b, c in zip(G02.tolist(), G20.tolist(), G11.tolist())]
-    energy = P * P / (2.0 * u.m) + potential.value(X) + G20 / (2.0 * u.m)
-    return header, [times, X, P, G20, G11, G02, unc, energy]
+    s0 = moments.initial_state(moments.saturated_ic(cfg.alpha, u), x0=cfg.x0)
+    traj = moments.integrate(s0, potential, u.m, cfg.tend, cfg.dt, hbar=u.hbar)
+    for msg in traj.warnings:
+        print(f"warning: {msg}", file=sys.stderr)
+    s = traj.states
+    return ["t", "x", "p", "G20", "G11", "G02", "uncertainty", "energy"], [
+        traj.times, s.x, s.p, s.moment(2, 0), s.moment(1, 1), s.moment(0, 2),
+        moments.uncertainty_product(s), moments.effective_hamiltonian(s, potential, u.m)]
 
 
 def run_compare(cfg: ScenarioConfig):

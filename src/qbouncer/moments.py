@@ -96,13 +96,33 @@ def moment_pairs(order: int) -> list[tuple[int, int]]:
     return [(a, total - a) for total in range(2, order + 1) for a in range(total + 1)]
 
 
-def _slot(a: int, b: int) -> int:
-    """Position of G^{a,b} in the flat state vector [x, p, G...] (moment_pairs order)."""
-    total = a + b
-    return total * (total + 1) // 2 - 1 + a
+def _slot(a: int, b: int, order: int) -> int:
+    """Position of G^{a,b} in the flat state vector [x, p, G..., 0] (moment_pairs
+    order); first moments, moments beyond the order and negative indices
+    close to the trailing zero slot, just past G^{order,0}."""
+    if a < 0 or b < 0 or not 2 <= a + b <= order:
+        a, b = 0, order + 1
+    return (a + b) * (a + b + 1) // 2 - 1 + a
 
 
-class MomentState:
+class _MomentReader:
+    """x, p, order and moment(a, b) of one state or of every sample of a
+    trajectory: a subclass reads slot i of [x, p, G..., 0] with _read(i)."""
+
+    __slots__ = ()
+    x = property(lambda self: self._read(0))
+    p = property(lambda self: self._read(1))
+    order = property(lambda self: self._order)
+
+    def moment(self, a: int, b: int):
+        """G^{a,b} with the closure convention: first moments and moments
+        beyond the truncation order read as zero."""
+        if a < 0 or b < 0:
+            raise DomainError("moment indices must be >= 0")
+        return self._read(_slot(a, b, self._order))
+
+
+class MomentState(_MomentReader):
     """Expectation values (x, p) plus central moments up to a truncation order.
 
     The values live in one read-only float vector [x, p, G..., 0] with G in
@@ -122,7 +142,7 @@ class MomentState:
         for key, val in G.items():
             if key not in pairs:
                 raise DomainError(f"moment index {key} outside 2 <= a+b <= {order}")
-            y[_slot(*key)] = val
+            y[_slot(*key, order)] = val
         y.flags.writeable = False
         self._y, self._order = y, order
 
@@ -138,30 +158,12 @@ class MomentState:
         """Build a state with every moment up to `order` present (missing -> 0)."""
         return cls(x, p, G or {}, order)
 
-    @property
-    def x(self) -> float:
-        return float(self._y[0])
-
-    @property
-    def p(self) -> float:
-        return float(self._y[1])
-
-    @property
-    def order(self) -> int:
-        return self._order
+    def _read(self, i: int) -> float:
+        return float(self._y[i])
 
     @property
     def G(self) -> Mapping[tuple[int, int], float]:
         return MappingProxyType(dict(zip(moment_pairs(self._order), self._y[2:-1].tolist())))
-
-    def moment(self, a: int, b: int) -> float:
-        """G^{a,b} with the closure convention: first moments and moments
-        beyond the truncation order read as zero."""
-        if a < 0 or b < 0:
-            raise DomainError("moment indices must be >= 0")
-        if a + b < 2 or a + b > self._order:
-            return 0.0
-        return float(self._y[_slot(a, b)])
 
     def __eq__(self, other):
         if not isinstance(other, MomentState):
@@ -203,8 +205,8 @@ def initial_state(ic: SaturatedIC, x0: float, p0: float = 0.0, order: int = 2) -
     )
 
 
-def effective_hamiltonian(s: MomentState, V: PolynomialPotential, m: float) -> float:
-    """Expectation of the Hamiltonian p^2/2m + V(x) through the stored moments:
+def effective_hamiltonian(s, V: PolynomialPotential, m: float):
+    """<p^2/2m + V(x)> of a MomentState, or of every sample of traj.states:
 
         H(x, p) + G^{2,0}/(2m) + sum_{b=2..order} V^(b)(x)/b! * G^{0,b}
 
@@ -236,17 +238,14 @@ def _eom_tables(order: int, coefficients: tuple[float, ...], m: float) -> tuple:
     coefficients += (0.0,) * (3 - len(coefficients))
     degree = len(coefficients) - 1
 
-    def at(a, b):
-        return _slot(a, b) if a >= 0 and b >= 0 and 2 <= a + b <= order else zero
-
     def row(f, fill):
         return [fill, fill] + [f(a, b) for a, b in pairs] + [fill]
 
     ns = range(2, degree + 1)
     idx = np.array(
-        [row(lambda a, b: at(a + 1, b - 1), zero)]
-        + [row(lambda a, b: at(a - 1, b + n - 1), zero) for n in ns]
-        + [row(lambda a, b: at(a - 1, b), zero)]
+        [row(lambda a, b: _slot(a + 1, b - 1, order), zero)]
+        + [row(lambda a, b: _slot(a - 1, b + n - 1, order), zero) for n in ns]
+        + [row(lambda a, b: _slot(a - 1, b, order), zero)]
     )
     w = np.array(
         [row(lambda a, b: b / m, 0.0)] + [row(lambda a, b: -a if n == 2 else a, 0.0) for n in ns],
@@ -257,7 +256,7 @@ def _eom_tables(order: int, coefficients: tuple[float, ...], m: float) -> tuple:
          float(math.factorial(n - 1)))
         for n in range(1, degree + 1)
     )
-    g_slots = tuple(at(0, n - 1) for n in range(3, degree + 1))
+    g_slots = tuple(_slot(0, n - 1, order) for n in range(3, degree + 1))
     idx.flags.writeable = w.flags.writeable = False
     return idx, w, horner, g_slots
 
@@ -330,12 +329,15 @@ def _affine_rows(s0: MomentState, V: PolynomialPotential, m: float, dt: float, r
             block += rows[:n]
 
 
-class _StateRows(SequenceABC):
-    """MomentState views of the rows of a (T, k) trajectory array, built on
-    access; row 0 is the initial state object itself."""
+class _StateRows(_MomentReader, SequenceABC):
+    """MomentState views of the rows of a read-only (T, k) trajectory array, built
+    on access (row 0 is the initial state object itself); x, p, moment read columns."""
 
     def __init__(self, first: MomentState, rows: np.ndarray):
-        self._first, self._rows = first, rows
+        self._first, self._rows, self._order = first, rows, first.order
+
+    def _read(self, i: int) -> np.ndarray:
+        return self._rows[:, i]
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -344,12 +346,12 @@ class _StateRows(SequenceABC):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         j = range(len(self))[i]
-        return self._first if j == 0 else MomentState._wrap(self._rows[j], self._first.order)
+        return self._first if j == 0 else MomentState._wrap(self._rows[j], self._order)
 
     def __iter__(self) -> Iterator[MomentState]:
         yield self._first
         for row in self._rows[1:]:
-            yield MomentState._wrap(row, self._first.order)
+            yield MomentState._wrap(row, self._order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,7 +359,9 @@ class MomentTrajectory:
     """Sampled output of integrate(); iterating yields (t, MomentState).
 
     states is backed by one (T, k) array; its MomentState objects are views
-    of its rows, built when they are read.  worst_uncertainty_deficit is the
+    of its rows, built when they are read; its x, p and moment(a, b) are
+    read-only columns, which uncertainty_product and effective_hamiltonian
+    take as they take a state.  worst_uncertainty_deficit is the
     largest relative drop of the uncertainty product below its reference
     over the samples after the first (0 when it never drops past its
     rounding error): the number behind the warning.
@@ -383,7 +387,8 @@ def integrate(
     dt: float,
     hbar: float | None = None,
 ) -> MomentTrajectory:
-    """The moment trajectory at k*dt for k = 0..round(t_end/dt).
+    """The moment trajectory at k*dt for k = 0..round(t_end/dt), t_end >= 0
+    (at least one step for t_end > 0; t_end = 0 gives the one sample s0).
 
     For degree <= 2 the equations are affine and the rows are their exact
     flow, to rounding.  Otherwise each step is classical RK4 (moment_eom once
@@ -398,13 +403,14 @@ def integrate(
     G^{0,2} G^{2,0} + (G^{1,1})^2 overflows.  More than _MAX_STEPS steps
     (t_end/dt, also when it overflows) is refused before allocation.
     """
-    for name, value in (("dt", dt), ("t_end", t_end)):
-        if not (math.isfinite(value) and value > 0):
-            raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise DomainError(f"dt must be finite and > 0, got {dt!r}")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise DomainError(f"t_end must be finite and >= 0, got {t_end!r}")
     if not t_end / dt <= _MAX_STEPS:
         raise DomainError(f"t_end/dt = {t_end / dt:.3g} steps exceeds the limit of {_MAX_STEPS:.0e}")
     order = s0.order
-    n_steps = max(1, int(round(t_end / dt)))
+    n_steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
     times = dt * np.arange(n_steps + 1)
     rows = np.empty((n_steps + 1, s0._y.size))
     rows[0] = y = s0._y
@@ -432,16 +438,15 @@ def integrate(
         step = bad[0] + 1
         raise NumericalError(f"moment state is not finite at step {step} (t = {times[step]:.6g})")
     rows.flags.writeable = False
-    # uncertainty product G02 G20 - G11^2 of every sample (slots 2, 3, 4)
-    g02, g11, g20 = rows[:, 2], rows[:, 3], rows[:, 4]
+    states = _StateRows(s0, rows)
     # finite states can still overflow the product's terms (alpha far from 1)
     with np.errstate(over="ignore"):
-        scale = g02 * g20 + g11 ** 2
+        scale = states.moment(0, 2) * states.moment(2, 0) + states.moment(1, 1) ** 2
     overflow = np.flatnonzero(~np.isfinite(scale))
     if overflow.size:
         k = int(overflow[0])
         raise NumericalError(f"uncertainty product overflows at step {k} (t = {times[k]:.6g})")
-    product = g02 * g20 - g11 ** 2
+    product = uncertainty_product(states)
     reference = hbar * hbar / 4.0 if hbar is not None else product[0]
     worst = 0.0
     if reference > 0:
@@ -449,15 +454,14 @@ def integrate(
         # under gravity), which can exceed 1e-6 of it: count drops past 4x that
         drop = (reference - product)[1:]
         drop[drop <= 4.0 * _EPS * scale[1:]] = 0.0
-        worst = max(0.0, float((drop / reference).max()))
+        worst = float((drop / reference).max(initial=0.0))
     warnings = ()
     if worst > 1e-6:
         warnings = (
             f"uncertainty product fell {worst:.2e} (relative) below its reference; "
             "likely a truncation artifact of the closed hierarchy",
         )
-    return MomentTrajectory(times=times, states=_StateRows(s0, rows), warnings=warnings,
-                            worst_uncertainty_deficit=worst)
+    return MomentTrajectory(times=times, states=states, warnings=warnings, worst_uncertainty_deficit=worst)
 
 
 def closed_form_linear(ic, m: float, t):
@@ -467,23 +471,31 @@ def closed_form_linear(ic, m: float, t):
         G^{0,2} = c0 t^2 / m^2 + 2 c1 t / m + c2.
 
     ic is a SaturatedIC or a plain (c0, c1, c2) triple; t may be an array.
+    DomainError names an m whose square is 0 or nan, or the first t at which
+    a moment is not finite.
     """
-    if isinstance(ic, SaturatedIC):
-        c0, c1, c2 = ic.c0, ic.c1, ic.c2
-    else:
-        c0, c1, c2 = ic
+    c0, c1, c2 = (ic.c0, ic.c1, ic.c2) if isinstance(ic, SaturatedIC) else ic
     t = _check_times(t)
+    if not m * m > 0:
+        raise DomainError(f"the closed form divides by m*m = {m * m!r} (m={m!r})")
     g20 = np.broadcast_to(c0, t.shape).copy() if t.ndim else c0
-    g11 = (c0 / m) * t + c1
-    g02 = (c0 / (m * m)) * t * t + (2.0 * c1 / m) * t + c2
+    with np.errstate(over="ignore", invalid="ignore"):
+        g11 = (c0 / m) * t + c1
+        g02 = (c0 / (m * m)) * t * t + (2.0 * c1 / m) * t + c2
+    bad = ~(np.isfinite(g20) & np.isfinite(g11) & np.isfinite(g02))
+    if bad.any():
+        raise DomainError(f"the closed form is not finite at t={float(t[bad][0])!r} (m={m!r}, ic={ic!r})")
     if t.ndim == 0:
         return float(g20), float(g11), float(g02)
     return g20, g11, g02
 
 
-def uncertainty_product(s: MomentState) -> float:
-    """G^{0,2} G^{2,0} - (G^{1,1})^2; compare against hbar^2/4."""
-    return s.moment(0, 2) * s.moment(2, 0) - s.moment(1, 1) ** 2
+def uncertainty_product(s):
+    """G^{0,2} G^{2,0} - (G^{1,1})^2 of a MomentState, or of every sample of
+    traj.states; compare against hbar^2/4.  G^{1,1} is squared as g11 * g11,
+    which rounds alike on floats and arrays (float ** 2 is libm pow)."""
+    g11 = s.moment(1, 1)
+    return s.moment(0, 2) * s.moment(2, 0) - g11 * g11
 
 
 def envelope(
@@ -499,15 +511,22 @@ def envelope(
 
     By default the moment clock runs continuously through bounces; with
     reset_each_period=True it restarts at every apex (period 2T), making the
-    band identical in each arc.
+    band identical in each arc (x0 > 0 then).  DomainError names the first t
+    at which the band is not finite.
     """
     spec = BounceSpec(x0=x0, g=g)
     t = np.asarray(t, dtype=float)
     x_cl = bounce_trajectory(spec, t)
+    if reset_each_period and spec.drop_time == 0.0:
+        raise DomainError(f"x0={x0!r}, g={g!r} give no bounce period 2T to reset the clock at")
     clock = np.mod(t, 2.0 * spec.drop_time) if reset_each_period else t
     _, _, g02 = closed_form_linear(ic, m, clock)
-    width = np.sqrt(g02)
-    lower, upper = x_cl - width, x_cl + width
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = np.sqrt(g02)
+        lower, upper = x_cl - width, x_cl + width
+    bad = ~(np.isfinite(lower) & np.isfinite(upper))
+    if bad.any():
+        raise DomainError(f"the envelope is not finite at t={float(t[bad][0])!r} (x0={x0!r}, m={m!r}, g={g!r})")
     if t.ndim == 0:
         return float(lower), float(upper)
     return lower, upper

@@ -395,20 +395,32 @@ class TestConfigHandling:
     @pytest.mark.parametrize("argv,message", [
         (["classical", "--x0", "1e-300", "--tend", "1e300", "--dt", "1e300"],
          "column x_fourier is nan at row 1 (t = 1e+300)"),
-        (["compare", "--x0", "1e300", "--sigma", "7.875", "--alpha", "40.4", "--tend", "2", "--dt", "1e300",
-          "--nmax", "0"], "column env_lower is -inf at row 1 (t = 1e+300)"),
+        (["compare", "--x0", "10", "--alpha", "0.4277", "--nmax", "0", "--tend", "1", "--dt", "0.5"],
+         "column env_lower is -inf at row 2 (t = 1)"),
     ], ids=["classical-nan-fourier", "compare-inf-envelope"])
     def test_non_finite_cell_is_numerical_failure(self, argv, message, capsys, monkeypatch):
-        # a Fourier series with nan at t = 1e300 (the series itself now
-        # refuses this grid, so a stand-in supplies the nan), and the envelope
-        # and G02 overflowing to +-inf: both CSVs were once written with exit
-        # 0.  Every table passes one finiteness gate before it is written: exit 3
+        # a Fourier series with nan and an envelope with -inf: both CSVs were
+        # once written with exit 0.  The series and the envelope now refuse
+        # the grids that gave them, so stand-ins supply the bad cells.  Every
+        # table passes one finiteness gate before it is written: exit 3
         monkeypatch.setattr(cli.classical, "bounce_fourier",
                             lambda spec, t, n_terms: np.where(t < 1e300, 0.0, np.nan))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main([*argv, "--out", "-"]) == 3
+        monkeypatch.setattr(cli.moments, "envelope",
+                            lambda x0, ic, m, g, t, reset_each_period: (np.where(t < 1, 0.0, -np.inf), t))
+        assert main([*argv, "--out", "-"]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err == f"numerical failure: {message}\n"
+
+    def test_overflowing_closed_form_rejected(self, capsys):
+        # G02 = c0 t^2/m^2 overflows at t = 1e300: the envelope and G02 once
+        # overflowed to +-inf behind a numpy warning (exit 3); the closed form
+        # now refuses t by name, exit 2
+        argv = ["compare", "--x0", "1e300", "--sigma", "7.875", "--alpha", "40.4", "--tend", "2", "--dt", "1e300",
+                "--nmax", "0", "--out", "-"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: the closed form is not finite at t=1e+300 (m=0.5, ")
+        assert err.count("\n") == 1 and "RuntimeWarning" not in err
 
     def test_overflowing_series_phase_rejected(self, capsys):
         # pi t/T overflows at t = 1e300 for T ~ 4.5e-151: the series once
@@ -572,10 +584,9 @@ def _oracle_table(kind, u, x0=10.0, sigma=2.0, alpha=1.0, nmax=48, nterms=200, t
         ic = moments.saturated_ic(alpha, u)
         V = moments.PolynomialPotential.gravity(u.m, u.g)
         s0 = moments.initial_state(ic, x0=x0)
-        samples = [(0.0, s0)] if tend == 0 else moments.integrate(s0, V, u.m, tend, dt, hbar=u.hbar)
         rows = [[t, s.x, s.p, s.moment(2, 0), s.moment(1, 1), s.moment(0, 2),
                  moments.uncertainty_product(s), moments.effective_hamiltonian(s, V, u.m)]
-                for t, s in samples]
+                for t, s in moments.integrate(s0, V, u.m, tend, dt, hbar=u.hbar)]
         return _oracle_csv(["t", "x", "p", "G20", "G11", "G02", "uncertainty", "energy"], rows)
     state = None
     if nmax >= 1 and sigma > 0:
@@ -603,7 +614,8 @@ def _oracle_table(kind, u, x0=10.0, sigma=2.0, alpha=1.0, nmax=48, nterms=200, t
     "moments --x0 2 --alpha 1 --tend 5 --dt 0.01",
     "compare --x0 10 --alpha 0.4277 --nmax 0 --tend 12 --dt 0.05",
     "compare --x0 10 --alpha 0.4277 --nmax 26 --tend 12 --dt 0.05",
-    # terms up to 4.3e9 times their difference: libm pow and x*x squares differ here
+    # terms up to 4.3e9 times their difference: pins the trajectory form of the
+    # uncertainty product to the scalar form where the product cancels
     "moments --preset neutron --x0 2.3 --alpha 0.7 --tend 50 --dt 0.003",
     "moments --x0 2 --alpha 1 --tend 0",
 ])

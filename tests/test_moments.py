@@ -14,6 +14,7 @@ from qbouncer.errors import DomainError, NumericalError
 from qbouncer.moments import (
     MomentState,
     PolynomialPotential,
+    SaturatedIC,
     closed_form_linear,
     effective_hamiltonian,
     envelope,
@@ -244,6 +245,17 @@ class TestClosedForm:
         _, _, g02 = closed_form_linear(ic, u.m, t)
         assert g02 == pytest.approx(u.l_g**2 + 0.5 * u.g * u.l_g * t**2, rel=1e-12)
 
+    def test_unrepresentable_results_refused(self):
+        # m*m underflows to 0: once ZeroDivisionError
+        with pytest.raises(DomainError, match=r"^the closed form divides by m\*m = 0\.0 \(m=1e-170\)"):
+            closed_form_linear((0.25, 0.0, 1.0), 1e-170, 1.0)
+        # c0/m and c0 t^2/m^2 overflow: once (1e300, inf, inf) without a warning
+        with pytest.raises(DomainError, match=r"^the closed form is not finite at t=1\.0 \(m=1e-10, "):
+            closed_form_linear((1e300, 0.0, 1.0), 1e-10, 1.0)
+        # c0 t^2/m^2 overflows from t = 1000 on; the first such t is named
+        with pytest.raises(DomainError, match=r"^the closed form is not finite at t=1000\.0 \(m=0\.01, "):
+            closed_form_linear((1e300, 0.0, 1.0), 1e-2, [0.0, 1.0, 1e3, 1e4])
+
 
 class TestSaturatedIC:
     def test_alpha_values(self):
@@ -415,10 +427,13 @@ class TestIntegrate:
 
     def test_invalid_steps(self):
         _, V, s0 = self.linear_setup()
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^dt must be finite and > 0"):
             integrate(s0, V, self.u.m, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            integrate(s0, V, self.u.m, 0.0, 0.1)
+        with pytest.raises(DomainError, match="^t_end must be finite and >= 0"):
+            integrate(s0, V, self.u.m, -0.1, 0.1)
+        # t_end = 0 is the one-sample trajectory of s0 itself, k = 0..round(0/dt)
+        traj = integrate(s0, V, self.u.m, 0.0, 0.1)
+        assert len(traj) == 1 and traj.states[0] is s0 and traj.times.tolist() == [0.0]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["t_end", "dt"])
@@ -619,6 +634,63 @@ class TestIntegrate:
         assert traj.states[1:] == [s for _, s in pairs[1:]]
 
 
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestTrajectoryColumns:
+    """traj.states reads x, p, order and moment(a, b) as a MomentState does,
+    one read-only column over the samples, so uncertainty_product and
+    effective_hamiltonian take it as they take one state."""
+
+    m = 0.5
+    potentials = {
+        "gravity": PolynomialPotential.gravity(0.5, 2.0),
+        "harmonic": PolynomialPotential.harmonic(0.5, 1.3),
+        "quartic": PolynomialPotential((0.0, 0.0, 0.5, 0.05, 0.1)),
+    }
+
+    def run(self, potential, order, t_end=0.5):
+        s0 = MomentState.make(1.0, 0.3, order, _gaussian_moments(order))
+        return integrate(s0, self.potentials[potential], self.m, t_end, 0.01, hbar=1.0)
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("potential", ["gravity", "harmonic", "quartic"])
+    def test_observables_equal_per_state_values(self, potential, order):
+        V, states = self.potentials[potential], self.run(potential, order).states
+        assert _bits(uncertainty_product(states)) == _bits([uncertainty_product(s) for s in states])
+        assert _bits(effective_hamiltonian(states, V, self.m)) == _bits(
+            [effective_hamiltonian(s, V, self.m) for s in states])
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("potential", ["gravity", "harmonic", "quartic"])
+    def test_columns_equal_per_state_values(self, potential, order):
+        states = self.run(potential, order).states
+        assert states.order == order and len(states) == 51
+        assert _bits(states.x) == _bits([s.x for s in states])
+        assert _bits(states.p) == _bits([s.p for s in states])
+        # every pair up to a + b = order + 1: first moments and the pairs
+        # beyond the order read the closure's zeros, as they do per state
+        for a in range(order + 2):
+            for b in range(order + 2 - a):
+                column = states.moment(a, b)
+                assert column.shape == (51,) and not column.flags.writeable
+                assert _bits(column) == _bits([s.moment(a, b) for s in states])
+        for a, b in [(-1, 2), (2, -1), (-1, -1)]:
+            with pytest.raises(DomainError, match="moment indices must be >= 0"):
+                states.moment(a, b)
+
+    @pytest.mark.parametrize("potential", ["gravity", "harmonic", "quartic"])
+    def test_zero_duration_is_one_row(self, potential):
+        traj = self.run(potential, 4, t_end=0.0)
+        s0 = traj.states[0]
+        assert len(traj) == 1 and traj.times.tolist() == [0.0] and list(traj) == [(0.0, s0)]
+        assert traj.warnings == () and traj.worst_uncertainty_deficit == 0.0
+        assert _bits(uncertainty_product(traj.states)) == _bits([uncertainty_product(s0)])
+        with pytest.raises(DomainError, match="^t_end must be finite and >= 0"):
+            integrate(s0, self.potentials[potential], self.m, -1e-300, 0.01)
+
+
 class TestUncertaintyProduct:
     def test_saturated_initial(self):
         u = natural_units()
@@ -671,3 +743,45 @@ class TestEnvelope:
         # continuous mode keeps growing instead
         _, hi3 = envelope(1.0, ic, self.u.m, self.u.g, t + 2.0)
         assert ((hi3 - lo2) > 0).all()
+
+    def test_reset_needs_a_period(self):
+        # x0 = 0 has T = 0: the clock t mod 2T was nan behind a numpy warning
+        ic = saturated_ic(1.0, self.u)
+        assert envelope(0.0, ic, self.u.m, self.u.g, 1.0) == (-math.sqrt(2.0), math.sqrt(2.0))
+        with pytest.raises(DomainError, match="no bounce period"):
+            envelope(0.0, ic, self.u.m, self.u.g, 1.0, reset_each_period=True)
+
+    def test_negative_position_variance_refused(self):
+        # sqrt(G02) of a negative G02 was nan behind a numpy warning
+        with pytest.raises(DomainError, match=r"^the envelope is not finite at t=0\.5 "):
+            envelope(1.0, (1.0, -1.0, 0.1), 1.0, 2.0, [0.0, 0.5])
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+ANY_TIMES = st.one_of(ANY_FLOAT, st.lists(ANY_FLOAT, min_size=1, max_size=6))
+
+
+def _finite_or_refused(f):
+    try:
+        out = f()
+    except DomainError:
+        return
+    assert np.isfinite(out).all(), out
+
+
+class TestEntryPointsProperty:
+    """closed_form_linear and envelope, on arbitrary inputs, return finite
+    values or raise DomainError: never a NaN, a numpy warning (an error under
+    this suite's filterwarnings) or another exception."""
+
+    @given(c0=ANY_FLOAT, c1=ANY_FLOAT, c2=ANY_FLOAT, m=ANY_FLOAT, t=ANY_TIMES)
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_closed_form_linear(self, c0, c1, c2, m, t):
+        _finite_or_refused(lambda: closed_form_linear((c0, c1, c2), m, t))
+
+    @given(x0=ANY_FLOAT, c0=ANY_FLOAT, c1=ANY_FLOAT, c2=ANY_FLOAT, m=ANY_FLOAT, g=ANY_FLOAT, t=ANY_TIMES,
+           reset=st.booleans())
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_envelope(self, x0, c0, c1, c2, m, g, t, reset):
+        ic = SaturatedIC(alpha=1.0, c0=c0, c1=c1, c2=c2)
+        _finite_or_refused(lambda: envelope(x0, ic, m, g, t, reset_each_period=reset))
