@@ -5,8 +5,9 @@ a configurable order.
 For a linear potential the second-order moments decouple from everything
 else and solve in closed form; saturated initial data keep the uncertainty
 product at hbar^2/4 for all times.  Those closed forms, integrate (the exact
-flow for degree <= 2, fixed-step RK4 above) and the dispersion envelope
-around the classical bounce live here.
+flow of the hierarchy) and the dispersion envelope around the classical
+bounce live here.  The potential has degree <= 2: from degree 3 on the
+hierarchy needs hbar^2 (Moyal) terms that it lacks, and is refused.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ __all__ = [
 ]
 
 
-# integrate's step cap: 1e8 steps take 25-85 s (exact flow) or 40 min (RK4) on
-# a 2-core x86_64 host, into a trajectory of 8e8 (order + 1)(order + 2)/2 bytes.
+# integrate's step cap: 1e8 steps take 25-85 s on a 2-core x86_64 host, into
+# a trajectory of 8e8 (order + 1)(order + 2)/2 bytes.
 _MAX_STEPS = 10**8
 _EPS = float(np.finfo(float).eps)
 
@@ -56,12 +57,13 @@ class PolynomialPotential:
     def __post_init__(self):
         if not self.coefficients:
             raise DomainError("potential needs at least one coefficient")
-        # a tuple keeps the coefficients hashable: moment_eom caches its tables on them
+        # a tuple keeps the potential immutable and hashable
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
 
-    @property
+    @functools.cached_property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        """Index of the highest nonzero coefficient (0 for V = 0)."""
+        return max((k for k, c in enumerate(self.coefficients) if c != 0), default=0)
 
     def value(self, x: float) -> float:
         acc = 0.0
@@ -222,86 +224,62 @@ def effective_hamiltonian(s, V: PolynomialPotential, m: float):
 
 
 @functools.lru_cache(maxsize=64)
-def _eom_tables(order: int, coefficients: tuple[float, ...], m: float) -> tuple:
-    """Tables of moment_eom for one (order, V.coefficients, m): (idx, w, horner, g_slots).
+def _eom_tables(order: int, m: float) -> tuple:
+    """Tables of moment_eom for one (order, m): (idx, w).
 
-    idx is a (degree + 1, k) array of indices into [x, p, G..., 0]; first moments
-    and moments beyond the order point at the trailing zero slot.  Its rows gather
-    G^{a+1,b-1}, then G^{a-1,b+n-1} for n = 2..degree, then G^{a-1,b}.  w weighs
-    the first degree rows (0 outside G): b/m, then a, negated for n = 2, where
-    G^{0,1} = 0 leaves only -G^{a-1,b+1}.  horner holds, per n = 1..degree, the
-    coefficients of V^(n) from the top power down and (n-1)!; g_slots the slots
-    of G^{0,n-1}, n >= 3.  A potential of degree < 2 is padded to degree 2.
+    idx is a (2, k) array of indices into [x, p, G..., 0]; first moments and
+    moments beyond the order point at the trailing zero slot.  Its rows gather
+    G^{a+1,b-1} and G^{a-1,b+1}; w weighs them by b/m and -a (0 outside G).
     """
     pairs = moment_pairs(order)
     zero = len(pairs) + 2
-    coefficients += (0.0,) * (3 - len(coefficients))
-    degree = len(coefficients) - 1
 
     def row(f, fill):
         return [fill, fill] + [f(a, b) for a, b in pairs] + [fill]
 
-    ns = range(2, degree + 1)
-    idx = np.array(
-        [row(lambda a, b: _slot(a + 1, b - 1, order), zero)]
-        + [row(lambda a, b: _slot(a - 1, b + n - 1, order), zero) for n in ns]
-        + [row(lambda a, b: _slot(a - 1, b, order), zero)]
-    )
-    w = np.array(
-        [row(lambda a, b: b / m, 0.0)] + [row(lambda a, b: -a if n == 2 else a, 0.0) for n in ns],
-        dtype=float,
-    )
-    horner = tuple(
-        (tuple(coefficients[j] * math.perm(j, n) for j in range(degree, n - 1, -1)),
-         float(math.factorial(n - 1)))
-        for n in range(1, degree + 1)
-    )
-    g_slots = tuple(_slot(0, n - 1, order) for n in range(3, degree + 1))
+    idx = np.array([row(lambda a, b: _slot(a + 1, b - 1, order), zero),
+                    row(lambda a, b: _slot(a - 1, b + 1, order), zero)])
+    w = np.array([row(lambda a, b: b / m, 0.0), row(lambda a, b: -a, 0.0)], dtype=float)
     idx.flags.writeable = w.flags.writeable = False
-    return idx, w, horner, g_slots
+    return idx, w
 
 
 def moment_eom(s: MomentState, V: PolynomialPotential, m: float) -> MomentState:
-    """Time derivative of a MomentState (packed in the same container).
+    """Time derivative of a MomentState (packed in the same container), for
+    V = c_0 + c_1 x + c_2 x^2 of degree <= 2:
 
-        dx/dt = p/m                       (kinetic corrections vanish: H is
-                                           quadratic in p)
-        dp/dt = -V'(x) - sum_b V^(b+1)(x)/b! * G^{0,b}
-        dG^{a,b}/dt = (b/m) G^{a+1,b-1}
-                      + a * sum_{n>=2} V^(n)(x)/(n-1)! *
-                        [G^{0,n-1} G^{a-1,b} - G^{a-1,b+n-1}]
+        dx/dt = p/m,   dp/dt = -V'(x) = -(V'' x + c_1)
+        dG^{a,b}/dt = (b/m) G^{a+1,b-1} - a V'' G^{a-1,b+1}
 
     Moments outside the truncation are closed to zero.  One gather y[idx]
-    reads them all; the terms add up in the order above, with c_n a formed
-    first, so each entry rounds as the term-by-term sum does.
+    reads them all; -a V'' is formed first, so each entry rounds as the
+    term-by-term sum does.  From degree 3 on these classical brackets miss
+    the hbar^2 (Moyal) terms of dG^{a,b}/dt for a >= 3, such as
+    -(hbar^2/4) V''' in dG^{3,0}/dt, so such a potential raises DomainError.
     """
-    idx, w, horner, g_slots = _eom_tables(s.order, V.coefficients, m)
+    if V.degree > 2:
+        raise DomainError(
+            f"a potential of degree {V.degree} needs the hbar^2 (Moyal) terms of the moment "
+            "equations, which this hierarchy lacks; only degree <= 2 is supported"
+        )
+    idx, w = _eom_tables(s.order, m)
+    _, c1, c2 = (V.coefficients + (0.0, 0.0))[:3]
+    v2 = c2 * 2  # V''
     y = s._y
-    x = y.item(0)
-    c = []  # V^(n)(x)/(n-1)!, n = 1..degree
-    for coeffs, factorial in horner:
-        acc = coeffs[0]
-        for cj in coeffs[1:]:
-            acc = acc * x + cj
-        c.append(acc / factorial)
-    dp = -c[0]
     G = y[idx]
     out = w[0] * G[0]
-    out += (c[1] * w[1]) * G[1]
-    for j, i in enumerate(g_slots, 2):  # n = j + 1 >= 3
-        g = y.item(i)
-        out += (c[j] * w[j]) * (g * G[-1] - G[j])
-        dp -= c[j] * g
+    out += (v2 * w[1]) * G[1]
     out[0] = y.item(1) / m
-    out[1] = dp
+    out[1] = -(v2 * y.item(0) + c1)
     return MomentState._wrap(out, s.order)
 
 
-def _affine_rows(s0: MomentState, V: PolynomialPotential, m: float, dt: float, rows):
-    """Fill rows[1:] with the exact flow from rows[0], for degree <= 2.
+def _affine_rows(s0: MomentState, V: PolynomialPotential, m: float, dt: float, n_steps: int) -> np.ndarray:
+    """Rows 0..n_steps of the exact flow from s0, allocated once moment_eom has
+    taken V.
 
-    moment_eom is then y' = A y + b (b on the zero state, A e_j + b on e_j;
-    the trailing zero slot is not probed).  L steps add D y + c, [[D, c],
+    moment_eom is y' = A y + b (b on the zero state, A e_j + b on e_j; the
+    trailing zero slot is not probed).  L steps add D y + c, [[D, c],
     [0, 0]] = exp(L dt [[A, b], [0, 0]]) - I: Taylor at norm <= 1/2, then
     D_2L = 2 D_L + D_L^2; apart from I, D keeps its relative precision.
     einsum keeps the products off BLAS (threads, work buffer).
@@ -309,24 +287,29 @@ def _affine_rows(s0: MomentState, V: PolynomialPotential, m: float, dt: float, r
     def f(y):
         return moment_eom(MomentState._wrap(y, s0.order), V, m)._y
 
-    k = rows.shape[1]
-    b = f(np.zeros(k))
-    M = np.zeros((k + 1, k + 1))
-    M[:k] = np.array([f(e) - b for e in np.eye(k)[:-1]] + [np.zeros(k), b]).T
-    s = max(0, math.frexp(dt * np.abs(M).sum(axis=0).max())[1] + 1)
-    D = term = M = np.ldexp(dt * M, -s)
-    for j in range(2, 17):  # terms past the 16th are below eps/10 of D
-        term = np.einsum("ij,jk->ik", term, M) / j
-        D = D + term
-    for i in range(-s, (len(rows) - 1).bit_length()):  # D moves a row 2^i steps
-        if i > -s:
-            D = 2.0 * D + np.einsum("ij,jk->ik", D, D)
-        if i >= 0:
-            block = rows[2**i:2**(i + 1)]
-            n = len(block)
-            np.einsum("ij,kj->ik", rows[:n], D[:k, :k], out=block)
-            block += D[:k, k]
-            block += rows[:n]
+    # an overflow leaves rows that are not finite, which integrate refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = s0._y.size
+        b = f(np.zeros(k))
+        M = np.zeros((k + 1, k + 1))
+        M[:k] = np.array([f(e) - b for e in np.eye(k)[:-1]] + [np.zeros(k), b]).T
+        s = max(0, math.frexp(dt * np.abs(M).sum(axis=0).max())[1] + 1)
+        D = term = M = np.ldexp(dt * M, -s)
+        for j in range(2, 17):  # terms past the 16th are below eps/10 of D
+            term = np.einsum("ij,jk->ik", term, M) / j
+            D = D + term
+        rows = np.empty((n_steps + 1, k))
+        rows[0] = s0._y
+        for i in range(-s, n_steps.bit_length()):  # D moves a row 2^i steps
+            if i > -s:
+                D = 2.0 * D + np.einsum("ij,jk->ik", D, D)
+            if i >= 0:
+                block = rows[2**i:2**(i + 1)]
+                n = len(block)
+                np.einsum("ij,kj->ik", rows[:n], D[:k, :k], out=block)
+                block += D[:k, k]
+                block += rows[:n]
+    return rows
 
 
 class _StateRows(_MomentReader, SequenceABC):
@@ -390,57 +373,41 @@ def integrate(
     """The moment trajectory at k*dt for k = 0..round(t_end/dt), t_end >= 0
     (at least one step for t_end > 0; t_end = 0 gives the one sample s0).
 
-    For degree <= 2 the equations are affine and the rows are their exact
-    flow, to rounding.  Otherwise each step is classical RK4 (moment_eom once
-    per stage) added by compensated (Kahan) sums, so conserved combinations
-    hold to ~1e-13 relative over 1e4 steps.
+    The rows are the exact flow of moment_eom, to rounding: for the degree
+    <= 2 it takes the equations are affine.  A potential of degree >= 3 raises
+    moment_eom's DomainError before any row is allocated.
 
     A drop of the uncertainty product G^{0,2} G^{2,0} - (G^{1,1})^2 more than
     1e-6 (relative) below its reference (hbar^2/4 when hbar is given, else the
     initial product) and past its rounding error 4 eps (G^{0,2} G^{2,0} +
     (G^{1,1})^2) attaches a warning, not an error.  NumericalError names the
-    step and time of the first non-finite state, or of the first whose
-    G^{0,2} G^{2,0} + (G^{1,1})^2 overflows.  More than _MAX_STEPS steps
-    (t_end/dt, also when it overflows) is refused before allocation.
+    step and time of the first non-finite state (step 0 when s0 is not
+    finite), or of the first whose G^{0,2} G^{2,0} + (G^{1,1})^2 overflows.
+    DomainError refuses an m that is not finite and > 0, an hbar whose square
+    is not finite and > 0, and more than _MAX_STEPS steps (t_end/dt, also when
+    it overflows), before allocation.
     """
+    if not (math.isfinite(m) and m > 0):
+        raise DomainError(f"m must be finite and > 0, got {m!r}")
+    if hbar is not None and not (hbar > 0 and 0 < hbar * hbar < math.inf):
+        raise DomainError(f"hbar must be > 0 with a finite, nonzero square, got {hbar!r}")
     if not (math.isfinite(dt) and dt > 0):
         raise DomainError(f"dt must be finite and > 0, got {dt!r}")
     if not (math.isfinite(t_end) and t_end >= 0):
         raise DomainError(f"t_end must be finite and >= 0, got {t_end!r}")
     if not t_end / dt <= _MAX_STEPS:
         raise DomainError(f"t_end/dt = {t_end / dt:.3g} steps exceeds the limit of {_MAX_STEPS:.0e}")
-    order = s0.order
     n_steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
     times = dt * np.arange(n_steps + 1)
-    rows = np.empty((n_steps + 1, s0._y.size))
-    rows[0] = y = s0._y
-    step = n_steps
-    if V.degree <= 2:
-        _affine_rows(s0, V, m, dt, rows)
-    else:
-        comp = np.zeros_like(y)
-        half, sixth = 0.5 * dt, dt / 6.0
-        for step in range(1, n_steps + 1):
-            k1 = moment_eom(MomentState._wrap(y, order), V, m)._y
-            k2 = moment_eom(MomentState._wrap(y + half * k1, order), V, m)._y
-            k3 = moment_eom(MomentState._wrap(y + half * k2, order), V, m)._y
-            k4 = moment_eom(MomentState._wrap(y + dt * k3, order), V, m)._y
-            term = sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            # Kahan: add term - comp, keep what the sum dropped in comp
-            term -= comp
-            total = np.add(y, term, out=rows[step])
-            np.subtract(np.subtract(total, y, out=comp), term, out=comp)
-            y = total
-            if not np.isfinite(y).all():
-                break
-    bad = np.flatnonzero(~np.isfinite(rows[1:step + 1]).all(axis=1))
+    rows = _affine_rows(s0, V, m, dt, n_steps)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
-        step = bad[0] + 1
+        step = int(bad[0])
         raise NumericalError(f"moment state is not finite at step {step} (t = {times[step]:.6g})")
     rows.flags.writeable = False
     states = _StateRows(s0, rows)
     # finite states can still overflow the product's terms (alpha far from 1)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         scale = states.moment(0, 2) * states.moment(2, 0) + states.moment(1, 1) ** 2
     overflow = np.flatnonzero(~np.isfinite(scale))
     if overflow.size:
@@ -451,10 +418,12 @@ def integrate(
     worst = 0.0
     if reference > 0:
         # rounding moves the product by about eps (G02 G20 + G11^2) (up to 1.5x
-        # under gravity), which can exceed 1e-6 of it: count drops past 4x that
-        drop = (reference - product)[1:]
-        drop[drop <= 4.0 * _EPS * scale[1:]] = 0.0
-        worst = float((drop / reference).max(initial=0.0))
+        # under gravity), which can exceed 1e-6 of it: count drops past 4x that;
+        # a drop that overflows is an infinite deficit
+        with np.errstate(over="ignore"):
+            drop = (reference - product)[1:]
+            drop[drop <= 4.0 * _EPS * scale[1:]] = 0.0
+            worst = float((drop / reference).max(initial=0.0))
     warnings = ()
     if worst > 1e-6:
         warnings = (
@@ -470,9 +439,9 @@ def closed_form_linear(ic, m: float, t):
         G^{2,0} = c0,  G^{1,1} = c0 t / m + c1,
         G^{0,2} = c0 t^2 / m^2 + 2 c1 t / m + c2.
 
-    ic is a SaturatedIC or a plain (c0, c1, c2) triple; t may be an array.
-    DomainError names an m whose square is 0 or nan, or the first t at which
-    a moment is not finite.
+    ic is a SaturatedIC or a plain (c0, c1, c2) triple; t may be an array;
+    t = 0 gives (c0, c1, c2) exactly.  DomainError names an m whose square is
+    0 or nan, or the first t at which a moment is not finite.
     """
     c0, c1, c2 = (ic.c0, ic.c1, ic.c2) if isinstance(ic, SaturatedIC) else ic
     t = _check_times(t)
@@ -480,8 +449,9 @@ def closed_form_linear(ic, m: float, t):
         raise DomainError(f"the closed form divides by m*m = {m * m!r} (m={m!r})")
     g20 = np.broadcast_to(c0, t.shape).copy() if t.ndim else c0
     with np.errstate(over="ignore", invalid="ignore"):
-        g11 = (c0 / m) * t + c1
-        g02 = (c0 / (m * m)) * t * t + (2.0 * c1 / m) * t + c2
+        # at t = 0 an overflowing c0/m would give inf * 0 = nan
+        g11 = np.where(t == 0, c1, (c0 / m) * t + c1)
+        g02 = np.where(t == 0, c2, (c0 / (m * m)) * t * t + (2.0 * c1 / m) * t + c2)
     bad = ~(np.isfinite(g20) & np.isfinite(g11) & np.isfinite(g02))
     if bad.any():
         raise DomainError(f"the closed form is not finite at t={float(t[bad][0])!r} (m={m!r}, ic={ic!r})")

@@ -1,9 +1,13 @@
 """Reference moment equations: the dict-loop right-hand side the array form in
-qbouncer.moments replaced, an RK4 driven by it (plain or Kahan-compensated),
-and the exact all-order free fall and harmonic rotation in 50-digit mpmath.
+qbouncer.moments replaced, and the exact all-order free fall and harmonic
+rotation in 50-digit mpmath.
+
+The dict loop is the classical bracket, written for any degree as it reads;
+qbouncer.moments takes degree <= 2 only, since from degree 3 on that bracket
+misses the hbar^2 (Moyal) terms, so the tests call it at degree <= 2.
 
 The oracles read states only through MomentState's public accessors
-(x, p, moment(a, b)), and the first two evaluate V^(n) with
+(x, p, moment(a, b)), and the dict loop evaluates V^(n) with
 PolynomialPotential.derivative, so none shares an index table or weight with
 the code under test.  The closed forms share nothing with integrate's exact
 flow either: no generator, exponential or doubling, only binomial sums.
@@ -48,40 +52,6 @@ def moment_eom(s: MomentState, V: PolynomialPotential, m: float) -> MomentState:
 def as_vector(s: MomentState) -> np.ndarray:
     """[x, p, G...] in moment_pairs(s.order) order."""
     return np.array([s.x, s.p] + [s.moment(a, b) for a, b in moment_pairs(s.order)])
-
-
-def rk4(s0: MomentState, V: PolynomialPotential, m: float, dt: float, steps: int,
-        compensated: bool = False) -> np.ndarray:
-    """Classical RK4 on moment_eom above; row k is the state after k steps, as
-    as_vector gives it.  compensated=True adds each increment with the Kahan
-    sum qbouncer.moments.integrate documents,
-
-        term = increment - comp,  total = y + term,  comp = (total - y) - term,
-
-    otherwise the increment is added plainly."""
-    pairs = moment_pairs(s0.order)
-
-    def rhs(y):
-        s = MomentState(y[0], y[1], dict(zip(pairs, y[2:])), s0.order)
-        return as_vector(moment_eom(s, V, m))
-
-    rows = [as_vector(s0)]
-    comp = np.zeros_like(rows[0])
-    for _ in range(steps):
-        y = rows[-1]
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        increment = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not compensated:
-            rows.append(y + increment)
-            continue
-        term = increment - comp
-        total = y + term
-        comp = (total - y) - term
-        rows.append(total)
-    return np.array(rows)
 
 
 def free_fall(s0: MomentState, m: float, force: float, t) -> np.ndarray:

@@ -53,6 +53,20 @@ def _exact_flow(s0, V, m, times):
     return np.array([moment_oracle.free_fall(s0, m, force, t) for t in times])
 
 
+def _count_moment_eom_calls(monkeypatch):
+    # integrate reads moment_eom as a module global; the benchmark tracer
+    # counts the kernel by patching that name
+    calls = []
+    kernel = moments.moment_eom
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(moments, "moment_eom", counting)
+    return calls
+
+
 class TestPolynomialPotential:
     def test_value_and_derivatives(self):
         V = PolynomialPotential((1.0, -2.0, 0.5, 3.0))  # 1 - 2x + x^2/2 + 3x^3
@@ -157,32 +171,13 @@ class TestEquationsOfMotion:
         assert d.moment(0, 2) == pytest.approx(2 * s.moment(1, 1) / m, rel=1e-15)
         assert d.p == pytest.approx(-k * s.x, rel=1e-15)
 
-    def test_quartic_classical_limit(self):
-        V = PolynomialPotential((0.0, 0.0, 0.0, 0.0, 0.125))
-        s = MomentState.make(1.2, 0.5, order=2)  # all moments zero
-        d = moment_eom(s, V, 1.0)
-        assert d.p == -V.derivative(1.2, 1)
-        assert all(d.moment(a, b) == 0.0 for a, b in moment_pairs(2))
-
-    def test_quartic_couples_moments_to_momentum(self):
-        V = PolynomialPotential((0.0, 0.0, 0.0, 0.0, 0.125))
-        s = MomentState.make(1.2, 0.0, G={(0, 2): 0.3})
-        d = moment_eom(s, V, 1.0)
-        # dp/dt = -V'(x) - V'''(x)/2 * G02
-        assert d.p == pytest.approx(-V.derivative(1.2, 1) - 0.5 * V.derivative(1.2, 3) * 0.3, rel=1e-14)
-
     @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
-    @pytest.mark.parametrize(
-        "coefficients",
-        [(0.3, -1.2), (0.1, 0.4, 0.9), (0.0, -0.2, 0.5, 0.35), (0.2, 0.1, -0.3, 0.25, 0.125)],
-        ids=["linear", "quadratic", "cubic", "quartic"],
-    )
+    @pytest.mark.parametrize("coefficients", [(0.3, -1.2), (0.1, 0.4, 0.9)], ids=["linear", "quadratic"])
     def test_matches_dict_loop_oracle(self, order, coefficients):
-        # random non-Gaussian states: odd moments and G^{0,n-1} for n >= 3 are
-        # nonzero, so the quadratic closure term G^{0,n-1} G^{a-1,b} and the
-        # index (a-1, b+n-1) both show; the harmonic and gravity tests above
-        # cannot see them (G^{0,1} = 0 and V''' = 0 there).  Equal: the kernel
-        # rounds every entry as the loop does, which keeps the CLI CSV bytes fixed.
+        # random non-Gaussian states (odd moments nonzero) under potentials
+        # with a constant and a linear term, which the gravity and harmonic
+        # tests above lack.  Equal: the kernel rounds every entry as the loop
+        # does, which keeps the CLI CSV bytes fixed.
         rng = np.random.default_rng(order)
         V = PolynomialPotential(coefficients)
         for _ in range(5):
@@ -191,6 +186,37 @@ class TestEquationsOfMotion:
             got = moment_oracle.as_vector(moment_eom(s, V, 0.7))
             want = moment_oracle.as_vector(moment_oracle.moment_eom(s, V, 0.7))
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("coefficients", [(0.0, -0.2, 0.5, 0.35), (0.2, 0.1, -0.3, 0.25, 0.125)],
+                             ids=["cubic", "quartic"])
+    def test_degree_three_and_up_refused(self, coefficients, monkeypatch):
+        # the classical brackets miss the hbar^2 (Moyal) terms from degree 3 on
+        # (dG^{3,0}/dt is off by -(hbar^2/4) V'''): refused at every order, by
+        # integrate on its first moment_eom probe, before any row is stepped
+        V = PolynomialPotential(coefficients)
+        message = rf"^a potential of degree {V.degree} needs the hbar\^2 \(Moyal\) terms"
+        calls = _count_moment_eom_calls(monkeypatch)
+        for order in (2, 4):
+            s = MomentState.make(1.0, 0.3, order, _gaussian_moments(order))
+            with pytest.raises(DomainError, match=message):
+                moment_eom(s, V, 0.7)
+            for t_end in (0.0, 1.0):
+                calls.clear()
+                with pytest.raises(DomainError, match=message):
+                    integrate(s, V, 0.7, t_end, 0.01)
+                assert len(calls) == 1
+
+    @pytest.mark.parametrize("coefficients", [(0.3, -1.2), (0.1, 0.4, 0.9), (0.4,), (0.0,)],
+                             ids=["linear", "quadratic", "constant", "zero"])
+    def test_trailing_zero_coefficients_ignored(self, coefficients):
+        # the degree is that of the highest nonzero coefficient, so a
+        # quadratic written with zeros above it is still taken, row for row
+        padded, V = PolynomialPotential(coefficients + (0.0, 0.0)), PolynomialPotential(coefficients)
+        assert padded.degree == V.degree == len(coefficients) - 1
+        s0 = MomentState.make(1.0, 0.3, 4, _gaussian_moments(4))
+        assert moment_eom(s0, padded, 0.7) == moment_eom(s0, V, 0.7)
+        rows = [[moment_oracle.as_vector(s) for s in integrate(s0, P, 0.7, 0.5, 0.01).states] for P in (padded, V)]
+        assert _bits(rows[0]) == _bits(rows[1])
 
     @pytest.mark.parametrize("order", [2, 4, 6])
     @pytest.mark.parametrize("coefficients", [(0.3, -1.2), (0.1, 0.4, 0.9), (0.4,)],
@@ -219,6 +245,12 @@ class TestClosedForm:
     def test_initial_values(self):
         g20, g11, g02 = closed_form_linear((0.3, 0.1, 0.8), m=2.0, t=0.0)
         assert (g20, g11, g02) == (0.3, 0.1, 0.8)
+        # exactly, signed zeros too, also where c0/m = 1e310 overflows and
+        # the formula's inf * 0 would be nan
+        assert closed_form_linear((1e300, 0.0, 1.0), 1e-10, 0.0) == (1e300, 0.0, 1.0)
+        g20, g11, g02 = closed_form_linear((1e300, -0.0, 1.0), 1e-10, [0.0, -0.0])
+        assert _bits(g20) == _bits([1e300] * 2) and _bits(g11) == _bits([-0.0] * 2)
+        assert _bits(g02) == _bits([1.0] * 2)
 
     def test_polynomial_time_dependence(self):
         c0, c1, c2, m = 0.3, 0.1, 0.8, 2.0
@@ -353,18 +385,6 @@ class TestIntegrate:
             got = np.array([s.moment(*key) for _, s in traj])
             assert np.abs(got - want).max() < 1e-8
 
-    @pytest.mark.parametrize("order", [2, 4, 6])
-    def test_rk4_order_on_quartic(self, order):
-        # degree <= 2 follows the exact flow, so RK4's fourth order shows only
-        # for degree >= 3.  The quartic hierarchy has no closed form: the
-        # differences of the runs at dt, dt/2 and dt/4 shrink 2^4-fold
-        # (measured 16.05 / 16.22 / 16.35 at orders 2 / 4 / 6)
-        V = PolynomialPotential((0.0, 0.0, 0.5, 0.05, 0.1))
-        s0 = MomentState.make(1.0, 0.0, order, _gaussian_moments(order))
-        finals = [moment_oracle.as_vector(integrate(s0, V, 1.0, 2.0, dt).states[-1]) for dt in (0.02, 0.01, 0.005)]
-        ratio = np.abs(finals[0] - finals[1]).max() / np.abs(finals[1] - finals[2]).max()
-        assert 15.0 < ratio < 17.0
-
     @pytest.mark.parametrize("potential", ["linear", "harmonic"])
     def test_decoupling_from_moments(self, potential):
         if potential == "linear":
@@ -431,6 +451,13 @@ class TestIntegrate:
             integrate(s0, V, self.u.m, 1.0, 0.0)
         with pytest.raises(DomainError, match="^t_end must be finite and >= 0"):
             integrate(s0, V, self.u.m, -0.1, 0.1)
+        for m in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="^m must be finite and > 0"):
+                integrate(s0, V, m, 1.0, 0.1)
+        # hbar^2/4 is the reference of the deficit: it must be positive and finite
+        for hbar in (0.0, -1.0, 1e-200, 1e200, math.nan):
+            with pytest.raises(DomainError, match="^hbar must be > 0 with a finite, nonzero square"):
+                integrate(s0, V, self.u.m, 1.0, 0.1, hbar=hbar)
         # t_end = 0 is the one-sample trajectory of s0 itself, k = 0..round(0/dt)
         traj = integrate(s0, V, self.u.m, 0.0, 0.1)
         assert len(traj) == 1 and traj.states[0] is s0 and traj.times.tolist() == [0.0]
@@ -452,23 +479,24 @@ class TestIntegrate:
             integrate(s0, V, self.u.m, t_end, dt)
 
     def test_non_finite_state_raises(self):
-        # V = x^2/2 + 0.1 x^4 at order 4 from Gaussian moments blows up; the
-        # first non-finite state is the one after step 553 (t = 5.53)
-        V = PolynomialPotential((0.0, 0.0, 0.5, 0.0, 0.1))
-        G = {(2, 0): 0.25, (0, 2): 1.0, (4, 0): 0.1875, (0, 4): 3.0, (2, 2): 0.25}
-        s0 = MomentState.make(x=1.0, p=0.0, order=4, G=G)
-        with np.errstate(all="ignore"), pytest.raises(NumericalError, match=r"step 553 \(t = 5\.53\)"):
-            integrate(s0, V, 1.0, 10.0, 0.01)
+        # gravity with m = 1e-4 from G^{2,0} = 1e300: G^{0,2} = G^{2,0} t^2/m^2
+        # = 1e308 t^2 overflows between t = 1.34 and 1.35, mid-run, without a
+        # numpy warning (an error in this suite)
+        V = PolynomialPotential.gravity(1e-4, 1.0)
+        s0 = MomentState.make(x=1.0, p=0.0, order=2, G={(2, 0): 1e300, (0, 2): 1.0})
+        with pytest.raises(NumericalError, match=r"^moment state is not finite at step 135 \(t = 1\.35\)"):
+            integrate(s0, V, 1e-4, 2.0, 0.01)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_moment_raises_at_step_one(self, bad):
-        # under gravity no equation reads G^{0,4}, so the bad value stays in
-        # that one slot; the harmonic flow feeds it to G^{1,3}.  Both follow
-        # integrate's exact flow, and the check must see it after step 1
+        # the check reads the initial state too: a bad G^{0,4} is reported at
+        # step 0 under gravity (no equation reads it) and the harmonic flow
+        # (which feeds it to G^{1,3}), also at t_end = 0, where no step is taken
         s0 = MomentState.make(1.0, 0.0, 4, {**_gaussian_moments(4), (0, 4): bad})
         for V in (PolynomialPotential.gravity(self.u.m, self.u.g), PolynomialPotential.harmonic(self.u.m, 1.3)):
-            with np.errstate(all="ignore"), pytest.raises(NumericalError, match=r"step 1 \(t = 0\.01\)"):
-                integrate(s0, V, self.u.m, 1.0, 0.01)
+            for t_end in (1.0, 0.0):
+                with pytest.raises(NumericalError, match=r"^moment state is not finite at step 0 \(t = 0\)"):
+                    integrate(s0, V, self.u.m, t_end, 0.01)
 
     @pytest.mark.parametrize("hbar", [None, 1.0])
     def test_overflowing_uncertainty_product_raises(self, hbar):
@@ -479,38 +507,17 @@ class TestIntegrate:
         with pytest.raises(NumericalError, match=r"uncertainty product overflows at step 1 \(t = 0\.01\)"):
             integrate(s0, V, self.u.m, 10.0, 0.01, hbar=hbar)
 
-    @pytest.mark.parametrize("order", [4, 6])
-    def test_quartic_run_matches_oracle_rk4(self, order):
-        # 200 steps of V = x^2/2 + 0.05 x^3 + 0.1 x^4 from Gaussian moments
-        # against plain RK4 on the dict-loop equations; the compensated and
-        # plain sums part by a few eps per step (measured 3e-15 at order 4,
-        # 9e-15 at order 6, relative to each moment's largest value)
-        V = PolynomialPotential((0.0, 0.0, 0.5, 0.05, 0.1))
-        s0 = MomentState.make(1.0, 0.0, order, _gaussian_moments(order))
-        traj = integrate(s0, V, 1.0, 2.0, 0.01)
-        want = moment_oracle.rk4(s0, V, 1.0, 0.01, 200)
-        got = np.array([moment_oracle.as_vector(s) for s in traj.states])
-        assert got.shape == want.shape
-        assert (np.abs(got - want) / np.abs(want).max(axis=0)).max() < 1e-13
-
     @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("coefficients", [
-        (0.0, 0.7 * 1.3), (0.0, 0.0, 0.5 * 0.7 * 1.3**2), (0.0, 0.0, 0.5, 0.05, 0.1), (0.4,),
-    ], ids=["gravity", "harmonic", "quartic", "constant"])
+        (0.0, 0.7 * 1.3), (0.0, 0.0, 0.5 * 0.7 * 1.3**2), (0.4,),
+    ], ids=["gravity", "harmonic", "constant"])
     def test_rows_equal_compensated_oracle_rk4(self, order, coefficients):
-        # A Gaussian state (odd moments exactly 0) and a non-Gaussian one.
-        #
-        # degree >= 3, where moment_eom runs once per RK4 stage: bit for bit
-        # (signs of zeros too) against the Kahan-compensated RK4 on the
-        # dict-loop equations: the kernel rounds every entry as the loop does,
-        # and the step adds its stages in the same order, so any reordering of
-        # the step's arithmetic shows here.
-        #
-        # degree <= 2, where integrate follows the exact flow: held to the
-        # all-order closed forms in 50-digit mpmath, which share no code with
-        # its probes, exponential or doubling: measured <= 2.1 eps (gravity,
-        # constant) and 3.8 eps (harmonic) relative to each column's max,
-        # bounded at about 3x.  A column that is 0 throughout must stay exactly 0.
+        # A Gaussian state (odd moments exactly 0) and a non-Gaussian one,
+        # held to the all-order closed forms in 50-digit mpmath, which share
+        # no code with integrate's probes, exponential or doubling: measured
+        # <= 2.1 eps (gravity, constant) and 3.8 eps (harmonic) relative to
+        # each column's max, bounded at about 3x.  A column that is 0
+        # throughout must stay exactly 0.
         V = PolynomialPotential(coefficients)
         rng = np.random.default_rng(order)
         random = {key: rng.uniform(-1.0, 1.0) for key in moment_pairs(order)}
@@ -518,11 +525,6 @@ class TestIntegrate:
             s0 = MomentState.make(1.0, 0.3, order, G)
             traj = integrate(s0, V, 0.7, 0.5, 0.01)
             got = np.array([moment_oracle.as_vector(s) for s in traj.states])
-            if V.degree >= 3:
-                want = moment_oracle.rk4(s0, V, 0.7, 0.01, 50, compensated=True)
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
-                continue
             exact = _exact_flow(s0, V, 0.7, traj.times)
             bound = (12 if V.degree == 2 else 6) * EPS * np.abs(exact).max(axis=0)
             assert np.all(np.abs(got - exact) <= bound)
@@ -590,32 +592,11 @@ class TestIntegrate:
             finals = np.array([moment_oracle.as_vector(traj.states[-1]) for traj in trajs])
             assert (np.ptp(finals, axis=0) / scale).max() < 32 * EPS
 
-    @staticmethod
-    def count_moment_eom_calls(monkeypatch):
-        # integrate reads moment_eom as a module global; the benchmark tracer
-        # counts the kernel by patching that name
-        calls = []
-        kernel = moments.moment_eom
-
-        def counting(*args):
-            calls.append(1)
-            return kernel(*args)
-
-        monkeypatch.setattr(moments, "moment_eom", counting)
-        return calls
-
-    def test_one_moment_eom_call_per_stage(self, monkeypatch):
-        # degree >= 3: one call per RK4 stage
-        calls = self.count_moment_eom_calls(monkeypatch)
-        s0 = MomentState.make(1.0, 0.0, 4, _gaussian_moments(4))
-        traj = integrate(s0, PolynomialPotential((0.0, 0.0, 0.5, 0.05, 0.1)), 1.0, 1.0, 0.01)
-        assert len(traj) == 101 and len(calls) == 4 * 100
-
     @pytest.mark.parametrize("order", [2, 4])
     def test_affine_moment_eom_calls_do_not_grow_with_steps(self, monkeypatch, order):
         # degree <= 2: moment_eom runs on the zero state and on each unit vector
         # but the trailing zero slot's, once per call of integrate, not per step
-        calls = self.count_moment_eom_calls(monkeypatch)
+        calls = _count_moment_eom_calls(monkeypatch)
         s0 = MomentState.make(1.0, 0.0, order, _gaussian_moments(order))
         for V in (PolynomialPotential.gravity(self.u.m, self.u.g), PolynomialPotential.harmonic(self.u.m, 1.3)):
             for steps in (10, 1000):
@@ -647,7 +628,6 @@ class TestTrajectoryColumns:
     potentials = {
         "gravity": PolynomialPotential.gravity(0.5, 2.0),
         "harmonic": PolynomialPotential.harmonic(0.5, 1.3),
-        "quartic": PolynomialPotential((0.0, 0.0, 0.5, 0.05, 0.1)),
     }
 
     def run(self, potential, order, t_end=0.5):
@@ -655,7 +635,7 @@ class TestTrajectoryColumns:
         return integrate(s0, self.potentials[potential], self.m, t_end, 0.01, hbar=1.0)
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("potential", ["gravity", "harmonic", "quartic"])
+    @pytest.mark.parametrize("potential", ["gravity", "harmonic"])
     def test_observables_equal_per_state_values(self, potential, order):
         V, states = self.potentials[potential], self.run(potential, order).states
         assert _bits(uncertainty_product(states)) == _bits([uncertainty_product(s) for s in states])
@@ -663,7 +643,7 @@ class TestTrajectoryColumns:
             [effective_hamiltonian(s, V, self.m) for s in states])
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("potential", ["gravity", "harmonic", "quartic"])
+    @pytest.mark.parametrize("potential", ["gravity", "harmonic"])
     def test_columns_equal_per_state_values(self, potential, order):
         states = self.run(potential, order).states
         assert states.order == order and len(states) == 51
@@ -680,7 +660,7 @@ class TestTrajectoryColumns:
             with pytest.raises(DomainError, match="moment indices must be >= 0"):
                 states.moment(a, b)
 
-    @pytest.mark.parametrize("potential", ["gravity", "harmonic", "quartic"])
+    @pytest.mark.parametrize("potential", ["gravity", "harmonic"])
     def test_zero_duration_is_one_row(self, potential):
         traj = self.run(potential, 4, t_end=0.0)
         s0 = traj.states[0]
@@ -785,3 +765,48 @@ class TestEntryPointsProperty:
     def test_envelope(self, x0, c0, c1, c2, m, g, t, reset):
         ic = SaturatedIC(alpha=1.0, c0=c0, c1=c1, c2=c2)
         _finite_or_refused(lambda: envelope(x0, ic, m, g, t, reset_each_period=reset))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _moment_runs(draw, degree=st.integers(0, 2)):
+    """(s0, V, m, t_end, dt, hbar) for integrate: a finite state of order 2-6,
+    V = c, c x or c x^2 (constant, gravity, harmonic) for degree <= 2 and
+    x^2/2 + c x^degree (c != 0) above, m > 0, and t_end = steps * dt with
+    steps <= 200."""
+    order, d = draw(st.integers(2, 6)), draw(degree)
+    c = draw(FINITE.filter(bool) if d > 2 else FINITE)
+    coefficients = (0.0, 0.0, 0.5) + (0.0,) * (d - 3) + (c,) if d > 2 else (0.0,) * d + (c,)
+    pairs = moment_pairs(order)
+    G = dict(zip(pairs, draw(st.lists(FINITE, min_size=len(pairs), max_size=len(pairs)))))
+    s0 = MomentState.make(draw(FINITE), draw(FINITE), order, G)
+    dt = draw(POSITIVE)
+    return s0, PolynomialPotential(coefficients), draw(POSITIVE), draw(st.integers(0, 200)) * dt, dt, draw(
+        st.none() | POSITIVE)
+
+
+class TestIntegrateProperty:
+    """integrate on finite inputs: all-finite rows, or DomainError or
+    NumericalError; never a NaN, a numpy warning (an error under this
+    suite's filterwarnings) or another exception."""
+
+    @given(run=_moment_runs())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_finite_rows_or_refused(self, run):
+        try:
+            traj = integrate(*run)
+        except (DomainError, NumericalError):
+            return
+        states = traj.states
+        rows = np.column_stack([states.x, states.p] + [states.moment(a, b) for a, b in moment_pairs(states.order)])
+        assert rows.shape[0] == len(traj.times) and np.isfinite(rows).all()
+        assert traj.worst_uncertainty_deficit >= 0.0
+
+    @given(run=_moment_runs(degree=st.integers(3, 6)))
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    def test_degree_three_and_up_always_refused(self, run):
+        with pytest.raises(DomainError):
+            integrate(*run)
