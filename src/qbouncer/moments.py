@@ -230,7 +230,11 @@ def _eom_tables(order: int, m: float) -> tuple:
     idx is a (2, k) array of indices into [x, p, G..., 0]; first moments and
     moments beyond the order point at the trailing zero slot.  Its rows gather
     G^{a+1,b-1} and G^{a-1,b+1}; w weighs them by b/m and -a (0 outside G).
+    DomainError unless m is finite and > 0 with order/m finite; a refused m
+    is not cached, an accepted one costs nothing after its first call.
     """
+    if not (math.isfinite(m) and m > 0 and math.isfinite(order / m)):
+        raise DomainError(f"m must be finite and > 0 with order/m finite, got {m!r}")
     pairs = moment_pairs(order)
     zero = len(pairs) + 2
 
@@ -255,7 +259,8 @@ def moment_eom(s: MomentState, V: PolynomialPotential, m: float) -> MomentState:
     reads them all; -a V'' is formed first, so each entry rounds as the
     term-by-term sum does.  From degree 3 on these classical brackets miss
     the hbar^2 (Moyal) terms of dG^{a,b}/dt for a >= 3, such as
-    -(hbar^2/4) V''' in dG^{3,0}/dt, so such a potential raises DomainError.
+    -(hbar^2/4) V''' in dG^{3,0}/dt, so such a potential raises DomainError,
+    as do an m that is not finite and > 0 and a V'' or c_1 that is not finite.
     """
     if V.degree > 2:
         raise DomainError(
@@ -265,6 +270,8 @@ def moment_eom(s: MomentState, V: PolynomialPotential, m: float) -> MomentState:
     idx, w = _eom_tables(s.order, m)
     _, c1, c2 = (V.coefficients + (0.0, 0.0))[:3]
     v2 = c2 * 2  # V''
+    if not (math.isfinite(v2) and math.isfinite(c1)):
+        raise DomainError(f"V'' = 2 c_2 and c_1 must be finite, got c_2 = {c2!r}, c_1 = {c1!r}")
     y = s._y
     G = y[idx]
     out = w[0] * G[0]

@@ -97,7 +97,13 @@ class PacketSpec:
 
 @dataclass(eq=False)
 class Eigenbasis:
-    """Truncated Airy eigenbasis with its position matrix elements."""
+    """Truncated Airy eigenbasis with its position matrix elements.
+
+    After a NUFFT evolution the basis also holds that kernel's buffers, for
+    the last circle only: about the larger of 768 bytes a state pair (at most
+    3.1 MB) and 1.75 times the state's kept rows, 1.5 MB at N = 64 and
+    20 001 times.  The next call on the same circle reuses them.
+    """
 
     n_max: int
     units: UnitSystem
@@ -310,12 +316,28 @@ def project_packet(p: PacketSpec, basis: Eigenbasis) -> SpectralState:
     return state
 
 
-def _uniform_rows(s: SpectralState, count: int, h: float) -> np.ndarray:
+def _workspace(basis: Eigenbasis, size: int, block: int) -> tuple:
+    """The kernel's buffers for a circle of size points and pair blocks of
+    block: one float buffer that holds a block's Gaussian weights and their
+    products and then the (2, size/2 + 1) Hermitian half, and a block's
+    circle indices.  Taken off the basis by one atomic pop, so a concurrent
+    call finds none and builds its own, and rebuilt when the shape differs;
+    the caller hands it back when it is done."""
+    ws = basis.__dict__.pop("_kernel", None)
+    if ws is None or ws[0] != (size, block):
+        pair = block * 2 * _SPREAD
+        ws = ((size, block), np.empty(max(2 * pair, 4 * (size // 2 + 1))), np.empty((block, 2 * _SPREAD), np.intp))
+    return ws
+
+
+def _uniform_rows(s: SpectralState, count: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """(2, count) rows <x>, <x^2> at times k h, k < count, by a type-1 NUFFT
-    over pairs m < n (Greengard & Lee, SIAM Rev. 46, 2004).  With
-    omega = (E_n - E_m)/hbar, K0 = count // 2 and j = k - K0,
+    over pairs m < n (Greengard & Lee, SIAM Rev. 46, 2004), written into out
+    if given.  With omega = (E_n - E_m)/hbar, K0 = count // 2 and j = k - K0,
     <M> = sum_n |c_n|^2 M_nn + 2 Re sum_mn a_mn exp(-i omega h j),
-    a = conj(c_m) c_n M_mn exp(-i omega K0 h)."""
+    a = conj(c_m) c_n M_mn exp(-i omega K0 h).  The pair buffers and the
+    Hermitian half stay on the basis, for the last circle only, and serve
+    the next call on it (see Eigenbasis)."""
     basis, c = s.basis, s.coefficients
     mats = np.stack((basis.x_matrix, basis.x2_matrix()))
     m, n = np.triu_indices(c.size, 1)
@@ -330,32 +352,44 @@ def _uniform_rows(s: SpectralState, count: int, h: float) -> np.ndarray:
     cell, padded = 2.0 * math.pi / size, size + 2 * _SPREAD
     tau = math.pi * _SPREAD / (size * (size - 0.5 * count))
     offsets = np.arange(1, 2 * _SPREAD + 1)
+    shift = cell * (offsets - _SPREAD)
+    ws = _workspace(basis, size, min(omega.size, _PAIR_BLOCK))
+    _, scratch, indices = ws
+    weights, products = scratch[:2 * indices.size].reshape(2, *indices.shape)
+    # the spread is taken anew and let go before the transforms, which reuse
+    # its memory; holding it on the basis too measured slower (CHANGES.md)
     spread = np.zeros((4, padded))
     for lo in range(0, omega.size, _PAIR_BLOCK):
         q, w = np.divmod(omega[lo:lo + _PAIR_BLOCK, None] * h, cell)
-        w = w - cell * (offsets - _SPREAD)
+        w = np.subtract(w, shift, out=weights[:q.size])
         w *= w
         w /= -4.0 * tau
         np.exp(w, out=w)
-        idx = ((q % size).astype(np.intp) + offsets).ravel()
-        for out, a in zip(spread, amp[:, lo:lo + _PAIR_BLOCK]):
-            out += np.bincount(idx, (w * a).ravel(), padded)
+        idx = np.add((q % size).astype(np.intp), offsets, out=indices[:q.size]).ravel()
+        for row, a in zip(spread, amp[:, lo:lo + _PAIR_BLOCK]):
+            row += np.bincount(idx, np.multiply(w, a, out=products[:q.size]).ravel(), padded)
     circle = spread[:, _SPREAD:-_SPREAD]
     circle[:, :_SPREAD] += spread[:, -_SPREAD:]
     circle[:, -_SPREAD:] += spread[:, :_SPREAD]
     # Re F(z), z = re + i im, is F of z's Hermitian part: a real irfft of the
     # conjugate of twice its half, re[k] + re[-k] + i (im[-k] - im[k])
     half = size // 2
-    herm = np.empty((2, half + 1), complex)
+    herm = scratch[:4 * (half + 1)].view(complex).reshape(2, half + 1)
     herm[:, 0] = 2.0 * circle[:2, 0]
     np.add(circle[:2, 1:half + 1], circle[:2, :half - 1:-1], out=herm.real[:, 1:])
     np.subtract(circle[2:, :half - 1:-1], circle[2:, 1:half + 1], out=herm.imag[:, 1:])
-    sums = np.fft.irfft(herm, size, norm="forward")
-    # rows j = -K0 ... count - K0 - 1, divided by the Gaussian's transform
-    sums = np.concatenate((sums[:, size - k0:], sums[:, :count - k0]), 1)
+    del spread, circle
+    # rows j = -K0 ... count - K0 - 1, divided by the Gaussian's transform;
+    # one irfft a row: for a batch numpy 2 takes a fresh buffer of several rows
+    rows = np.empty((2, count)) if out is None else out
+    for row, z in zip(rows, herm):
+        sums = np.fft.irfft(z, size, norm="forward")
+        row[:k0] = sums[size - k0:]
+        row[k0:] = sums[:count - k0]
+    basis.__dict__["_kernel"] = ws
     j = np.arange(-k0, count - k0)
-    sums *= np.exp(tau * j * j) / (size * math.sqrt(tau / math.pi))
-    return (mats.diagonal(0, 1, 2) @ (c.real**2 + c.imag**2))[:, None] + sums
+    rows *= np.exp(tau * j * j) / (size * math.sqrt(tau / math.pi))
+    return np.add((mats.diagonal(0, 1, 2) @ (c.real**2 + c.imag**2))[:, None], rows, out=rows)
 
 
 def _direct_rows(s: SpectralState, t: np.ndarray) -> np.ndarray:
@@ -398,7 +432,7 @@ def _kept_rows(s: SpectralState, times) -> np.ndarray:
     n = s.coefficients.size
     if n * (n - 1) // 2 * (2 * _SPREAD + 1) + count < count * n:
         rows = np.empty((2, t.size))
-        rows[:, :count] = _uniform_rows(s, count, h)
+        _uniform_rows(s, count, h, rows[:, :count])
         rows[:, off] = _direct_rows(s, t[off])
     else:
         rows = _direct_rows(s, t)

@@ -206,6 +206,31 @@ class TestEquationsOfMotion:
                     integrate(s, V, 0.7, t_end, 0.01)
                 assert len(calls) == 1
 
+    @pytest.mark.parametrize("m", [0.0, -0.7, math.nan, math.inf, 1e-320])
+    def test_bad_mass_refused(self, m):
+        # m = 0 once raised ZeroDivisionError from the weights b/m, and
+        # m = 1e-320 makes them overflow; each is refused at every order, also
+        # by integrate's first probe
+        V = PolynomialPotential.gravity(0.7, 1.3)
+        for order in (2, 4):
+            s = MomentState.make(1.0, 0.3, order, _gaussian_moments(order))
+            with pytest.raises(DomainError, match=r"^m must be finite and > 0 with order/m finite"):
+                moment_eom(s, V, m)
+            with pytest.raises(DomainError, match=r"^m must be finite and > 0"):
+                integrate(s, V, m, 1.0, 0.01)
+
+    @pytest.mark.parametrize("coefficients", [(0.0, 0.0, 9e307), (0.0, 0.0, -1e308), (0.0, 0.0, math.nan),
+                                              (0.0, math.inf, 0.5)], ids=["overflow", "negative", "nan", "c1"])
+    def test_non_finite_curvature_refused(self, coefficients):
+        # V'' = 2 c_2 overflows from |c_2| = 9e307 on and once turned the zero
+        # weights into nan behind a numpy invalid-value warning (an error in
+        # this suite); integrate's probes now refuse it the same way
+        V = PolynomialPotential(coefficients)
+        s = MomentState.make(1.0, 0.3, 4, _gaussian_moments(4))
+        for run in (lambda: moment_eom(s, V, 0.7), lambda: integrate(s, V, 0.7, 1.0, 0.01)):
+            with pytest.raises(DomainError, match=r"^V'' = 2 c_2 and c_1 must be finite"):
+                run()
+
     @pytest.mark.parametrize("coefficients", [(0.3, -1.2), (0.1, 0.4, 0.9), (0.4,), (0.0,)],
                              ids=["linear", "quadratic", "constant", "zero"])
     def test_trailing_zero_coefficients_ignored(self, coefficients):
@@ -488,7 +513,7 @@ class TestIntegrate:
             integrate(s0, V, 1e-4, 2.0, 0.01)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_moment_raises_at_step_one(self, bad):
+    def test_non_finite_initial_moment_raises_at_step_zero(self, bad):
         # the check reads the initial state too: a bad G^{0,4} is reported at
         # step 0 under gravity (no equation reads it) and the harmonic flow
         # (which feeds it to G^{1,3}), also at t_end = 0, where no step is taken

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -453,9 +454,9 @@ class TestPhaseTableReuse:
         calls = []
         kernel, direct = quantum._uniform_rows, quantum._direct_rows
 
-        def counting_kernel(s, count, h):
+        def counting_kernel(s, count, h, out=None):
             calls.append(("kernel", count))
-            return kernel(s, count, h)
+            return kernel(s, count, h, out)
 
         def counting_direct(s, t):
             if t.size:
@@ -708,6 +709,77 @@ class TestBlockedPhaseTable:
         assert peak < 64 * 2**20
         assert sum(a.nbytes for a in state._rows) == 3 * 8 * grid.size
         assert np.isfinite(mean).all() and (var > 0).all()
+
+
+class TestKernelWorkspace:
+    """The NUFFT kernel keeps its pair buffers and Hermitian half on the basis,
+    for the last circle only, and reuses them on the next call; no output bit
+    depends on what an earlier call left there."""
+
+    REVIVAL = PacketSpec(x0=25.0, sigma=2.0)
+
+    @classmethod
+    def rows_on(cls, basis, grid):
+        """<x> and <x^2> rows of the revival packet over grid, by the kernel."""
+        return grid_rows(project_packet(cls.REVIVAL, basis), grid)
+
+    def test_second_call_reuses_buffers(self, units):
+        basis = build_basis(64, units)
+        grid = 0.05 * np.arange(3001)
+        first = self.rows_on(basis, grid)
+        kept = basis.__dict__["_kernel"]
+        second = self.rows_on(basis, grid)
+        assert basis.__dict__["_kernel"] is kept
+        assert np.array_equal(first, second)
+        assert np.array_equal(second, self.rows_on(build_basis(64, units), grid))
+
+    @pytest.mark.parametrize("n, counts", [(64, (3001, 1201, 3001)), (120, (4001, 2501, 4001))])
+    def test_new_grid_length_replaces_workspace(self, units, n, counts):
+        # at N = 120 the 7140 pairs take two blocks of _PAIR_BLOCK
+        basis = build_basis(n, units)
+        shapes = []
+        for count in counts:
+            grid = 0.05 * np.arange(count)
+            rows = self.rows_on(basis, grid)
+            shapes.append(basis.__dict__["_kernel"][0])
+            assert np.array_equal(rows, self.rows_on(build_basis(n, units), grid))
+        assert shapes[0] == shapes[2] != shapes[1]
+        assert shapes[0][1] == min(n * (n - 1) // 2, quantum._PAIR_BLOCK)
+
+    def test_overlapping_call_takes_its_own_buffers(self, units, monkeypatch):
+        # a second call on the basis, made while the first is between its
+        # Hermitian half and its transforms, must not write into the first's
+        basis = build_basis(64, units)
+        grid = 0.05 * np.arange(3001)
+        other = PacketSpec(x0=21.0, sigma=1.5)
+        fresh = build_basis(64, units)
+        want, want_other = self.rows_on(fresh, grid), grid_rows(project_packet(other, fresh), grid)
+        inner, real = [], np.fft.irfft
+
+        def irfft(*args, **kwargs):
+            if not inner:
+                inner.append(None)  # the inner call's own transforms go straight through
+                inner.append(grid_rows(project_packet(other, basis), grid))
+            return real(*args, **kwargs)
+
+        self.rows_on(basis, grid)  # leaves a workspace of this shape on the basis
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        assert np.array_equal(self.rows_on(basis, grid), want)
+        assert np.array_equal(inner[1], want_other)
+
+    def test_concurrent_calls_match_serial(self, units):
+        basis = build_basis(64, units)
+        calls = [(PacketSpec(x0=20.0 + k % 5, sigma=2.0), 0.05 * np.arange((1201, 2001, 3001)[k % 3]),
+                  (expectation_x_evolution, variance_x_evolution)[k % 2]) for k in range(20)]
+
+        def run(call):
+            packet, grid, func = call
+            return func(project_packet(packet, basis), grid)
+
+        serial = [run(call) for call in calls]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            concurrent = list(pool.map(run, calls))
+        assert all(np.array_equal(a, b) for a, b in zip(serial, concurrent))
 
 
 @pytest.fixture(scope="module")
