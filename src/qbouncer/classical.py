@@ -4,24 +4,22 @@ Fourier-series representation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import ValueRecord
 from .errors import DomainError
 
 __all__ = ["BounceSpec", "free_fall", "bounce_trajectory", "bounce_fourier"]
 
 
-@dataclass(frozen=True)
-class BounceSpec:
+class BounceSpec(ValueRecord):
     """Drop from rest at height x0 in field g (v0 shifts the release point)."""
 
-    x0: float
-    g: float
-    v0: float = 0.0
+    _fields = ("x0", "g", "v0")
 
-    def __post_init__(self):
+    def __init__(self, x0: float, g: float, v0: float = 0.0):
+        self.__dict__.update(x0=x0, g=g, v0=v0)
         if not (self.x0 >= 0 and math.isfinite(self.x0)):
             raise DomainError("x0 must be >= 0")
         if not (self.g > 0 and math.isfinite(self.g)):

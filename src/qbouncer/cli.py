@@ -11,14 +11,15 @@ Every configuration key can come from a flat key=value config file
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import classical, moments, quantum
+from ._record import ValueRecord
 from .errors import ConfigError, DomainError, NumericalError
 from .scaling import UnitSystem, make_units, units_from_preset
 # airy_zero stays a name of this module: bench/tracing.py wraps cli.airy_zero
@@ -46,19 +47,13 @@ _OPTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    kind: str
-    units: UnitSystem
-    x0: float
-    sigma: float
-    alpha: float
-    nmax: int
-    nterms: int
-    tend: float
-    dt: float
-    out: str
-    envreset: bool = False
+class ScenarioConfig(ValueRecord):
+    _fields = ("kind", "units", "x0", "sigma", "alpha", "nmax", "nterms", "tend", "dt", "out", "envreset")
+
+    def __init__(self, kind: str, units: UnitSystem, x0: float, sigma: float, alpha: float, nmax: int,
+                 nterms: int, tend: float, dt: float, out: str, envreset: bool = False):
+        self.__dict__.update(kind=kind, units=units, x0=x0, sigma=sigma, alpha=alpha, nmax=nmax,
+                             nterms=nterms, tend=tend, dt=dt, out=out, envreset=envreset)
 
 
 def _parse_config_file(path: str) -> dict:
@@ -287,8 +282,10 @@ def write_table(header, cols, out: str) -> None:
             raise ConfigError(f"cannot write output file {out!r}: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=8)
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """Options go on the `command` subparser only."""
+    """Options go on the `command` subparser only.  Built once per command and
+    shared between calls, so a caller must not change it."""
     parser = argparse.ArgumentParser(
         prog="qbouncer",
         description="Quantum bouncer scenarios: exact classical bounce, Airy-basis "

@@ -15,12 +15,12 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ._record import FrozenRecord, ValueRecord
 from .classical import BounceSpec, _check_times, bounce_trajectory
 from .errors import DomainError, NumericalError
 from .scaling import UnitSystem
@@ -48,17 +48,16 @@ _MAX_STEPS = 10**8
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class PolynomialPotential:
+class PolynomialPotential(ValueRecord):
     """V(x) = sum_k coefficients[k] * x^k, exactly differentiable to any order."""
 
-    coefficients: tuple[float, ...]
+    _fields = ("coefficients",)
 
-    def __post_init__(self):
-        if not self.coefficients:
+    def __init__(self, coefficients: Sequence[float]):
+        if not coefficients:
             raise DomainError("potential needs at least one coefficient")
         # a tuple keeps the potential immutable and hashable
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
+        self.__dict__["coefficients"] = tuple(coefficients)
 
     @functools.cached_property
     def degree(self) -> int:
@@ -176,14 +175,15 @@ class MomentState(_MomentReader):
         return f"MomentState(x={self.x!r}, p={self.p!r}, G={dict(self.G)!r}, order={self._order})"
 
 
-@dataclass(frozen=True)
-class SaturatedIC:
-    """Uncorrelated second-moment initial data saturating c0*c2 = hbar^2/4."""
+class SaturatedIC(ValueRecord):
+    """Uncorrelated second-moment initial data saturating c0*c2 = hbar^2/4:
+    c0 = G^{2,0}(0), the momentum variance; c1 = G^{1,1}(0), always 0 here;
+    c2 = G^{0,2}(0) = alpha * l_g^2."""
 
-    alpha: float
-    c0: float  # G^{2,0}(0), momentum variance
-    c1: float  # G^{1,1}(0), always 0 here
-    c2: float  # G^{0,2}(0) = alpha * l_g^2
+    _fields = ("alpha", "c0", "c1", "c2")
+
+    def __init__(self, alpha: float, c0: float, c1: float, c2: float):
+        self.__dict__.update(alpha=alpha, c0=c0, c1=c1, c2=c2)
 
 
 def saturated_ic(alpha: float, u: UnitSystem) -> SaturatedIC:
@@ -344,8 +344,7 @@ class _StateRows(_MomentReader, SequenceABC):
             yield MomentState._wrap(row, self._order)
 
 
-@dataclass(frozen=True, eq=False)
-class MomentTrajectory:
+class MomentTrajectory(FrozenRecord):
     """Sampled output of integrate(); iterating yields (t, MomentState).
 
     states is backed by one (T, k) array; its MomentState objects are views
@@ -357,10 +356,12 @@ class MomentTrajectory:
     rounding error): the number behind the warning.
     """
 
-    times: np.ndarray
-    states: Sequence[MomentState]
-    warnings: tuple[str, ...] = field(default=())
-    worst_uncertainty_deficit: float = 0.0
+    _fields = ("times", "states", "warnings", "worst_uncertainty_deficit")
+
+    def __init__(self, times: np.ndarray, states: Sequence[MomentState], warnings: tuple[str, ...] = (),
+                 worst_uncertainty_deficit: float = 0.0):
+        self.__dict__.update(times=times, states=states, warnings=warnings,
+                             worst_uncertainty_deficit=worst_uncertainty_deficit)
 
     def __iter__(self) -> Iterator[tuple[float, MomentState]]:
         return zip(self.times, self.states)

@@ -20,10 +20,10 @@ vector-valued fixed Gauss-Legendre rule over all states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import FrozenRecord, Record, ValueRecord
 from .classical import _bounce_series, _check_times
 from .errors import DomainError, InsufficientBasisError, NumericalError
 from .scaling import UnitSystem
@@ -62,8 +62,7 @@ _OVERSAMPLE = 2
 _PAIR_BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class PacketSpec:
+class PacketSpec(ValueRecord):
     """Gaussian packet (2/(pi sigma^2))^(1/4) exp(-(x - x0)^2 / sigma^2).
 
     With this convention the position variance is sigma^2/4.  sigma may be
@@ -71,10 +70,10 @@ class PacketSpec:
     meaningful for expectation_x_series.
     """
 
-    x0: float
-    sigma: float
+    _fields = ("x0", "sigma")
 
-    def __post_init__(self):
+    def __init__(self, x0: float, sigma: float):
+        self.__dict__.update(x0=x0, sigma=sigma)
         if not (self.x0 > 0 and math.isfinite(self.x0)):
             raise DomainError("packet x0 must be positive and finite")
         # the packet divides by sigma**2, which is 0.0 below about 1.5e-162 and
@@ -95,8 +94,7 @@ class PacketSpec:
         return 0.5 * math.erfc(math.sqrt(2.0) * self.x0 / self.sigma)
 
 
-@dataclass(eq=False)
-class Eigenbasis:
+class Eigenbasis(Record):
     """Truncated Airy eigenbasis with its position matrix elements.
 
     After a NUFFT evolution the basis also holds that kernel's buffers, for
@@ -105,13 +103,14 @@ class Eigenbasis:
     20 001 times.  The next call on the same circle reuses them.
     """
 
-    n_max: int
-    units: UnitSystem
-    zeros: np.ndarray          # x_n, dimensionless, ascending
-    energies: np.ndarray      # e_g * x_n
-    norms: np.ndarray          # N_n = 1/|Ai'(-x_n)|
-    x_matrix: np.ndarray       # <m|x|n>, length units
-    _x2: np.ndarray | None = field(default=None, init=False, repr=False)
+    _fields = ("n_max", "units", "zeros", "energies", "norms", "x_matrix")
+
+    def __init__(self, n_max: int, units: UnitSystem, zeros: np.ndarray, energies: np.ndarray,
+                 norms: np.ndarray, x_matrix: np.ndarray):
+        # zeros x_n (dimensionless, ascending), energies e_g x_n, norms
+        # N_n = 1/|Ai'(-x_n)|, x_matrix <m|x|n> in length units
+        self.__dict__.update(n_max=n_max, units=units, zeros=zeros, energies=energies,
+                             norms=norms, x_matrix=x_matrix, _x2=None)
 
     def eigenfunction(self, n: int, x):
         """psi_n evaluated at physical heights x (n is 1-based); 0 below the mirror."""
@@ -132,8 +131,7 @@ class Eigenbasis:
         return self._x2
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralState:
+class SpectralState(FrozenRecord):
     """Expansion coefficients of a state over an Eigenbasis at one time.
 
     The state keeps the <x> and <x^2> rows of the last grid its observables
@@ -141,13 +139,11 @@ class SpectralState:
     once (by one NUFFT if the grid is long and uniform).
     """
 
-    basis: Eigenbasis
-    coefficients: np.ndarray
-    time: float
-    # read-only (grid, rows) of _kept_rows
-    _rows: tuple | None = field(default=None, init=False, repr=False)
+    _fields = ("basis", "coefficients", "time")
 
-    def __post_init__(self):
+    def __init__(self, basis: Eigenbasis, coefficients: np.ndarray, time: float):
+        # _rows: read-only (grid, rows) of _kept_rows
+        self.__dict__.update(basis=basis, coefficients=coefficients, time=time, _rows=None)
         total = float(np.sum(np.abs(self.coefficients) ** 2))
         if not total <= 1.0 + 1e-9:
             raise NumericalError(f"coefficient norm {total} exceeds 1 or is not finite")

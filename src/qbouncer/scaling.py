@@ -8,8 +8,8 @@ t_g = hbar / e_g.  Dimensionless ("starred") variables divide by these.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import ValueRecord
 from .errors import DomainError
 
 __all__ = [
@@ -30,16 +30,13 @@ NEUTRON_MASS_MEV = 940.0
 STANDARD_GRAVITY = 9.81  # m / s^2
 
 
-@dataclass(frozen=True)
-class UnitSystem:
+class UnitSystem(ValueRecord):
     """Mass, gravity and hbar plus the derived gravitational scales."""
 
-    m: float
-    g: float
-    hbar: float
-    l_g: float
-    e_g: float
-    t_g: float
+    _fields = ("m", "g", "hbar", "l_g", "e_g", "t_g")
+
+    def __init__(self, m: float, g: float, hbar: float, l_g: float, e_g: float, t_g: float):
+        self.__dict__.update(m=m, g=g, hbar=hbar, l_g=l_g, e_g=e_g, t_g=t_g)
 
 
 def make_units(m: float, g: float, hbar: float) -> UnitSystem:

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._record import ValueRecord
 from .errors import DomainError, NumericalError
 
 __all__ = [
@@ -45,13 +45,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AiryValue:
+class AiryValue(ValueRecord):
     """Ai and Ai' at one point (floats), or at every point of an array
     (arrays of its shape)."""
 
-    ai: float | np.ndarray
-    ai_prime: float | np.ndarray
+    _fields = ("ai", "ai_prime")
+
+    def __init__(self, ai: float | np.ndarray, ai_prime: float | np.ndarray):
+        self.__dict__.update(ai=ai, ai_prime=ai_prime)
 
 
 # Beyond |x| = 9 the asymptotic expansions are past their optimal-truncation

@@ -1,10 +1,14 @@
 """CLI scenarios: CSV output, config handling, exit codes, determinism."""
 
+import contextlib
+import io
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qbouncer.cli as cli
 from qbouncer.cli import main
@@ -628,3 +632,65 @@ def test_csv_bytes_match_row_oracle(argv, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert out == _oracle_table(kind, u, **kwargs)
+
+
+# the property test of main runs each command with values its options take,
+# plus one edge value of one option ("abc" is malformed); grids have
+# at most 26 rows (or are refused) and bases at most 26 states, so hundreds of
+# runs stay cheap
+_PLAIN = {
+    "x0": ("10", "5", "0.3", "1e-6"),
+    "sigma": ("1.5", "1", "7.875", "0"),
+    "alpha": ("1", "0.4277", "40.4", "0"),
+    "nterms": ("1", "7", "200"),
+}
+_SET = {"nmax": ("0", "1", "26"), "tend": ("0", "0.5", "2.5"), "dt": ("0.1", "0.5", "2")}
+_UNITS = st.sampled_from([[], ["--preset", "natural"], ["--preset", "neutron"]]) | st.tuples(
+    *[st.sampled_from(["1", "0.5", "2"])] * 3
+).map(lambda v: ["--mass", v[0], "--gravity", v[1], "--hbar", v[2]])
+_BAD = ("0", "-1", "nan", "inf", "-inf", "1e-300", "1e300", "abc")
+_EDGES = {
+    "preset": st.just("moon"),
+    **{key: st.sampled_from(("1.054571817e-34", *_BAD)) for key in ("mass", "gravity", "hbar", "dt")},
+    **{key: st.sampled_from(_BAD) | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+       for key in ("x0", "sigma", "alpha")},
+    "nmax": st.sampled_from(("-3", "10001", "1.5", "abc")),
+    "nterms": st.sampled_from(("0", "-1", "abc")),
+    "tend": st.sampled_from(("-1", "nan", "inf", "1e300", "abc")),
+}
+_MAIN_ARGS = st.tuples(
+    _UNITS,
+    st.fixed_dictionaries({k: st.sampled_from(v) for k, v in _SET.items()},
+                          optional={k: st.sampled_from(v) for k, v in _PLAIN.items()}),
+    st.sampled_from([[], ["--envreset"], ["--no-envreset"]]),
+    st.sampled_from(sorted(_EDGES)).flatmap(lambda k: _EDGES[k].map(lambda v: ["--" + k, v])),
+).map(lambda a: [*a[0], *[part for k, v in a[1].items() for part in ("--" + k, v)], *a[2], *a[3]])
+
+
+class TestMainProperty:
+    """Any argv of known options exits 0, 2 or 3 without a traceback; a run
+    that succeeds warns only with 'warning:' lines and writes finite cells."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(command=st.sampled_from(list(cli._RUNNERS)), flags=_MAIN_ARGS)
+    def test_exit_code_output_and_cells(self, command, flags):
+        # the edge value comes last, so it overrides a plain value of its key
+        argv = [command, *flags, "--out", "-"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses a malformed value
+                code = exc.code
+        err = err.getvalue()
+        assert code in (0, 2, 3), (argv, err)
+        assert "Traceback" not in err
+        if code != 0:
+            return
+        assert all(line.startswith("warning: ") for line in err.splitlines()), err
+        header, *rows = out.getvalue().splitlines()
+        assert rows and header.startswith(("n,", "t,"))
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == header.count(",") + 1
+            assert all(math.isfinite(float(c)) for c in cells if c), (argv, row)
