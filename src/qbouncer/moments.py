@@ -42,8 +42,9 @@ __all__ = [
 ]
 
 
-# integrate's step cap: 1e8 steps take 25-85 s on a 2-core x86_64 host, into
-# a trajectory of 8e8 (order + 1)(order + 2)/2 bytes.
+# integrate's step cap: 1e8 steps would take 12-32 s at orders 2-6 on a 2-core
+# x86_64 host (100 times a 1e6-step run), into a trajectory of
+# 8e8 (order + 1)(order + 2)/2 bytes.
 _MAX_STEPS = 10**8
 _EPS = float(np.finfo(float).eps)
 
@@ -285,37 +286,45 @@ def _affine_rows(s0: MomentState, V: PolynomialPotential, m: float, dt: float, n
     """Rows 0..n_steps of the exact flow from s0, allocated once moment_eom has
     taken V.
 
-    moment_eom is y' = A y + b (b on the zero state, A e_j + b on e_j; the
-    trailing zero slot is not probed).  L steps add D y + c, [[D, c],
-    [0, 0]] = exp(L dt [[A, b], [0, 0]]) - I: Taylor at norm <= 1/2, then
-    D_2L = 2 D_L + D_L^2; apart from I, D keeps its relative precision.
-    einsum keeps the products off BLAS (threads, work buffer).
+    moment_eom is y' = A y + b: b on the zero state under V, A e_j on e_j
+    under the homogeneous part c_2 x^2 of V, so V'' is not rounded against
+    c_1 (the trailing zero slot is not probed).  L steps add D y + c,
+    [[D, c], [0, 0]] = exp(L dt [[A, b], [0, 0]]) - I: Taylor at norm <= 1/2,
+    then D_2L = 2 D_L + D_L^2; apart from I, D keeps its relative precision.
+    The products run on BLAS.  Each fill level goes in chunks of at most
+    2^18 // k^2 rows, so no fill product exceeds 2^18 multiply-adds: OpenBLAS
+    runs a product up to that size on the calling thread, and one past it
+    wakes worker threads that cost more CPU than they save.
     """
-    def f(y):
-        return moment_eom(MomentState._wrap(y, s0.order), V, m)._y
+    def f(y, potential):
+        return moment_eom(MomentState._wrap(y, s0.order), potential, m)._y
 
     # an overflow leaves rows that are not finite, which integrate refuses
     with np.errstate(over="ignore", invalid="ignore"):
         k = s0._y.size
-        b = f(np.zeros(k))
+        b = f(np.zeros(k), V)
+        quadratic = PolynomialPotential((0.0, 0.0) + V.coefficients[2:3])
         M = np.zeros((k + 1, k + 1))
-        M[:k] = np.array([f(e) - b for e in np.eye(k)[:-1]] + [np.zeros(k), b]).T
+        M[:k] = np.array([f(e, quadratic) for e in np.eye(k)[:-1]] + [np.zeros(k), b]).T
         s = max(0, math.frexp(dt * np.abs(M).sum(axis=0).max())[1] + 1)
         D = term = M = np.ldexp(dt * M, -s)
         for j in range(2, 17):  # terms past the 16th are below eps/10 of D
-            term = np.einsum("ij,jk->ik", term, M) / j
+            term = term @ M / j
             D = D + term
         rows = np.empty((n_steps + 1, k))
         rows[0] = s0._y
+        chunk = max(1, 2**18 // k**2)
         for i in range(-s, n_steps.bit_length()):  # D moves a row 2^i steps
             if i > -s:
-                D = 2.0 * D + np.einsum("ij,jk->ik", D, D)
+                D = 2.0 * D + D @ D
             if i >= 0:
-                block = rows[2**i:2**(i + 1)]
-                n = len(block)
-                np.einsum("ij,kj->ik", rows[:n], D[:k, :k], out=block)
-                block += D[:k, k]
-                block += rows[:n]
+                top = min(2**(i + 1), n_steps + 1)
+                for lo in range(2**i, top, chunk):  # row 2^i + r is rows[r] moved
+                    block = rows[lo:min(lo + chunk, top)]
+                    src = rows[lo - 2**i:][:len(block)]
+                    np.matmul(src, D[:k, :k].T, out=block)
+                    block += D[:k, k]
+                    block += src
     return rows
 
 

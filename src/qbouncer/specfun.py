@@ -95,16 +95,16 @@ _K_ANCHOR = 26
 
 
 def _anchor_table():
-    # Taylor coefficients c[j] of Ai about each anchor via the ODE recurrence
-    # c[j] = (x0*c[j-2] + c[j-3]) / (j*(j-1)); rows Ai (c[j]) and h Ai' (c[j] j),
-    # each (anchors, powers).
-    coef = np.zeros((len(_ANCHORS), _K_ANCHOR))
-    for i, (x0, ai, aip) in enumerate(_ANCHORS):
-        c = coef[i]
-        c[0], c[1] = ai, aip
-        for j in range(2, _K_ANCHOR):
-            c[j] = (x0 * c[j - 2] + (c[j - 3] if j >= 3 else 0.0)) / (j * (j - 1))
-    return np.stack((coef, coef * np.arange(_K_ANCHOR)))
+    # Taylor coefficients c[j] of Ai about every anchor at once, a column per
+    # power, via the ODE recurrence c[j] = (x0*c[j-2] + c[j-3]) / (j*(j-1))
+    # (no c[j-3] at j = 2); rows Ai (c[j]) and h Ai' (c[j] j), each
+    # (anchors, powers).
+    x0, ai, aip = np.array(_ANCHORS).T
+    c = np.empty((len(_ANCHORS), _K_ANCHOR))
+    c[:, 0], c[:, 1], c[:, 2] = ai, aip, x0 * ai / 2
+    for j in range(3, _K_ANCHOR):
+        c[:, j] = (x0 * c[:, j - 2] + c[:, j - 3]) / (j * (j - 1))
+    return np.stack((c, c * np.arange(_K_ANCHOR)))
 
 
 _ANCHOR_TABLE = _anchor_table()

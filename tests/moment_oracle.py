@@ -74,16 +74,19 @@ def free_fall(s0: MomentState, m: float, force: float, t) -> np.ndarray:
         return np.array([float(v) for v in [x, s0.p - force * t] + G])
 
 
-def harmonic(s0: MomentState, m: float, stiffness: float, t) -> np.ndarray:
-    """Exact state at time t under V = stiffness x^2 / 2, as as_vector gives it.
+def harmonic(s0: MomentState, m: float, stiffness: float, t, force: float = 0.0) -> np.ndarray:
+    """Exact state at time t under V = force x + stiffness x^2 / 2, as
+    as_vector gives it.
 
     The flow is the phase-space rotation (omega = sqrt(stiffness/m),
-    c = cos omega t, s = sin omega t)
+    c = cos omega t, s = sin omega t) about the minimum x* = -force/stiffness
 
         dx' = c dx + s dp/(m omega),   dp' = c dp - m omega s dx,
 
+    with dx = x - x* for the means and x - <x> for the moments.  It is
     linear, so it maps Weyl-ordered moments to Weyl-ordered moments, and
-    G^{a,b} = <dp^a dx^b> follows from the binomial expansion at every order:
+    G^{a,b} = <dp^a dx^b> follows from the binomial expansion at every order
+    (the shift x* drops out of the central moments):
 
         G^{a,b}(t) = sum_{i,j} C(a,i) C(b,j) c^(a-i+b-j) s^(i+j) (-1)^i
                      (m omega)^(i-j) G^{a-i+j, b+i-j}(0).
@@ -96,8 +99,9 @@ def harmonic(s0: MomentState, m: float, stiffness: float, t) -> np.ndarray:
         m, t = mpmath.mpf(m), mpmath.mpf(t)
         mw = mpmath.sqrt(stiffness * m)
         c, s = mpmath.cos(mw / m * t), mpmath.sin(mw / m * t)
-        x = c * s0.x + s * s0.p / mw
-        p = c * s0.p - mw * s * s0.x
+        centre = -mpmath.mpf(force) / stiffness
+        x = centre + c * (s0.x - centre) + s * s0.p / mw
+        p = c * s0.p - mw * s * (s0.x - centre)
         G = [mpmath.fsum(math.comb(a, i) * math.comb(b, j) * c ** (a - i + b - j) * s ** (i + j) * (-1) ** i
                          * mw ** (i - j) * s0.moment(a - i + j, b + i - j)
                          for i in range(a + 1) for j in range(b + 1))

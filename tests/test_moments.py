@@ -1,7 +1,9 @@
 """Moment hierarchy: equations of motion, closed forms, saturation, envelope."""
 
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,11 +46,11 @@ def _gaussian_moments(order, spp=0.25, sxx=1.0):
 
 def _exact_flow(s0, V, m, times):
     """Rows of the exact flow under V of degree <= 2 at the given times, from
-    the 50-digit closed forms: free fall for degree <= 1, the rotation for
-    V = c2 x^2 (no linear or constant term may then change the flow)."""
+    the 50-digit closed forms: free fall for degree <= 1, the rotation about
+    the minimum for V = c0 + c1 x + c2 x^2."""
     if V.degree == 2:
-        assert V.coefficients[1] == 0.0
-        return np.array([moment_oracle.harmonic(s0, m, 2.0 * V.coefficients[2], t) for t in times])
+        return np.array([moment_oracle.harmonic(s0, m, 2.0 * V.coefficients[2], t, V.coefficients[1])
+                         for t in times])
     force = V.coefficients[1] if V.degree == 1 else 0.0
     return np.array([moment_oracle.free_fall(s0, m, force, t) for t in times])
 
@@ -554,6 +556,33 @@ class TestIntegrate:
             bound = (12 if V.degree == 2 else 6) * EPS * np.abs(exact).max(axis=0)
             assert np.all(np.abs(got - exact) <= bound)
 
+    @pytest.mark.parametrize("coefficients", [
+        (0.0, 0.7 * 1.3), (0.0, 0.0, 0.5 * 0.7 * 1.3**2),
+    ], ids=["gravity", "harmonic"])
+    def test_rows_at_product_seams_equal_closed_forms(self, coefficients):
+        # The flow fills row 2^i + r from rows[r] in products of at most
+        # 2^18 // k^2 rows (334 at order 6, k = 28); 3000 steps split levels
+        # 9, 10 and 11 into 2, 4 and 3 products.  The rows on both sides of
+        # every seam, between products and between levels, are held to the
+        # 50-digit closed forms as in test_rows_equal_compensated_oracle_rk4:
+        # measured <= 1.9 eps (gravity) and 3.2 eps (harmonic).
+        order, steps = 6, 3000
+        chunk = 2**18 // (len(moment_pairs(order)) + 3) ** 2
+        seams = sorted({row for i in range(steps.bit_length())
+                        for lo in range(2**i, min(2**(i + 1), steps + 1), chunk) for row in (lo - 1, lo)})
+        assert chunk < 2**9  # levels 9 and 10 each take several products
+        V = PolynomialPotential(coefficients)
+        rng = np.random.default_rng(order)
+        random = {key: rng.uniform(-1.0, 1.0) for key in moment_pairs(order)}
+        for G in (_gaussian_moments(order), random):
+            s0 = MomentState.make(1.0, 0.3, order, G)
+            traj = integrate(s0, V, 0.7, steps * 0.0002, 0.0002)
+            assert len(traj) == steps + 1
+            got = np.array([moment_oracle.as_vector(traj.states[i]) for i in seams])
+            exact = _exact_flow(s0, V, 0.7, traj.times[seams])
+            bound = (12 if V.degree == 2 else 6) * EPS * np.abs(exact).max(axis=0)
+            assert np.all(np.abs(got - exact) <= bound)
+
     @pytest.mark.parametrize("order,bound", [
         (2, 16 * EPS), (3, 16 * EPS), (4, 16 * EPS), (5, 36 * EPS), (6, 6 * EPS),
     ])
@@ -599,6 +628,26 @@ class TestIntegrate:
             want = _exact_flow(s0, V, m, traj.times[picked])
             assert (np.abs(got - want) / np.abs(want).max(axis=0)).max() < bound
 
+    @pytest.mark.parametrize("ratio", [1.0, 1e6, 1e10])
+    def test_shifted_quadratic_keeps_its_curvature(self, ratio):
+        # V = c_1 x + (V''/2) x^2 with c_1/V'' = ratio (c_1 = 1, m = 1): x and
+        # p rotate about -c_1/V'', up to 2e10 away, for half a period in 1000
+        # steps.  Probing V itself would read A[1, 0] as -((V'' + c_1) - c_1)
+        # and round V'' away: 5.8e5 eps (1e6) and 5.9e8 eps (1e10) off in p.
+        # Probed on its homogeneous part: measured <= 5.1 eps, relative to
+        # each column's largest value on every 7th row and the last, against
+        # the rotation at the exact times k dt.
+        m, curvature = 1.0, 1.0 / ratio
+        V = PolynomialPotential((0.0, 1.0, curvature / 2))
+        dt = math.pi * math.sqrt(m / curvature) / 1000
+        rng = np.random.default_rng(2)
+        s0 = MomentState.make(1.0, 0.3, 2, {key: rng.uniform(-1.0, 1.0) for key in moment_pairs(2)})
+        traj = integrate(s0, V, m, 1000 * dt, dt)
+        picked = np.r_[0:len(traj):7, len(traj) - 1]
+        got = np.array([moment_oracle.as_vector(traj.states[i]) for i in picked])
+        want = _exact_flow(s0, V, m, [k * mpmath.mpf(dt) for k in picked])
+        assert (np.abs(got - want) / np.abs(want).max(axis=0)).max() < 12 * EPS
+
     @pytest.mark.parametrize("potential", ["gravity", "harmonic"])
     def test_degree_two_flow_does_not_depend_on_dt(self, potential):
         # the exact flow reaches t = 1 alike in 1, 10, 100 and 1000 steps
@@ -628,6 +677,30 @@ class TestIntegrate:
                 calls.clear()
                 traj = integrate(s0, V, self.u.m, steps * 0.01, 0.01)
                 assert len(traj) == steps + 1 and len(calls) == len(moment_pairs(order)) + 3
+
+    def test_flow_stays_on_the_calling_thread(self):
+        # The flow's BLAS products are kept at or below OpenBLAS's
+        # single-thread size.  With the fill products left whole, worker
+        # threads spent 165 ms of CPU beside the caller's 163 ms over these
+        # 20 runs.
+        # The CPU time of every other thread of the process must stay within
+        # 5 % of this thread's own, plus 5 ms for what else runs.  Workers that
+        # an earlier large product woke spin for about 0.1 s before they
+        # sleep, so the test first waits (up to 2 s) for them to go quiet.
+        order = 6
+        s0 = MomentState.make(1.0, 0.0, order, _gaussian_moments(order))
+        V = PolynomialPotential.harmonic(1.0, 1.3)
+        for _ in range(100):
+            idle = time.process_time() - time.thread_time()
+            time.sleep(0.02)
+            if time.process_time() - time.thread_time() - idle < 0.001:
+                break
+        process, thread = time.process_time(), time.thread_time()
+        for _ in range(20):
+            integrate(s0, V, 1.0, 40.0, 0.01)
+        own = time.thread_time() - thread
+        others = time.process_time() - process - own
+        assert others <= 0.05 * own + 0.005, f"other threads {others:.4f} s beside {own:.4f} s"
 
     def test_trajectory_iterates_pairs(self):
         _, V, s0 = self.linear_setup()

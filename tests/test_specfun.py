@@ -181,6 +181,18 @@ class TestAiryAbsoluteAccuracy:
             err = np.abs(got - want).max()
             assert err <= bound, (bound, err)
 
+    def test_anchor_table_equals_scalar_recurrence(self):
+        # the table is built a column (one power of every anchor) at a time;
+        # the scalar loop over anchors and powers it replaced is the oracle
+        coef = np.zeros((len(specfun._ANCHORS), specfun._K_ANCHOR))
+        for i, (x0, ai, aip) in enumerate(specfun._ANCHORS):
+            c = coef[i]
+            c[0], c[1] = ai, aip
+            for j in range(2, specfun._K_ANCHOR):
+                c[j] = (x0 * c[j - 2] + (c[j - 3] if j >= 3 else 0.0)) / (j * (j - 1))
+        want = np.stack((coef, coef * np.arange(specfun._K_ANCHOR)))
+        assert np.array_equal(specfun._ANCHOR_TABLE, want)
+
 
 class TestAiryRelativeAccuracy:
     """Ai and Ai' on x >= 0 held to mpmath relatively: callers scale Ai by
