@@ -217,22 +217,20 @@ def effective_hamiltonian(s, V: PolynomialPotential, m: float):
     term contributes only at a = 2).
     """
     h = s.p * s.p / (2.0 * m) + V.value(s.x) + s.moment(2, 0) / (2.0 * m)
-    for b in range(2, s.order + 1):
-        if b > V.degree:
-            break
+    for b in range(2, min(s.order, V.degree) + 1):
         h += V.derivative(s.x, b) / math.factorial(b) * s.moment(0, b)
     return h
 
 
 @functools.lru_cache(maxsize=64)
 def _eom_tables(order: int, m: float) -> tuple:
-    """Tables of moment_eom for one (order, m): (idx, w).
+    """Tables of moment_eom for one (order, m): (idx, w, W).
 
     idx is a (2, k) array of indices into [x, p, G..., 0]; first moments and
     moments beyond the order point at the trailing zero slot.  Its rows gather
-    G^{a+1,b-1} and G^{a-1,b+1}; w weighs them by b/m and -a (0 outside G).
-    DomainError unless m is finite and > 0 with order/m finite; a refused m
-    is not cached, an accepted one costs nothing after its first call.
+    G^{a+1,b-1} and G^{a-1,b+1}; w weighs them by b/m and -a (0 outside G),
+    and so does W[r] as a dense (k, k) matrix, w[r, i] at column idx[r, i].
+    DomainError unless m is finite and > 0 with order/m finite (not cached).
     """
     if not (math.isfinite(m) and m > 0 and math.isfinite(order / m)):
         raise DomainError(f"m must be finite and > 0 with order/m finite, got {m!r}")
@@ -245,8 +243,9 @@ def _eom_tables(order: int, m: float) -> tuple:
     idx = np.array([row(lambda a, b: _slot(a + 1, b - 1, order), zero),
                     row(lambda a, b: _slot(a - 1, b + 1, order), zero)])
     w = np.array([row(lambda a, b: b / m, 0.0), row(lambda a, b: -a, 0.0)], dtype=float)
-    idx.flags.writeable = w.flags.writeable = False
-    return idx, w
+    W = np.where(idx[..., None] == np.arange(zero + 1), w[..., None], 0.0)
+    idx.flags.writeable = w.flags.writeable = W.flags.writeable = False
+    return idx, w, W
 
 
 def moment_eom(s: MomentState, V: PolynomialPotential, m: float) -> MomentState:
@@ -268,7 +267,7 @@ def moment_eom(s: MomentState, V: PolynomialPotential, m: float) -> MomentState:
             f"a potential of degree {V.degree} needs the hbar^2 (Moyal) terms of the moment "
             "equations, which this hierarchy lacks; only degree <= 2 is supported"
         )
-    idx, w = _eom_tables(s.order, m)
+    idx, w, _ = _eom_tables(s.order, m)
     _, c1, c2 = (V.coefficients + (0.0, 0.0))[:3]
     v2 = c2 * 2  # V''
     if not (math.isfinite(v2) and math.isfinite(c1)):
@@ -282,34 +281,37 @@ def moment_eom(s: MomentState, V: PolynomialPotential, m: float) -> MomentState:
     return MomentState._wrap(out, s.order)
 
 
+def _generator(order: int, V: PolynomialPotential, m: float) -> np.ndarray:
+    """[[A, b], [0, 0]] of moment_eom = A y + b: b is its one call, on the zero
+    state; A is read off its tables (W[0] + V'' W[1], x' = p/m, p' = -V'' x, so
+    V'' is not rounded against c_1), with zeros signed as moment_eom's on e_j."""
+    b = moment_eom(MomentState._wrap(np.zeros(len(moment_pairs(order)) + 3), order), V, m)._y
+    k, v2 = b.size, (V.coefficients + (0.0, 0.0))[2] * 2  # V''
+    W, M = _eom_tables(order, m)[2], np.zeros((k + 1, k + 1))
+    M[:k, :k] = W[0] + v2 * W[1]
+    M[0, 1], M[1, :k - 1], M[1, 0], M[:k, k] = 1.0 / m, -0.0, -(v2 + 0.0), b
+    return M
+
+
 def _affine_rows(s0: MomentState, V: PolynomialPotential, m: float, dt: float, n_steps: int) -> np.ndarray:
     """Rows 0..n_steps of the exact flow from s0, allocated once moment_eom has
-    taken V.
-
-    moment_eom is y' = A y + b: b on the zero state under V, A e_j on e_j
-    under the homogeneous part c_2 x^2 of V, so V'' is not rounded against
-    c_1 (the trailing zero slot is not probed).  L steps add D y + c,
-    [[D, c], [0, 0]] = exp(L dt [[A, b], [0, 0]]) - I: Taylor at norm <= 1/2,
-    then D_2L = 2 D_L + D_L^2; apart from I, D keeps its relative precision.
+    taken V: L steps add D y + c, [[D, c], [0, 0]] = exp(L dt M) - I for
+    M = _generator, by Taylor at norm <= 1/2 up to its first zero term, then
+    D_2L = 2 D_L + D_L^2; apart from I, D keeps its relative precision.
     The products run on BLAS.  Each fill level goes in chunks of at most
     2^18 // k^2 rows, so no fill product exceeds 2^18 multiply-adds: OpenBLAS
     runs a product up to that size on the calling thread, and one past it
     wakes worker threads that cost more CPU than they save.
     """
-    def f(y, potential):
-        return moment_eom(MomentState._wrap(y, s0.order), potential, m)._y
-
     # an overflow leaves rows that are not finite, which integrate refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        k = s0._y.size
-        b = f(np.zeros(k), V)
-        quadratic = PolynomialPotential((0.0, 0.0) + V.coefficients[2:3])
-        M = np.zeros((k + 1, k + 1))
-        M[:k] = np.array([f(e, quadratic) for e in np.eye(k)[:-1]] + [np.zeros(k), b]).T
+        k, M = s0._y.size, _generator(s0.order, V, m)
         s = max(0, math.frexp(dt * np.abs(M).sum(axis=0).max())[1] + 1)
         D = term = M = np.ldexp(dt * M, -s)
         for j in range(2, 17):  # terms past the 16th are below eps/10 of D
             term = term @ M / j
+            if not term.any():  # then every later term is 0 too (A nilpotent)
+                break
             D = D + term
         rows = np.empty((n_steps + 1, k))
         rows[0] = s0._y
@@ -391,8 +393,8 @@ def integrate(
     (at least one step for t_end > 0; t_end = 0 gives the one sample s0).
 
     The rows are the exact flow of moment_eom, to rounding: for the degree
-    <= 2 it takes the equations are affine.  A potential of degree >= 3 raises
-    moment_eom's DomainError before any row is allocated.
+    <= 2 it takes the equations are affine.  Its one call, on the zero state,
+    refuses degree >= 3 (DomainError) before any row is allocated.
 
     A drop of the uncertainty product G^{0,2} G^{2,0} - (G^{1,1})^2 more than
     1e-6 (relative) below its reference (hbar^2/4 when hbar is given, else the
@@ -417,18 +419,16 @@ def integrate(
     n_steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
     times = dt * np.arange(n_steps + 1)
     rows = _affine_rows(s0, V, m, dt, n_steps)
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if bad.size:
-        step = int(bad[0])
+    if not np.isfinite(rows).all():
+        step = int(np.argmin(np.isfinite(rows).all(axis=1)))
         raise NumericalError(f"moment state is not finite at step {step} (t = {times[step]:.6g})")
     rows.flags.writeable = False
     states = _StateRows(s0, rows)
     # finite states can still overflow the product's terms (alpha far from 1)
     with np.errstate(over="ignore", invalid="ignore"):
         scale = states.moment(0, 2) * states.moment(2, 0) + states.moment(1, 1) ** 2
-    overflow = np.flatnonzero(~np.isfinite(scale))
-    if overflow.size:
-        k = int(overflow[0])
+    if not np.isfinite(scale).all():
+        k = int(np.argmin(np.isfinite(scale)))
         raise NumericalError(f"uncertainty product overflows at step {k} (t = {times[k]:.6g})")
     product = uncertainty_product(states)
     reference = hbar * hbar / 4.0 if hbar is not None else product[0]

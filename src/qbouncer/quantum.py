@@ -193,7 +193,7 @@ def build_basis(n_max: int, u: UnitSystem) -> Eigenbasis:
     closed form, N_n^2 (Ai'(-x_n)^2 + x_n Ai(-x_n)^2), so a zero off by more
     than about 1e-4 / sqrt(x_n) raises NumericalError naming the state.
     n_max above 10 000, past the tested range, raises DomainError before any
-    zero is computed.
+    zero is computed; an energy e_g x_n that overflows raises it too.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -207,11 +207,15 @@ def build_basis(n_max: int, u: UnitSystem) -> Eigenbasis:
     if bad.size:
         i = int(bad[0])
         raise NumericalError(f"norm of eigenstate {i + 1} is {nrm[i]}, off by >{_NORM_CHECK_TOL}")
+    with np.errstate(over="ignore"):
+        energies = u.e_g * zeros
+    if not np.isfinite(energies[-1]):
+        raise DomainError(f"energy e_g x_{n_max} overflows (e_g = {u.e_g!r}, x_{n_max} = {float(zeros[-1])!r})")
     return Eigenbasis(
         n_max=n_max,
         units=u,
         zeros=zeros,
-        energies=u.e_g * zeros,
+        energies=energies,
         norms=norms,
         x_matrix=u.l_g * _position_matrix(zeros, power=1),
     )

@@ -11,6 +11,12 @@ The oracles read states only through MomentState's public accessors
 PolynomialPotential.derivative, so none shares an index table or weight with
 the code under test.  The closed forms share nothing with integrate's exact
 flow either: no generator, exponential or doubling, only binomial sums.
+
+probed_generator and probed_flow are the exact flow as integrate once built
+it, for a bit-for-bit regression check: the generator read off the public
+moment_eom on the zero state and on each unit vector, every Taylor term
+summed, and the same doubling and chunked fill.  They share moment_eom's
+tables with the code under test; moment_eom itself is held to the dict loop.
 """
 
 import math
@@ -18,6 +24,7 @@ import math
 import mpmath
 import numpy as np
 
+import qbouncer.moments as moments
 from qbouncer.moments import MomentState, PolynomialPotential, moment_pairs
 
 
@@ -107,3 +114,53 @@ def harmonic(s0: MomentState, m: float, stiffness: float, t, force: float = 0.0)
                          for i in range(a + 1) for j in range(b + 1))
              for a, b in moment_pairs(s0.order)]
         return np.array([float(v) for v in [x, p] + G])
+
+
+def probed_generator(order: int, V: PolynomialPotential, m: float) -> np.ndarray:
+    """[[A, b], [0, 0]] of the affine moment_eom (degree <= 2), as
+    [x, p, G..., 0] slots: b on the zero state under V, column j of A on the
+    unit vector e_j under the homogeneous part c_2 x^2 of V, so V'' is not
+    rounded against c_1.  The trailing zero slot is not probed: its column is
+    0, and moment_eom leaves that slot +0.0 in every output."""
+    pairs = moment_pairs(order)
+    k = len(pairs) + 3
+
+    def probe(x, p, G, potential):
+        return np.append(as_vector(moments.moment_eom(MomentState(x, p, G, order), potential, m)), 0.0)
+
+    b = probe(0.0, 0.0, {}, V)
+    quadratic = PolynomialPotential((0.0, 0.0) + V.coefficients[2:3])
+    units = [(1.0, 0.0, {}), (0.0, 1.0, {})] + [(0.0, 0.0, {key: 1.0}) for key in pairs]
+    M = np.zeros((k + 1, k + 1))
+    M[:k] = np.array([probe(*unit, quadratic) for unit in units] + [np.zeros(k), b]).T
+    return M
+
+
+def probed_flow(s0: MomentState, V: PolynomialPotential, m: float, dt: float, n_steps: int) -> np.ndarray:
+    """Rows 0..n_steps ([x, p, G..., 0] each) of the exact flow from s0:
+    [[D, c], [0, 0]] = exp(dt M) - I for M = probed_generator, by all 15 terms
+    of its Taylor series at norm <= 1/2, doubled back up with
+    D_2L = 2 D_L + D_L^2; row 2^i + r is row r moved by D for 2^i steps,
+    filled in products of at most 2^18 // k^2 rows."""
+    k = len(moment_pairs(s0.order)) + 3
+    M = probed_generator(s0.order, V, m)
+    s = max(0, math.frexp(dt * np.abs(M).sum(axis=0).max())[1] + 1)
+    D = term = M = np.ldexp(dt * M, -s)
+    for j in range(2, 17):
+        term = term @ M / j
+        D = D + term
+    rows = np.empty((n_steps + 1, k))
+    rows[0] = np.append(as_vector(s0), 0.0)
+    chunk = max(1, 2**18 // k**2)
+    for i in range(-s, n_steps.bit_length()):
+        if i > -s:
+            D = 2.0 * D + D @ D
+        if i >= 0:
+            top = min(2**(i + 1), n_steps + 1)
+            for lo in range(2**i, top, chunk):
+                block = rows[lo:min(lo + chunk, top)]
+                src = rows[lo - 2**i:][:len(block)]
+                np.matmul(src, D[:k, :k].T, out=block)
+                block += D[:k, k]
+                block += src
+    return rows

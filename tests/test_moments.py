@@ -194,7 +194,7 @@ class TestEquationsOfMotion:
     def test_degree_three_and_up_refused(self, coefficients, monkeypatch):
         # the classical brackets miss the hbar^2 (Moyal) terms from degree 3 on
         # (dG^{3,0}/dt is off by -(hbar^2/4) V'''): refused at every order, by
-        # integrate on its first moment_eom probe, before any row is stepped
+        # integrate on its one moment_eom call, before any row is stepped
         V = PolynomialPotential(coefficients)
         message = rf"^a potential of degree {V.degree} needs the hbar\^2 \(Moyal\) terms"
         calls = _count_moment_eom_calls(monkeypatch)
@@ -212,7 +212,7 @@ class TestEquationsOfMotion:
     def test_bad_mass_refused(self, m):
         # m = 0 once raised ZeroDivisionError from the weights b/m, and
         # m = 1e-320 makes them overflow; each is refused at every order, also
-        # by integrate's first probe
+        # by integrate
         V = PolynomialPotential.gravity(0.7, 1.3)
         for order in (2, 4):
             s = MomentState.make(1.0, 0.3, order, _gaussian_moments(order))
@@ -226,7 +226,7 @@ class TestEquationsOfMotion:
     def test_non_finite_curvature_refused(self, coefficients):
         # V'' = 2 c_2 overflows from |c_2| = 9e307 on and once turned the zero
         # weights into nan behind a numpy invalid-value warning (an error in
-        # this suite); integrate's probes now refuse it the same way
+        # this suite); integrate's moment_eom call now refuses it the same way
         V = PolynomialPotential(coefficients)
         s = MomentState.make(1.0, 0.3, 4, _gaussian_moments(4))
         for run in (lambda: moment_eom(s, V, 0.7), lambda: integrate(s, V, 0.7, 1.0, 0.01)):
@@ -541,7 +541,7 @@ class TestIntegrate:
     def test_rows_equal_compensated_oracle_rk4(self, order, coefficients):
         # A Gaussian state (odd moments exactly 0) and a non-Gaussian one,
         # held to the all-order closed forms in 50-digit mpmath, which share
-        # no code with integrate's probes, exponential or doubling: measured
+        # no code with integrate's generator, exponential or doubling: measured
         # <= 2.1 eps (gravity, constant) and 3.8 eps (harmonic) relative to
         # each column's max, bounded at about 3x.  A column that is 0
         # throughout must stay exactly 0.
@@ -632,9 +632,9 @@ class TestIntegrate:
     def test_shifted_quadratic_keeps_its_curvature(self, ratio):
         # V = c_1 x + (V''/2) x^2 with c_1/V'' = ratio (c_1 = 1, m = 1): x and
         # p rotate about -c_1/V'', up to 2e10 away, for half a period in 1000
-        # steps.  Probing V itself would read A[1, 0] as -((V'' + c_1) - c_1)
-        # and round V'' away: 5.8e5 eps (1e6) and 5.9e8 eps (1e10) off in p.
-        # Probed on its homogeneous part: measured <= 5.1 eps, relative to
+        # steps.  Probing moment_eom under V itself would read A[1, 0] as
+        # -((V'' + c_1) - c_1) and round V'' away: 5.8e5 eps (1e6) and 5.9e8
+        # eps (1e10) off in p.  A takes V'' alone: measured <= 5.1 eps, relative to
         # each column's largest value on every 7th row and the last, against
         # the rotation at the exact times k dt.
         m, curvature = 1.0, 1.0 / ratio
@@ -668,15 +668,39 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_affine_moment_eom_calls_do_not_grow_with_steps(self, monkeypatch, order):
-        # degree <= 2: moment_eom runs on the zero state and on each unit vector
-        # but the trailing zero slot's, once per call of integrate, not per step
+        # degree <= 2: moment_eom runs once per call of integrate, on the zero
+        # state for b (A is read off its tables), whatever the number of steps
         calls = _count_moment_eom_calls(monkeypatch)
         s0 = MomentState.make(1.0, 0.0, order, _gaussian_moments(order))
         for V in (PolynomialPotential.gravity(self.u.m, self.u.g), PolynomialPotential.harmonic(self.u.m, 1.3)):
             for steps in (10, 1000):
                 calls.clear()
                 traj = integrate(s0, V, self.u.m, steps * 0.01, 0.01)
-                assert len(traj) == steps + 1 and len(calls) == len(moment_pairs(order)) + 3
+                assert len(traj) == steps + 1 and len(calls) == 1
+
+    @pytest.mark.parametrize("order", range(2, 9))
+    @pytest.mark.parametrize("coefficients,m", [
+        ((0.0, 0.7 * 1.3), 0.7), ((0.0,), 0.7), ((0.0, 0.0, 0.5 * 0.7 * 1.3**2), 0.7), ((0.3, -0.2, -0.35), 0.7),
+        ((0.0, 1.0, 0.5e-6), 1.0), ((0.0, 1.0, 0.5e-10), 1.0),
+    ], ids=["gravity", "zero", "harmonic", "negative-c2", "ratio-1e6", "ratio-1e10"])
+    def test_generator_and_rows_equal_probed_flow(self, order, coefficients, m):
+        # The generator read off moment_eom's tables and the flow built on it
+        # against the flow that probed moment_eom on every unit vector and
+        # summed all 15 Taylor terms: equal bit for bit, as int64 views, so
+        # the sign of every zero counts (row 1 of A is -0.0 off column 0, and
+        # under gravity and V = 0 the Taylor series stops at its first zero
+        # term).  The ratio cases are test_shifted_quadratic_keeps_its_curvature's
+        # c_1/V''; 2000 and 3000 steps split fill levels into several products.
+        V = PolynomialPotential(coefficients)
+        assert np.array_equal(_int64(moments._generator(order, V, m)),
+                              _int64(moment_oracle.probed_generator(order, V, m)))
+        rng = np.random.default_rng(order)
+        s0 = MomentState.make(1.0, 0.3, order, {key: rng.uniform(-1.0, 1.0) for key in moment_pairs(order)})
+        for steps in (1, 7, 2000, 3000):
+            states = integrate(s0, V, m, steps * 0.002, 0.002).states
+            got = np.column_stack([states.x, states.p] + [states.moment(a, b) for a, b in moment_pairs(order)]
+                                  + [states.moment(0, order + 1)])
+            assert np.array_equal(_int64(got), _int64(moment_oracle.probed_flow(s0, V, m, 0.002, steps)))
 
     def test_flow_stays_on_the_calling_thread(self):
         # The flow's BLAS products are kept at or below OpenBLAS's
@@ -715,6 +739,11 @@ class TestIntegrate:
 
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
+
+
+def _int64(values) -> np.ndarray:
+    """The bits of a float array as int64s, so that -0.0 differs from 0.0."""
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
 
 
 class TestTrajectoryColumns:

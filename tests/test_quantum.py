@@ -1,5 +1,6 @@
 """Airy eigenbasis, packet projection, spectral evolution, observables."""
 
+import functools
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -7,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qbouncer.classical as classical
 import qbouncer.quantum as quantum
@@ -26,7 +29,7 @@ from qbouncer.quantum import (
     variance_x,
     variance_x_evolution,
 )
-from qbouncer.scaling import natural_units, neutron_units
+from qbouncer.scaling import make_units, natural_units, neutron_units
 from qbouncer.specfun import airy_ai, airy_ai_prime, airy_zero
 import quadrature_oracle
 from quadrature_oracle import gaussian_projection, norm_integrals, overlap_matrix, weighted_matrix
@@ -1049,3 +1052,43 @@ class TestPhysicalUnits:
         period = 2.0 * math.sqrt(2.0 * packet.x0 / u.g)
         xt = expectation_x_evolution(state, np.array([0.0, period]))
         assert xt[1] == pytest.approx(xt[0], rel=0.05)
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+SCALE = st.floats(min_value=1e-100, max_value=1e100) | st.floats(min_value=1e-300, max_value=1e300)
+
+
+@functools.cache
+def _basis(n_max, preset):
+    return build_basis(n_max, {"natural": natural_units, "neutron": neutron_units}[preset]())
+
+
+class TestEntryPointsProperty:
+    """build_basis and project_packet on arbitrary inputs return finite values
+    or raise DomainError, NumericalError or InsufficientBasisError: never a
+    NaN, a numpy warning (an error under this suite's filterwarnings) or
+    another exception.  Units come from make_units on masses, accelerations
+    and hbar across 600 decades, which refuses some triples itself."""
+
+    @given(n_max=st.integers(1, 120) | st.sampled_from([-1, 0, 10_001, 2**63]), m=SCALE, g=SCALE, hbar=SCALE)
+    @example(n_max=26, m=1.0, g=1e307, hbar=1.3e154)  # e_g = 2.0e307: e_g x_n overflowed from n = 6
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_build_basis(self, n_max, m, g, hbar):
+        try:
+            basis = build_basis(n_max, make_units(m, g, hbar))
+        except (DomainError, NumericalError):
+            return
+        for values in (basis.zeros, basis.energies, basis.norms, basis.x_matrix):
+            assert values.shape[0] == n_max and np.isfinite(values).all()
+
+    @given(x0=ANY_FLOAT, sigma=ANY_FLOAT, n_max=st.sampled_from([1, 5, 26, 64]),
+           preset=st.sampled_from(["natural", "neutron"]))
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_project_packet(self, x0, sigma, n_max, preset):
+        basis = _basis(n_max, preset)
+        try:
+            state = project_packet(PacketSpec(x0=x0, sigma=sigma), basis)
+        except (DomainError, NumericalError):  # InsufficientBasisError is a NumericalError
+            return
+        assert state.coefficients.shape == (n_max,) and np.isfinite(state.coefficients).all()
+        assert state.truncation_loss <= 1e-3
