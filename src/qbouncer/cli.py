@@ -165,7 +165,7 @@ def run_spectrum(cfg: ScenarioConfig):
     n = np.arange(1, cfg.nmax + 1)
     exact = airy_zeros(cfg.nmax)
     seed = np.array([airy_zero_asymptotic(k) for k in n.tolist()])
-    return header, [n, exact, seed, cfg.units.e_g * exact, 100.0 * abs(exact - seed) / exact]
+    return header, [n, exact, seed, quantum._energies(exact, cfg.units), 100.0 * abs(exact - seed) / exact]
 
 
 def run_classical(cfg: ScenarioConfig):
@@ -266,18 +266,28 @@ def _check_finite(header, cols) -> None:
             raise NumericalError(f"column {name} is {col[k]} at row {k} ({header[0]} = {cols[0][k]:.6g})")
 
 
+# rows that one % formats: bounds the cell tuple and the bytes of a block
+# however long the table is
+_BLOCK_ROWS = 4096
+
+
 def write_table(header, cols, out: str) -> None:
-    template = ",".join("" if c is None else "%d" if getattr(c, "dtype", float) == int else "%.17g"
-                        for c in cols) + "\n"
-    # one 2-D tolist(): a list per column kept cli_readme's peak RSS rising
-    rows = np.column_stack([c for c in cols if c is not None]).tolist()
-    text = ",".join(header) + "\n" + "".join([template % tuple(r) for r in rows])
+    row = b",".join(b"" if c is None else b"%d" if getattr(c, "dtype", float) == int else b"%.17g"
+                    for c in cols) + b"\n"
+    table = np.column_stack([c for c in cols if c is not None])
+    chunks = [",".join(header).encode() + b"\n"]
+    for lo in range(0, len(table), _BLOCK_ROWS):
+        # one % over the block's flattened cells: each cell keeps its own %.17g
+        # or %d conversion, and no row builds a tuple, a string or a join
+        block = table[lo:lo + _BLOCK_ROWS]
+        chunks.append(row * len(block) % tuple(block.ravel().tolist()))
+    data = b"".join(chunks)
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode())
     else:
         try:
-            with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            with open(out, "wb") as fh:
+                fh.write(data)
         except OSError as exc:
             raise ConfigError(f"cannot write output file {out!r}: {exc}") from exc
 

@@ -186,6 +186,17 @@ def _position_matrix(zeros: np.ndarray, power: int) -> np.ndarray:
     return out
 
 
+def _energies(zeros: np.ndarray, u: UnitSystem) -> np.ndarray:
+    """Energies e_g x_n of the ascending zero magnitudes x_n; DomainError
+    if the largest overflows."""
+    with np.errstate(over="ignore"):
+        e = u.e_g * zeros
+    if not np.isfinite(e[-1]):
+        raise DomainError(f"energy e_g x_{zeros.size} overflows (e_g = {u.e_g!r}, "
+                          f"x_{zeros.size} = {float(zeros[-1])!r})")
+    return e
+
+
 def build_basis(n_max: int, u: UnitSystem) -> Eigenbasis:
     """Construct the first n_max eigenstates and their position matrix.
 
@@ -207,15 +218,11 @@ def build_basis(n_max: int, u: UnitSystem) -> Eigenbasis:
     if bad.size:
         i = int(bad[0])
         raise NumericalError(f"norm of eigenstate {i + 1} is {nrm[i]}, off by >{_NORM_CHECK_TOL}")
-    with np.errstate(over="ignore"):
-        energies = u.e_g * zeros
-    if not np.isfinite(energies[-1]):
-        raise DomainError(f"energy e_g x_{n_max} overflows (e_g = {u.e_g!r}, x_{n_max} = {float(zeros[-1])!r})")
     return Eigenbasis(
         n_max=n_max,
         units=u,
         zeros=zeros,
-        energies=energies,
+        energies=_energies(zeros, u),
         norms=norms,
         x_matrix=u.l_g * _position_matrix(zeros, power=1),
     )
@@ -428,7 +435,9 @@ def _kept_rows(s: SpectralState, times) -> np.ndarray:
     t = np.ravel(times)
     h = t[1] if t.size > 1 else 0.0
     off = t != h * np.arange(t.size)
-    count = 0 if off.all() else int(np.flatnonzero(~off)[-1]) + 1
+    # the k h prefix ends at the last row on the grid, off's first False from the end
+    back = int(off[::-1].argmin()) if t.size else 0
+    count = 0 if not t.size or off[-1 - back] else t.size - back
     n = s.coefficients.size
     if n * (n - 1) // 2 * (2 * _SPREAD + 1) + count < count * n:
         rows = np.empty((2, t.size))

@@ -95,19 +95,22 @@ _K_ANCHOR = 26
 
 
 def _anchor_table():
-    # Taylor coefficients c[j] of Ai about every anchor at once, a column per
+    # Taylor coefficients c[j] of Ai about every anchor at once, a row per
     # power, via the ODE recurrence c[j] = (x0*c[j-2] + c[j-3]) / (j*(j-1))
     # (no c[j-3] at j = 2); rows Ai (c[j]) and h Ai' (c[j] j), each
-    # (anchors, powers).
+    # (powers, anchors), so one gather [:, :, idx] takes every power of
+    # every point's anchor
     x0, ai, aip = np.array(_ANCHORS).T
-    c = np.empty((len(_ANCHORS), _K_ANCHOR))
-    c[:, 0], c[:, 1], c[:, 2] = ai, aip, x0 * ai / 2
+    c = np.empty((_K_ANCHOR, len(_ANCHORS)))
+    c[0], c[1], c[2] = ai, aip, x0 * ai / 2
     for j in range(3, _K_ANCHOR):
-        c[:, j] = (x0 * c[:, j - 2] + c[:, j - 3]) / (j * (j - 1))
-    return np.stack((c, c * np.arange(_K_ANCHOR)))
+        c[j] = (x0 * c[j - 2] + c[j - 3]) / (j * (j - 1))
+    return np.stack((c, c * np.arange(_K_ANCHOR)[:, None]))
 
 
 _ANCHOR_TABLE = _anchor_table()
+# points per gather: 26 powers of a row of 4096 points take 0.85 MB
+_ANCHOR_BLOCK = 4096
 
 _K_ASYMP = 26
 
@@ -131,26 +134,33 @@ _SQRT_PI = math.sqrt(math.pi)
 
 
 def _horner(table, t):
-    """Each row of table (one column per power) as a polynomial at t; Horner from zeros."""
-    acc = np.zeros((len(table), t.size))
-    for col in table.T[::-1]:
+    """Each row of table (one column per power) as a polynomial at t; Horner
+    from the top coefficient (no top coefficient is zero, so this equals
+    Horner from zeros bit for bit: 0 t + c = c)."""
+    acc = np.repeat(table[:, -1:], t.size, axis=1)
+    for col in table.T[-2::-1]:
         acc *= t
         acc += col[:, None]
     return acc
 
 
 def _eval_anchor(x, prime):
-    # each point has its own anchor, so each power gathers its own column
+    # each point has its own anchor: one gather a block of points takes all
+    # its powers, and Horner starts from the top one, as _horner does
     idx = np.searchsorted(_ANCHOR_SPLIT, x)
     h = x - _ANCHOR_X[idx]
     table = _ANCHOR_TABLE if prime else _ANCHOR_TABLE[:1]
-    acc = np.zeros((len(table), x.size))
-    for j in range(_K_ANCHOR - 1, -1, -1):
-        acc *= h
-        acc += table[:, idx, j]
+    acc = np.empty((len(table), x.size))
+    for lo in range(0, x.size, _ANCHOR_BLOCK):
+        part = slice(lo, lo + _ANCHOR_BLOCK)
+        coef, step, a = table[:, :, idx[part]], h[part], acc[:, part]
+        a[...] = coef[:, -1]
+        for j in range(_K_ANCHOR - 2, -1, -1):
+            a *= step
+            a += coef[:, j]
     if not prime:
         return (acc[0],)
-    return acc[0], np.where(h == 0.0, table[0, idx, 1], acc[1] / np.where(h == 0.0, 1.0, h))
+    return acc[0], np.where(h == 0.0, table[0, 1, idx], acc[1] / np.where(h == 0.0, 1.0, h))
 
 
 def _asymptotic_positive_undamped(x, prime):
@@ -189,13 +199,17 @@ def _airy_core(x: np.ndarray, prime=True):
     """[Ai] on an array, or [Ai, Ai'] if prime: anchors on |x| <= 9, the
     asymptotic expansions beyond.  Each region's table has Ai's rows first;
     Ai-only calls take those rows, which read no Ai' row, so prime leaves
-    Ai's bits."""
+    Ai's bits.  Results are flat; when one region holds every point, its
+    own arrays are returned, with no mask or copy."""
+    x = x.ravel()
     out = [np.empty_like(x) for _ in range(2 if prime else 1)]
     near = np.abs(x) <= _ASYMP_CUT
     pos = x > _ASYMP_CUT
     neg = x < -_ASYMP_CUT
     for where, evaluate in ((near, _eval_anchor), (pos, _eval_asymptotic_positive),
                             (neg, _eval_asymptotic_negative)):
+        if where.all():
+            return list(evaluate(x, prime))
         if where.any():
             for dst, val in zip(out, evaluate(x[where], prime)):
                 dst[where] = val

@@ -4,11 +4,13 @@ import contextlib
 import io
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import qbouncer.cli as cli
 from qbouncer.cli import main
@@ -63,6 +65,19 @@ class TestSpectrum:
     def test_zero_nmax_is_usage_error(self, tmp_path, capsys):
         assert main(["spectrum", "--nmax", "0", "--out", str(tmp_path / "x.csv")]) == 2
         assert "nmax" in capsys.readouterr().err
+
+    def test_overflowing_energy_refused_as_quantum_refuses_it(self, capsys):
+        # e_g = 2.0e307 overflows from E_6 on; under pytest a numpy overflow
+        # warning is an error, so the product must be checked, not computed raw
+        units = ["--nmax", "26", "--mass", "1", "--gravity", "1e307", "--hbar", "1.3e154", "--out", "-"]
+        errs = []
+        for command in ("spectrum", "quantum"):
+            assert main([command, *units]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            errs.append(err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("error: energy e_g x_26 overflows (e_g = 2.03681805624")
 
 
 class TestClassicalScenario:
@@ -609,6 +624,61 @@ def _oracle_table(kind, u, x0=10.0, sigma=2.0, alpha=1.0, nmax=48, nterms=200, t
     cols = [grid, classical.bounce_trajectory(bounce, grid), x_qm, series, lo, hi, g02, g11, g20]
     return _oracle_csv(["t", "x_classical", "x_quantum", "x_series",
                         "env_lower", "env_upper", "G02", "G11", "G20"], zip(*cols))
+
+
+# finite doubles as bit patterns: sign, biased exponent 0 (zeros and
+# subnormals) to 2046 (the largest binade), mantissa
+_FINITE_BITS = st.tuples(st.integers(0, 1), st.integers(0, 2046), st.integers(0, 2**52 - 1)).map(
+    lambda f: (f[0] << 63) | (f[1] << 52) | f[2])
+
+
+def _write_both(header, cols, path):
+    """write_table's file bytes and its text on stdout."""
+    cli.write_table(header, cols, str(path))
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        cli.write_table(header, cols, "-")
+    return path.read_bytes(), text.getvalue()
+
+
+def _table_with_int_and_empty(floats, int_at, none_at):
+    n = len(floats)
+    cols = list(floats.T)
+    cols.insert(int_at, np.arange(n))
+    cols.insert(none_at, None)
+    header = [f"c{i}" for i in range(len(cols))]
+    return header, cols, _oracle_csv(header, zip(*[[None] * n if c is None else c for c in cols]))
+
+
+class TestWriteTableProperty:
+    """write_table's bytes equal the per-cell oracle for any finite doubles,
+    an int column and an empty column, on both sides of its row-block bound,
+    to a file and to stdout."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(block=st.integers(1, 5), data=st.data())
+    def test_blocks_match_cell_oracle(self, block, data, tmp_path_factory):
+        rows = data.draw(st.integers(1, 3 * block + 1), label="rows")
+        floats = data.draw(arrays(np.uint64, (rows, data.draw(st.integers(1, 3), label="float columns")),
+                                  elements=_FINITE_BITS), label="bits").view(np.float64)
+        k = floats.shape[1]
+        int_at = data.draw(st.integers(0, k), label="int column at")
+        header, cols, want = _table_with_int_and_empty(
+            floats, int_at, data.draw(st.integers(0, k + 1), label="empty column at"))
+        with mock.patch.object(cli, "_BLOCK_ROWS", block):
+            got, text = _write_both(header, cols, tmp_path_factory.mktemp("csv") / "t.csv")
+        assert got == want.encode() and text == want
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, cli._BLOCK_ROWS + 1])
+    def test_real_block_size(self, extra, tmp_path):
+        rows = cli._BLOCK_ROWS + extra
+        bits = np.random.default_rng(rows).integers(0, 2**63, (rows, 2), dtype=np.uint64, endpoint=False)
+        bits[:, 1] |= np.uint64(1 << 63)  # a negative column
+        floats = bits.view(np.float64)
+        floats[~np.isfinite(floats)] = -0.0
+        header, cols, want = _table_with_int_and_empty(floats, 0, 2)
+        got, text = _write_both(header, cols, tmp_path / "t.csv")
+        assert got == want.encode() and text == want
 
 
 @pytest.mark.parametrize("argv", [

@@ -191,7 +191,72 @@ class TestAiryAbsoluteAccuracy:
             for j in range(2, specfun._K_ANCHOR):
                 c[j] = (x0 * c[j - 2] + (c[j - 3] if j >= 3 else 0.0)) / (j * (j - 1))
         want = np.stack((coef, coef * np.arange(specfun._K_ANCHOR)))
-        assert np.array_equal(specfun._ANCHOR_TABLE, want)
+        assert np.array_equal(specfun._ANCHOR_TABLE, want.transpose(0, 2, 1))
+
+
+def _per_power_horner(table, t):
+    # Horner from zeros, as the evaluation once ran it
+    acc = np.zeros((len(table), t.size))
+    for col in table.T[::-1]:
+        acc *= t
+        acc += col[:, None]
+    return acc
+
+
+def _per_power_anchor(x, prime):
+    # one gather a power from an anchor-major table, Horner from zeros
+    idx = np.searchsorted(specfun._ANCHOR_SPLIT, x)
+    h = x - specfun._ANCHOR_X[idx]
+    table = specfun._ANCHOR_TABLE.transpose(0, 2, 1)[:2 if prime else 1]
+    acc = np.zeros((len(table), x.size))
+    for j in range(specfun._K_ANCHOR - 1, -1, -1):
+        acc *= h
+        acc += table[:, idx, j]
+    if not prime:
+        return (acc[0],)
+    return acc[0], np.where(h == 0.0, table[0, idx, 1], acc[1] / np.where(h == 0.0, 1.0, h))
+
+
+def _per_region_core(x, prime=True):
+    # every region writes its points into fresh arrays, even when it holds all
+    out = [np.empty_like(x) for _ in range(2 if prime else 1)]
+    for where, evaluate in ((np.abs(x) <= specfun._ASYMP_CUT, specfun._eval_anchor),
+                            (x > specfun._ASYMP_CUT, specfun._eval_asymptotic_positive),
+                            (x < -specfun._ASYMP_CUT, specfun._eval_asymptotic_negative)):
+        if where.any():
+            for dst, val in zip(out, evaluate(x[where], prime)):
+                dst[where] = val
+    return out
+
+
+class TestAiryEqualsPerPowerReference:
+    def test_bitwise_over_all_regions(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        xs = np.concatenate([
+            rng.uniform(-9.0, 9.0, 20_000), rng.uniform(-60.0, 60.0, 5_000),
+            -np.exp(rng.uniform(0.0, math.log(1e8), 2_000)), np.exp(rng.uniform(-700.0, 700.0, 2_000)),
+            specfun._ANCHOR_X, specfun._ANCHOR_SPLIT,  # h = 0 and the anchor seams
+            [9.0, -9.0, np.nextafter(9.0, 10.0), np.nextafter(-9.0, -10.0), 0.0, -0.0, 5e-324],
+        ])
+        one_region = [rng.uniform(-9.0, 9.0, 9_000), rng.uniform(9.5, 30.0, 300), rng.uniform(-30.0, -9.5, 300)]
+
+        def values():
+            out = []
+            for x in (xs, xs[:4_000].reshape(80, 50), *one_region, 3.0, -12.0, 12.0):
+                v = airy(x)
+                out += [v.ai, v.ai_prime, airy_ai(x)]
+            for a in (0.0, 0.4, 2.5, 11.0):
+                out.append(airy_ai_smoothed(xs, a))
+            return out + [airy_zeros(n) for n in (10, 26, 64, 500)]
+
+        got = values()
+        monkeypatch.setattr(specfun, "_horner", _per_power_horner)
+        monkeypatch.setattr(specfun, "_eval_anchor", _per_power_anchor)
+        monkeypatch.setattr(specfun, "_airy_core", _per_region_core)
+        want = values()
+        for g, w in zip(got, want):
+            g, w = np.asarray(g), np.asarray(w)
+            assert g.shape == w.shape and np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
 class TestAiryRelativeAccuracy:
