@@ -272,13 +272,28 @@ _BLOCK_ROWS = 4096
 
 
 def write_table(header, cols, out: str) -> None:
-    row = b",".join(b"" if c is None else b"%d" if getattr(c, "dtype", float) == int else b"%.17g"
-                    for c in cols) + b"\n"
-    table = np.column_stack([c for c in cols if c is not None])
+    n = next(len(c) for c in cols if c is not None)
+    cells, varying = [], []
+    for c in cols:
+        if c is None:
+            cells.append(b"")
+            continue
+        fmt = b"%d" if getattr(c, "dtype", float) == int else b"%.17g"
+        # a float column of one bit pattern (+0.0 and -0.0 differ) is formatted
+        # once, into the row template; c[0] != c[-1] rules most columns out
+        if fmt == b"%.17g" and n > 1 and c[0] == c[-1]:
+            bits = np.asarray(c, dtype=float).view(np.int64)
+            if (bits == bits[0]).all():
+                cells.append(fmt % float(c[0]))
+                continue
+        cells.append(fmt)
+        varying.append(c)
+    row = b",".join(cells) + b"\n"
+    table = np.column_stack(varying) if varying else np.empty((n, 0))
     chunks = [",".join(header).encode() + b"\n"]
-    for lo in range(0, len(table), _BLOCK_ROWS):
-        # one % over the block's flattened cells: each cell keeps its own %.17g
-        # or %d conversion, and no row builds a tuple, a string or a join
+    for lo in range(0, n, _BLOCK_ROWS):
+        # one % over the block's flattened varying cells: each keeps its own
+        # %.17g or %d conversion, and no row builds a tuple, a string or a join
         block = table[lo:lo + _BLOCK_ROWS]
         chunks.append(row * len(block) % tuple(block.ravel().tolist()))
     data = b"".join(chunks)

@@ -424,13 +424,16 @@ def integrate(
         raise NumericalError(f"moment state is not finite at step {step} (t = {times[step]:.6g})")
     rows.flags.writeable = False
     states = _StateRows(s0, rows)
-    # finite states can still overflow the product's terms (alpha far from 1)
+    # finite states can still overflow the product's terms (alpha far from 1);
+    # the terms are those of uncertainty_product, formed once for both
+    g11 = states.moment(1, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = states.moment(0, 2) * states.moment(2, 0) + states.moment(1, 1) ** 2
+        diag, cross = states.moment(0, 2) * states.moment(2, 0), g11 * g11
+        scale = diag + cross
     if not np.isfinite(scale).all():
         k = int(np.argmin(np.isfinite(scale)))
         raise NumericalError(f"uncertainty product overflows at step {k} (t = {times[k]:.6g})")
-    product = uncertainty_product(states)
+    product = diag - cross
     reference = hbar * hbar / 4.0 if hbar is not None else product[0]
     worst = 0.0
     if reference > 0:

@@ -144,7 +144,8 @@ class SpectralState(FrozenRecord):
     def __init__(self, basis: Eigenbasis, coefficients: np.ndarray, time: float):
         # _rows: read-only (grid, rows) of _kept_rows
         self.__dict__.update(basis=basis, coefficients=coefficients, time=time, _rows=None)
-        total = float(np.sum(np.abs(self.coefficients) ** 2))
+        with np.errstate(over="ignore"):  # an overflowing norm is refused below
+            total = float(np.sum(np.abs(self.coefficients) ** 2))
         if not total <= 1.0 + 1e-9:
             raise NumericalError(f"coefficient norm {total} exceeds 1 or is not finite")
 
@@ -154,11 +155,11 @@ class SpectralState(FrozenRecord):
 
 
 def _initial_panels(span_star: float, x_top: float) -> float:
-    """Panel count for the projection integral over span_star l_g of
-    states up to the zero x_top.  Ai(x - x_n)^2 turns through at most
-    2 sqrt(x_top) radians per unit x (at the mirror, for n = top); no panel
-    spans more than 18 of them, and there are at least 8.  A whole float,
-    inf where the count overflows."""
+    """Panel count for project_function's integral over span_star l_g of
+    states up to the zero x_top, whose integrand is unknown.  Ai(x - x_n)^2
+    turns through at most 2 sqrt(x_top) radians per unit x (at the mirror,
+    for n = top); no panel spans more than 18 of them, and there are at
+    least 8.  A whole float, inf where the count overflows."""
     return max(8.0, float(np.ceil(span_star * math.sqrt(x_top) / 9.0)))
 
 
@@ -228,14 +229,15 @@ def build_basis(n_max: int, u: UnitSystem) -> Eigenbasis:
     )
 
 
-def _overlaps(func, basis: Eigenbasis, lo: float, hi: float) -> np.ndarray:
+def _overlaps(func, basis: Eigenbasis, lo: float, hi: float, panels: float) -> np.ndarray:
     """Integrals of func(x) psi_n(x) over [lo, hi] for every state n, by one
-    vector-valued integrate_1d call on _initial_panels panels; DomainError
-    unless lo and hi are finite or if its table of values would hold more
-    than _MAX_OVERLAP_VALUES, NumericalError if a panel fails its check."""
+    vector-valued integrate_1d call on the given whole count of panels (a
+    float, inf where it overflows); DomainError unless lo and hi are finite,
+    if its table of values would hold more than _MAX_OVERLAP_VALUES or if
+    func does not return one value a point, NumericalError if a panel fails
+    its check."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"projection interval must be finite, got [{lo!r}, {hi!r}]")
-    panels = _initial_panels((hi - lo) / basis.units.l_g, float(basis.zeros[-1]))
     if 30 * panels * basis.n_max > _MAX_OVERLAP_VALUES:
         raise DomainError(
             f"projection over [{lo!r}, {hi!r}] needs {panels:g} panels for {basis.n_max} states, "
@@ -243,7 +245,10 @@ def _overlaps(func, basis: Eigenbasis, lo: float, hi: float) -> np.ndarray:
         )
 
     def integrand(x):
-        return _eigenfunction_table(basis, x) * func(x)[:, None]
+        values = np.asarray(func(x))
+        if values.shape != x.shape:
+            raise DomainError(f"func returned shape {values.shape} for {x.size} points; it must be vectorized")
+        return _eigenfunction_table(basis, x) * values[:, None]
 
     return integrate_1d(integrand, lo, hi, int(panels))
 
@@ -259,7 +264,8 @@ def project_function(func, basis: Eigenbasis, lo: float, hi: float) -> SpectralS
     """
     if not lo >= 0:
         raise DomainError(f"projection needs lo >= 0 (the mirror), got lo = {lo!r}")
-    coeffs = _overlaps(func, basis, lo, hi)
+    panels = _initial_panels((hi - lo) / basis.units.l_g, float(basis.zeros[-1]))
+    coeffs = _overlaps(func, basis, lo, hi, panels)
     return SpectralState(basis=basis, coefficients=coeffs.astype(complex), time=0.0)
 
 
@@ -288,6 +294,9 @@ def project_packet(p: PacketSpec, basis: Eigenbasis) -> SpectralState:
     x0 < 9 sigma, the part on [x0 - 9 sigma, 0], against the Airy
     continuation of the states, is taken back out with one vector-valued
     fixed-rule quadrature (see _overlaps); otherwise no quadrature runs.
+    No panel of it spans more than 18 radians of psi_N^2 (_initial_panels
+    without its floor of 8) or 8 of the 81 - (x0/sigma)^2 e-folds the
+    packet falls on [x0 - 9 sigma, 0].
     """
     if not math.isfinite(p.sigma):
         raise DomainError("projection needs a finite packet width")
@@ -313,7 +322,9 @@ def project_packet(p: PacketSpec, basis: Eigenbasis) -> SpectralState:
     coeffs = (2.0 * math.pi) ** 0.25 * math.sqrt(width) * basis.norms * smoothed
     lo = p.x0 - 9.0 * p.sigma
     if lo < 0.0:
-        coeffs = coeffs - _overlaps(p.wavefunction, basis, lo, 0.0)
+        phase = -lo / l_g * math.sqrt(float(basis.zeros[-1])) / 9.0
+        decay = (81.0 - (p.x0 / p.sigma) ** 2) / 8.0
+        coeffs = coeffs - _overlaps(p.wavefunction, basis, lo, 0.0, math.ceil(max(phase, decay)))
     state = SpectralState(basis=basis, coefficients=(rescale * coeffs).astype(complex), time=0.0)
     if state.truncation_loss > _TRUNCATION_LIMIT:
         raise InsufficientBasisError(

@@ -394,12 +394,13 @@ def integrate_1d(
     """Composite 15-point Gauss-Legendre integral of f on [a, b], on `panels`
     equal panels and on their halves.
 
-    f takes an ndarray of P evaluation points and returns an array of shape
-    (P, *shape); the result, the sum of the half-panel values, has that
-    trailing shape (a float for shape ()).  Every panel must pass, for every
-    component k, |halves - whole| <= max(1e-10, 1e-10 |estimate_k|) *
-    panel_width / (b - a), where estimate is the sum of the whole-panel
-    values; no panel is refined further.  Deterministic for fixed inputs.
+    f is called once, on the whole-panel and then the half-panel nodes, and
+    returns an array of shape (P, *shape) for P points; the result, the sum
+    of the half-panel values, has that trailing shape (a float for shape
+    ()).  Every panel must pass, for every component k, |halves - whole| <=
+    max(1e-10, 1e-10 |estimate_k|) * panel_width / (b - a), where estimate
+    is the sum of the whole-panel values (a value that is not finite fails
+    it); no panel is refined further.  Deterministic for fixed inputs.
 
     Raises DomainError unless a < b with b - a finite, for a panel count
     that is not an integer in 1.._MAX_PANELS (checked before any array is
@@ -418,11 +419,13 @@ def integrate_1d(
     lo = edges[:-1]
     hi = edges[1:]
     mid = 0.5 * (lo + hi)
-    whole = _panel_values(f, lo, hi)
-    halves = _panel_values(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
-    refined = halves[:panels] + halves[panels:]
-    tol = np.maximum(_QUAD_TOL, _QUAD_TOL * np.abs(whole.sum(axis=0)))
-    err = np.abs(refined - whole).reshape(panels, -1)
+    # a value or a sum that is not finite leaves err inf or nan: its panel fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _panel_values(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
+        whole = sums[:panels]
+        refined = sums[panels:2 * panels] + sums[2 * panels:]
+        tol = np.maximum(_QUAD_TOL, _QUAD_TOL * np.abs(whole.sum(axis=0)))
+        err = np.abs(refined - whole).reshape(panels, -1)
     bad = np.flatnonzero(~(err <= tol.reshape(-1) * (hi - lo)[:, None] / (b - a)).all(axis=1))
     if bad.size:
         k = int(bad[0])

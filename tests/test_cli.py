@@ -644,7 +644,8 @@ def _write_both(header, cols, path):
 def _table_with_int_and_empty(floats, int_at, none_at):
     n = len(floats)
     cols = list(floats.T)
-    cols.insert(int_at, np.arange(n))
+    if int_at is not None:
+        cols.insert(int_at, np.arange(n))
     cols.insert(none_at, None)
     header = [f"c{i}" for i in range(len(cols))]
     return header, cols, _oracle_csv(header, zip(*[[None] * n if c is None else c for c in cols]))
@@ -658,13 +659,22 @@ class TestWriteTableProperty:
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(block=st.integers(1, 5), data=st.data())
     def test_blocks_match_cell_oracle(self, block, data, tmp_path_factory):
+        # a float column of one bit pattern is formatted once, into the row
+        # template; a mix of +0.0 and -0.0 is two patterns, and without the int
+        # column every column may be constant, the template alone making each row
         rows = data.draw(st.integers(1, 3 * block + 1), label="rows")
         floats = data.draw(arrays(np.uint64, (rows, data.draw(st.integers(1, 3), label="float columns")),
                                   elements=_FINITE_BITS), label="bits").view(np.float64)
         k = floats.shape[1]
-        int_at = data.draw(st.integers(0, k), label="int column at")
+        for j in range(k):
+            kind = data.draw(st.sampled_from(["drawn", "constant", "signed zeros"]), label=f"column {j}")
+            if kind == "constant":
+                floats[:, j] = floats[0, j]
+            elif kind == "signed zeros":
+                floats[:, j] = np.where(data.draw(arrays(bool, rows), label=f"signs of {j}"), -0.0, 0.0)
+        int_at = data.draw(st.none() | st.integers(0, k), label="int column at")
         header, cols, want = _table_with_int_and_empty(
-            floats, int_at, data.draw(st.integers(0, k + 1), label="empty column at"))
+            floats, int_at, data.draw(st.integers(0, k + (int_at is not None)), label="empty column at"))
         with mock.patch.object(cli, "_BLOCK_ROWS", block):
             got, text = _write_both(header, cols, tmp_path_factory.mktemp("csv") / "t.csv")
         assert got == want.encode() and text == want

@@ -223,6 +223,27 @@ class TestProjection:
         others = np.abs(np.delete(c, 2))
         assert others.max() < 1e-8
 
+    @pytest.mark.parametrize("func", [lambda x: 1.0, lambda x: np.ones(2), lambda x: np.ones((x.size, 2))],
+                             ids=["scalar", "short", "two-columns"])
+    def test_func_must_be_vectorized(self, basis12, func):
+        # once a TypeError, a broadcast ValueError, or a table of the wrong shape
+        with pytest.raises(DomainError, match="must be vectorized"):
+            project_function(func, basis12, 0.0, 4.0)
+
+    @pytest.mark.parametrize("amp", [1e308, math.inf, math.nan])
+    def test_non_finite_integrand_refused(self, amp):
+        # in neutron units psi_n reaches about 600 m^-1/2: a wave function of
+        # 1e308 once overflowed the integrand's product with numpy's warning
+        basis = _basis(5, "neutron")
+        l_g = basis.units.l_g
+
+        def wave(x):
+            with np.errstate(invalid="ignore"):
+                return amp * np.exp(-((x / l_g) ** 2))
+
+        with pytest.raises(NumericalError, match="panel 1 of 8"):
+            project_function(wave, basis, 0.0, l_g)
+
     def test_interval_below_the_mirror_rejected(self, basis12):
         # the basis states vanish at x < 0; integrating their Airy
         # continuation there would be silently wrong
@@ -310,6 +331,21 @@ class TestProjection:
                     project_packet(PacketSpec(x0=x0 * u.l_g, sigma=sigma * u.l_g), basis)
         assert len(calls) == sum(x0 < 9.0 * sigma for x0 in x0s for sigma in sigmas) > 0
 
+    # the mirror correction's equal panels: at most 18 radians of psi_N^2
+    # (2 sqrt(x_N) rad per l_g: 9.9 at N = 26, 13.4 at N = 64) and at most 8
+    # of the 81 - (x0/sigma)^2 e-folds the packet falls on [x0 - 9 sigma, 0]
+    @pytest.mark.parametrize("n_max,packet,panels", [
+        (26, PACKET, 5),  # the README packet: 36.6 e-folds over 3.5 l_g
+        (26, PacketSpec(x0=5.0, sigma=2.0), 10),  # x0/sigma = 2.5: 74.75 e-folds
+        (26, PacketSpec(x0=12.0, sigma=12.0 / 8.9), 1),  # 1.8 e-folds over 0.13 l_g
+        (64, PacketSpec(x0=25.0, sigma=25.0 / 6.7), 7),  # 115 rad over 8.6 l_g
+    ], ids=["readme", "ratio-2.5", "ratio-8.9", "phase"])
+    def test_mirror_correction_panels(self, n_max, packet, panels, monkeypatch, request):
+        basis = request.getfixturevalue(f"basis{n_max}")
+        calls = self._count_quadratures(monkeypatch)
+        project_packet(packet, basis)
+        assert [args[3] for args in calls] == [panels]
+
     def test_packet_clear_of_mirror_runs_no_quadrature(self, basis26, monkeypatch):
         # x0 >= 9 sigma: every coefficient is closed-form
         calls = self._count_quadratures(monkeypatch)
@@ -317,12 +353,14 @@ class TestProjection:
         assert calls == []
         assert state.truncation_loss < 1e-6
 
-    # x0 / sigma from the mirror-correction path (2.5, 4, 5.45, 8: x0 < 9 sigma)
-    # to none (12.5); at N = 64, sigma = 10 and 6.25 (a = 25 and 9.8) are wide
-    # enough that exp(2 a^3 / 3) alone overflows.  Measured gap <= 5.1e-16
-    # (N = 26) and 2.1e-15 (N = 64, sigma = 10)
+    # x0 / sigma from the mirror-correction path (2.5, 4, 5.45, 6.7, 8, 8.9:
+    # x0 < 9 sigma) to none (12.5); at 6.7 the correction takes 5 panels (the
+    # packet's decay) at N = 26 and at 8.9 one panel at both N.  At N = 64,
+    # sigma = 10 and 6.25 (a = 25 and 9.8) are wide enough that exp(2 a^3 / 3)
+    # alone overflows.  Measured gap <= 5.1e-16 (N = 26) and 2.1e-15 (N = 64,
+    # sigma = 10)
     @pytest.mark.parametrize("n_max,x0", [(26, 12.0), (64, 25.0)])
-    @pytest.mark.parametrize("ratio", [2.5, 4.0, 5.45, 8.0, 12.5])
+    @pytest.mark.parametrize("ratio", [2.5, 4.0, 5.45, 6.7, 8.0, 8.9, 12.5])
     def test_closed_form_matches_adaptive_oracle(self, units, n_max, x0, ratio, request):
         basis = request.getfixturevalue("basis26" if n_max == 26 else "basis64")
         packet = PacketSpec(x0=x0, sigma=x0 / ratio)
@@ -405,7 +443,9 @@ class TestEvolution:
             norm = np.sum(np.abs(evolve(packet_state, t).coefficients) ** 2)
             assert abs(norm - norm0) < 1e-14
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    # 1e200 and 1.3e154 (1 + i): finite coefficients whose squared norm
+    # overflows, once with numpy's overflow warning before the refusal
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200, 1.3e154 + 1.3e154j])
     def test_non_finite_coefficients_rejected(self, basis12, bad):
         c = np.zeros(basis12.n_max, dtype=complex)
         c[0] = bad
@@ -1064,11 +1104,12 @@ def _basis(n_max, preset):
 
 
 class TestEntryPointsProperty:
-    """build_basis and project_packet on arbitrary inputs return finite values
-    or raise DomainError, NumericalError or InsufficientBasisError: never a
-    NaN, a numpy warning (an error under this suite's filterwarnings) or
-    another exception.  Units come from make_units on masses, accelerations
-    and hbar across 600 decades, which refuses some triples itself."""
+    """build_basis, project_packet and project_function on arbitrary inputs
+    return finite values or raise DomainError, NumericalError or
+    InsufficientBasisError: never a NaN, a numpy warning (an error under this
+    suite's filterwarnings) or another exception.  Units come from make_units
+    on masses, accelerations and hbar across 600 decades, which refuses some
+    triples itself."""
 
     @given(n_max=st.integers(1, 120) | st.sampled_from([-1, 0, 10_001, 2**63]), m=SCALE, g=SCALE, hbar=SCALE)
     @example(n_max=26, m=1.0, g=1e307, hbar=1.3e154)  # e_g = 2.0e307: e_g x_n overflowed from n = 6
@@ -1080,6 +1121,30 @@ class TestEntryPointsProperty:
             return
         for values in (basis.zeros, basis.energies, basis.norms, basis.x_matrix):
             assert values.shape[0] == n_max and np.isfinite(values).all()
+
+    @given(amp=st.floats(-1.0, 1.0) | ANY_FLOAT, centre=st.floats(-5.0, 40.0), width=st.floats(0.05, 20.0),
+           lo=st.floats(0.0, 20.0) | ANY_FLOAT, span=st.floats(0.01, 40.0) | ANY_FLOAT,
+           n_max=st.sampled_from([1, 5, 26, 64]), preset=st.sampled_from(["natural", "neutron"]),
+           vectorized=st.booleans())
+    @example(amp=1e308, centre=0.0, width=1.0, lo=0.0, span=1.0, n_max=5, preset="neutron", vectorized=True)
+    @example(amp=1e155, centre=0.0, width=1.0, lo=0.0, span=1.0, n_max=1, preset="natural", vectorized=True)
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    def test_project_function(self, amp, centre, width, lo, span, n_max, preset, vectorized):
+        # a Gaussian amp exp(-((x/l_g - centre)/width)^2) on [lo, lo + span] l_g,
+        # or the non-vectorized constant amp; the first example once overflowed
+        # the integrand's product, the second the coefficients' squared norm
+        basis = _basis(n_max, preset)
+        l_g = basis.units.l_g
+
+        def wave(x):
+            with np.errstate(all="ignore"):  # the wave function's own overflow is not under test
+                return amp * np.exp(-(((x / l_g - centre) / width) ** 2))
+
+        try:
+            state = project_function(wave if vectorized else lambda x: amp, basis, lo * l_g, (lo + span) * l_g)
+        except (DomainError, NumericalError):  # InsufficientBasisError is a NumericalError
+            return
+        assert state.coefficients.shape == (n_max,) and np.isfinite(state.coefficients).all()
 
     @given(x0=ANY_FLOAT, sigma=ANY_FLOAT, n_max=st.sampled_from([1, 5, 26, 64]),
            preset=st.sampled_from(["natural", "neutron"]))

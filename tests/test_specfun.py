@@ -557,6 +557,30 @@ class TestFixedRule:
         want = np.asarray(quadrature_oracle.integrate(f, a, b, initial_panels=panels))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("panels", [1, 3, 8])
+    def test_integrand_called_once(self, panels):
+        # the whole-panel nodes and then the half-panel nodes, in one call
+        sizes = []
+
+        def counted(x):
+            sizes.append(x.size)
+            return np.stack([np.cos(x), x * x], axis=1)
+
+        got = integrate_1d(counted, 0.0, 5.0, panels)
+        assert sizes == [45 * panels]
+        assert got.tobytes() == quadrature_oracle.integrate(
+            lambda x: np.stack([np.cos(x), x * x], axis=1), 0.0, 5.0, initial_panels=panels).tobytes()
+
+    @pytest.mark.parametrize("f", [
+        lambda x: np.where(x < 0.5, np.inf, -np.inf),
+        lambda x: np.full(x.shape, 1e308),
+        lambda x: np.full(x.shape, np.nan),
+    ], ids=["infinite", "sum-overflows", "nan"])
+    def test_non_finite_panel_fails(self, f):
+        # inf - inf and an overflowing sum once raised numpy's warning first
+        with pytest.raises(NumericalError, match="panel 1 of 3"):
+            integrate_1d(f, 0.0, 1.0, 3)
+
     def test_failing_panel_raises_naming_it(self):
         # the spike at 0.8 lies in the last of 4 panels; the oracle refines
         # it, the fixed rule refuses
