@@ -202,12 +202,13 @@ def run_moments(cfg: ScenarioConfig):
     u = cfg.units
     potential = moments.PolynomialPotential.gravity(u.m, u.g)
     s0 = moments.initial_state(moments.saturated_ic(cfg.alpha, u), x0=cfg.x0)
+    grid = _time_grid(cfg)
     traj = moments.integrate(s0, potential, u.m, cfg.tend, cfg.dt, hbar=u.hbar)
     for msg in traj.warnings:
         print(f"warning: {msg}", file=sys.stderr)
     s = traj.states
     return ["t", "x", "p", "G20", "G11", "G02", "uncertainty", "energy"], [
-        traj.times, s.x, s.p, s.moment(2, 0), s.moment(1, 1), s.moment(0, 2),
+        grid, s.x, s.p, s.moment(2, 0), s.moment(1, 1), s.moment(0, 2),
         moments.uncertainty_product(s), moments.effective_hamiltonian(s, potential, u.m)]
 
 

@@ -130,8 +130,8 @@ class MomentState(_MomentReader):
     The values live in one read-only float vector [x, p, G..., 0] with G in
     moment_pairs(order) order; G is a read-only mapping view of it.  The
     trailing slot is always 0: first moments (G^{1,0} = G^{0,1} = 0 by
-    construction) and moments beyond the order read from it.  The same
-    container carries time derivatives inside the integrator.
+    construction) and moments beyond the order read from it.  moment_eom
+    returns a time derivative in the same container.
     """
 
     __slots__ = ("_y", "_order")
@@ -223,29 +223,21 @@ def effective_hamiltonian(s, V: PolynomialPotential, m: float):
 
 
 @functools.lru_cache(maxsize=64)
-def _eom_tables(order: int, m: float) -> tuple:
-    """Tables of moment_eom for one (order, m): (idx, w, W).
-
-    idx is a (2, k) array of indices into [x, p, G..., 0]; first moments and
-    moments beyond the order point at the trailing zero slot.  Its rows gather
-    G^{a+1,b-1} and G^{a-1,b+1}; w weighs them by b/m and -a (0 outside G),
-    and so does W[r] as a dense (k, k) matrix, w[r, i] at column idx[r, i].
-    DomainError unless m is finite and > 0 with order/m finite (not cached).
-    """
+def _eom_tables(order: int, m: float) -> np.ndarray:
+    """moment_eom's weights for one (order, m): a read-only (2, k, k) array W
+    over the slots [x, p, G..., 0].  Row G^{a,b} of W[0] holds b/m at
+    G^{a+1,b-1}, and of W[1] holds -a at G^{a-1,b+1}; a weight that points
+    outside G (b = 0 or a = 0) lands on the trailing zero slot.  It owns the
+    mass rule: DomainError unless m is finite and > 0 with order/m finite."""
     if not (math.isfinite(m) and m > 0 and math.isfinite(order / m)):
         raise DomainError(f"m must be finite and > 0 with order/m finite, got {m!r}")
     pairs = moment_pairs(order)
-    zero = len(pairs) + 2
-
-    def row(f, fill):
-        return [fill, fill] + [f(a, b) for a, b in pairs] + [fill]
-
-    idx = np.array([row(lambda a, b: _slot(a + 1, b - 1, order), zero),
-                    row(lambda a, b: _slot(a - 1, b + 1, order), zero)])
-    w = np.array([row(lambda a, b: b / m, 0.0), row(lambda a, b: -a, 0.0)], dtype=float)
-    W = np.where(idx[..., None] == np.arange(zero + 1), w[..., None], 0.0)
-    idx.flags.writeable = w.flags.writeable = W.flags.writeable = False
-    return idx, w, W
+    W = np.zeros((2, len(pairs) + 3, len(pairs) + 3))
+    for i, (a, b) in enumerate(pairs, 2):
+        W[0, i, _slot(a + 1, b - 1, order)] = b / m
+        W[1, i, _slot(a - 1, b + 1, order)] = -a
+    W.flags.writeable = False
+    return W
 
 
 def moment_eom(s: MomentState, V: PolynomialPotential, m: float) -> MomentState:
@@ -255,27 +247,35 @@ def moment_eom(s: MomentState, V: PolynomialPotential, m: float) -> MomentState:
         dx/dt = p/m,   dp/dt = -V'(x) = -(V'' x + c_1)
         dG^{a,b}/dt = (b/m) G^{a+1,b-1} - a V'' G^{a-1,b+1}
 
-    Moments outside the truncation are closed to zero.  One gather y[idx]
-    reads them all; -a V'' is formed first, so each entry rounds as the
-    term-by-term sum does.  From degree 3 on these classical brackets miss
+    Moments outside the truncation are closed to zero.  The G rows are
+    W[0] y plus (V'' W[1]) y, W from _eom_tables: no row of either matrix
+    holds two weights, so each product rounds once and so does their sum, as
+    the term-by-term sum does (one product of W[0] + V'' W[1] could fuse
+    them).  From degree 3 on these classical brackets miss
     the hbar^2 (Moyal) terms of dG^{a,b}/dt for a >= 3, such as
     -(hbar^2/4) V''' in dG^{3,0}/dt, so such a potential raises DomainError,
-    as do an m that is not finite and > 0 and a V'' or c_1 that is not finite.
+    as do an m that is not finite and > 0, a V'' or c_1 that is not finite
+    and a state that is not finite (named by its first such entry, which the
+    products' zero weights would spread as nan).
     """
     if V.degree > 2:
         raise DomainError(
             f"a potential of degree {V.degree} needs the hbar^2 (Moyal) terms of the moment "
             "equations, which this hierarchy lacks; only degree <= 2 is supported"
         )
-    idx, w, _ = _eom_tables(s.order, m)
+    W = _eom_tables(s.order, m)
     _, c1, c2 = (V.coefficients + (0.0, 0.0))[:3]
     v2 = c2 * 2  # V''
     if not (math.isfinite(v2) and math.isfinite(c1)):
         raise DomainError(f"V'' = 2 c_2 and c_1 must be finite, got c_2 = {c2!r}, c_1 = {c1!r}")
     y = s._y
-    G = y[idx]
-    out = w[0] * G[0]
-    out += (v2 * w[1]) * G[1]
+    finite = np.isfinite(y)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        name = ["x", "p", *(f"G^{{{a},{b}}}" for a, b in moment_pairs(s.order))][i]
+        raise DomainError(f"the moment state must be finite, got {name} = {y.item(i)!r}")
+    out = W[0] @ y
+    out += (v2 * W[1]) @ y
     out[0] = y.item(1) / m
     out[1] = -(v2 * y.item(0) + c1)
     return MomentState._wrap(out, s.order)
@@ -283,11 +283,11 @@ def moment_eom(s: MomentState, V: PolynomialPotential, m: float) -> MomentState:
 
 def _generator(order: int, V: PolynomialPotential, m: float) -> np.ndarray:
     """[[A, b], [0, 0]] of moment_eom = A y + b: b is its one call, on the zero
-    state; A is read off its tables (W[0] + V'' W[1], x' = p/m, p' = -V'' x, so
-    V'' is not rounded against c_1), with zeros signed as moment_eom's on e_j."""
+    state, which runs its refusals; A is read off its weights as W[0] + V'' W[1]
+    (x' = p/m, p' = -V'' x, so V'' is not rounded against c_1), zeros signed as on e_j."""
     b = moment_eom(MomentState._wrap(np.zeros(len(moment_pairs(order)) + 3), order), V, m)._y
     k, v2 = b.size, (V.coefficients + (0.0, 0.0))[2] * 2  # V''
-    W, M = _eom_tables(order, m)[2], np.zeros((k + 1, k + 1))
+    W, M = _eom_tables(order, m), np.zeros((k + 1, k + 1))
     M[:k, :k] = W[0] + v2 * W[1]
     M[0, 1], M[1, :k - 1], M[1, 0], M[:k, k] = 1.0 / m, -0.0, -(v2 + 0.0), b
     return M
@@ -402,12 +402,11 @@ def integrate(
     (G^{1,1})^2) attaches a warning, not an error.  NumericalError names the
     step and time of the first non-finite state (step 0 when s0 is not
     finite), or of the first whose G^{0,2} G^{2,0} + (G^{1,1})^2 overflows.
-    DomainError refuses an m that is not finite and > 0, an hbar whose square
-    is not finite and > 0, and more than _MAX_STEPS steps (t_end/dt, also when
-    it overflows), before allocation.
+    DomainError refuses, before allocation: first an m that _eom_tables
+    refuses, then an hbar whose square is not finite and > 0, and more than
+    _MAX_STEPS steps (t_end/dt, also when it overflows).
     """
-    if not (math.isfinite(m) and m > 0):
-        raise DomainError(f"m must be finite and > 0, got {m!r}")
+    _eom_tables(s0.order, m)  # refuses a bad m
     if hbar is not None and not (hbar > 0 and 0 < hbar * hbar < math.inf):
         raise DomainError(f"hbar must be > 0 with a finite, nonzero square, got {hbar!r}")
     if not (math.isfinite(dt) and dt > 0):

@@ -16,7 +16,8 @@ probed_generator and probed_flow are the exact flow as integrate once built
 it, for a bit-for-bit regression check: the generator read off the public
 moment_eom on the zero state and on each unit vector, every Taylor term
 summed, and the same doubling and chunked fill.  They share moment_eom's
-tables with the code under test; moment_eom itself is held to the dict loop.
+weight table with the code under test; moment_eom itself is held to the dict
+loop.
 """
 
 import math

@@ -466,10 +466,12 @@ class TestConfigHandling:
         ["classical"],
         ["quantum", "--nmax", "3"],
         ["compare", "--nmax", "0"],
-    ], ids=["classical", "quantum", "compare"])
+        ["moments"],
+    ], ids=["classical", "quantum", "compare", "moments"])
     def test_oversized_time_grid_rejected(self, command, tend, dt, capsys):
         # tend/dt above the moment integrator's 1e8 step cap, or overflowing
-        # to inf, is refused before the grid is allocated
+        # to inf, is refused before the grid is allocated, by every runner
+        # with the same message
         assert main([*command, "--x0", "1", "--tend", tend, "--dt", dt, "--out", "-"]) == 2
         err = capsys.readouterr().err
         assert "'tend'/'dt'" in err and "1e+08" in err

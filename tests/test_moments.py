@@ -212,14 +212,25 @@ class TestEquationsOfMotion:
     def test_bad_mass_refused(self, m):
         # m = 0 once raised ZeroDivisionError from the weights b/m, and
         # m = 1e-320 makes them overflow; each is refused at every order, also
-        # by integrate
+        # by integrate, with the weights' one message and before its other
+        # checks (dt = 0 here)
         V = PolynomialPotential.gravity(0.7, 1.3)
         for order in (2, 4):
             s = MomentState.make(1.0, 0.3, order, _gaussian_moments(order))
-            with pytest.raises(DomainError, match=r"^m must be finite and > 0 with order/m finite"):
-                moment_eom(s, V, m)
-            with pytest.raises(DomainError, match=r"^m must be finite and > 0"):
-                integrate(s, V, m, 1.0, 0.01)
+            for run in (lambda: moment_eom(s, V, m), lambda: integrate(s, V, m, 1.0, 0.0)):
+                with pytest.raises(DomainError, match=r"^m must be finite and > 0 with order/m finite"):
+                    run()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_moment_eom_refuses_non_finite_state(self, bad):
+        # the G rows are products with the dense weights, whose zeros would
+        # turn one inf into nan in every row behind a numpy invalid-value
+        # warning (an error in this suite): refused, naming the first bad entry
+        V = PolynomialPotential.harmonic(0.7, 1.3)
+        for x, G, name in ((bad, {(1, 1): bad}, "x"), (0.5, {(1, 2): bad, (0, 4): bad}, r"G\^\{1,2\}")):
+            s = MomentState.make(x, 0.3, 4, G)
+            with pytest.raises(DomainError, match=rf"^the moment state must be finite, got {name} = {bad!r}$"):
+                moment_eom(s, V, 0.7)
 
     @pytest.mark.parametrize("coefficients", [(0.0, 0.0, 9e307), (0.0, 0.0, -1e308), (0.0, 0.0, math.nan),
                                               (0.0, math.inf, 0.5)], ids=["overflow", "negative", "nan", "c1"])
@@ -479,7 +490,7 @@ class TestIntegrate:
         with pytest.raises(DomainError, match="^t_end must be finite and >= 0"):
             integrate(s0, V, self.u.m, -0.1, 0.1)
         for m in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(DomainError, match="^m must be finite and > 0"):
+            with pytest.raises(DomainError, match="^m must be finite and > 0 with order/m finite"):
                 integrate(s0, V, m, 1.0, 0.1)
         # hbar^2/4 is the reference of the deficit: it must be positive and finite
         for hbar in (0.0, -1.0, 1e-200, 1e200, math.nan):
@@ -681,15 +692,16 @@ class TestIntegrate:
     @pytest.mark.parametrize("order", range(2, 9))
     @pytest.mark.parametrize("coefficients,m", [
         ((0.0, 0.7 * 1.3), 0.7), ((0.0,), 0.7), ((0.0, 0.0, 0.5 * 0.7 * 1.3**2), 0.7), ((0.3, -0.2, -0.35), 0.7),
-        ((0.0, 1.0, 0.5e-6), 1.0), ((0.0, 1.0, 0.5e-10), 1.0),
-    ], ids=["gravity", "zero", "harmonic", "negative-c2", "ratio-1e6", "ratio-1e10"])
+        ((0.0, 1.0, 0.5e-6), 1.0), ((0.0, 1.0, 0.5e-10), 1.0), ((0.0, 0.7 * 1.3, -0.0), 0.7),
+    ], ids=["gravity", "zero", "harmonic", "negative-c2", "ratio-1e6", "ratio-1e10", "negative-zero-c2"])
     def test_generator_and_rows_equal_probed_flow(self, order, coefficients, m):
-        # The generator read off moment_eom's tables and the flow built on it
-        # against the flow that probed moment_eom on every unit vector and
-        # summed all 15 Taylor terms: equal bit for bit, as int64 views, so
+        # The generator read off moment_eom's weight table and the flow built
+        # on it against the flow that probed moment_eom on every unit vector
+        # and summed all 15 Taylor terms: equal bit for bit, as int64 views, so
         # the sign of every zero counts (row 1 of A is -0.0 off column 0, and
         # under gravity and V = 0 the Taylor series stops at its first zero
-        # term).  The ratio cases are test_shifted_quadratic_keeps_its_curvature's
+        # term; c_2 = -0.0 gives V'' = -0.0, which signs the zeros of V'' W[1]).
+        # The ratio cases are test_shifted_quadratic_keeps_its_curvature's
         # c_1/V''; 2000 and 3000 steps split fill levels into several products.
         V = PolynomialPotential(coefficients)
         assert np.array_equal(_int64(moments._generator(order, V, m)),
