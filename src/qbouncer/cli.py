@@ -152,12 +152,10 @@ def _validate(cfg: ScenarioConfig) -> None:
 
 
 def _time_grid(cfg: ScenarioConfig) -> np.ndarray:
-    if cfg.tend == 0.0:
-        return np.array([0.0])
-    if not cfg.tend / cfg.dt <= moments._MAX_STEPS:  # the integrator's step cap; also when tend/dt overflows
-        raise ConfigError(f"fields 'tend'/'dt' give {cfg.tend / cfg.dt:.3g} steps, above {moments._MAX_STEPS:.0e}")
-    n = max(1, int(round(cfg.tend / cfg.dt)))
-    return cfg.dt * np.arange(n + 1)
+    try:  # the integrator's own grid, so every runner shares its step cap
+        return moments._time_grid(cfg.tend, cfg.dt)
+    except DomainError as exc:
+        raise ConfigError(f"fields 'tend'/'dt': {exc}") from exc
 
 
 def run_spectrum(cfg: ScenarioConfig):

@@ -254,9 +254,10 @@ def moment_eom(s: MomentState, V: PolynomialPotential, m: float) -> MomentState:
     them).  From degree 3 on these classical brackets miss
     the hbar^2 (Moyal) terms of dG^{a,b}/dt for a >= 3, such as
     -(hbar^2/4) V''' in dG^{3,0}/dt, so such a potential raises DomainError,
-    as do an m that is not finite and > 0, a V'' or c_1 that is not finite
-    and a state that is not finite (named by its first such entry, which the
-    products' zero weights would spread as nan).
+    as do an m that is not finite and > 0, a c_1 or an order * V'' (the
+    largest weight of V'' W[1]) that is not finite and a state that is not
+    finite (named by its first such entry, which the products' zero weights
+    would spread as nan).
     """
     if V.degree > 2:
         raise DomainError(
@@ -266,8 +267,10 @@ def moment_eom(s: MomentState, V: PolynomialPotential, m: float) -> MomentState:
     W = _eom_tables(s.order, m)
     _, c1, c2 = (V.coefficients + (0.0, 0.0))[:3]
     v2 = c2 * 2  # V''
-    if not (math.isfinite(v2) and math.isfinite(c1)):
-        raise DomainError(f"V'' = 2 c_2 and c_1 must be finite, got c_2 = {c2!r}, c_1 = {c1!r}")
+    # V'' W[1] weighs G^{a-1,b+1} by -a V'', a up to the order
+    if not (math.isfinite(s.order * v2) and math.isfinite(c1)):
+        raise DomainError(f"V'' = 2 c_2 and c_1 must be finite, as must order * V'' = {s.order} * V'', "
+                          f"got c_2 = {c2!r}, c_1 = {c1!r}")
     y = s._y
     finite = np.isfinite(y)
     if not finite.all():
@@ -381,6 +384,19 @@ class MomentTrajectory(FrozenRecord):
         return len(self.states)
 
 
+def _time_grid(t_end: float, dt: float) -> np.ndarray:
+    """k*dt for k = 0..round(t_end/dt), one step at least for t_end > 0: the times of integrate and every CLI
+    table.  DomainError refuses a dt not finite and > 0, a t_end not finite and >= 0, then over _MAX_STEPS steps."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise DomainError(f"dt must be finite and > 0, got {dt!r}")
+    if not (math.isfinite(t_end) and t_end >= 0):
+        raise DomainError(f"t_end must be finite and >= 0, got {t_end!r}")
+    if not t_end / dt <= _MAX_STEPS:
+        raise DomainError(f"t_end/dt = {t_end / dt:.3g} steps exceeds the limit of {_MAX_STEPS:.0e}")
+    n_steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
+    return dt * np.arange(n_steps + 1)
+
+
 def integrate(
     s0: MomentState,
     V: PolynomialPotential,
@@ -402,22 +418,14 @@ def integrate(
     (G^{1,1})^2) attaches a warning, not an error.  NumericalError names the
     step and time of the first non-finite state (step 0 when s0 is not
     finite), or of the first whose G^{0,2} G^{2,0} + (G^{1,1})^2 overflows.
-    DomainError refuses, before allocation: first an m that _eom_tables
-    refuses, then an hbar whose square is not finite and > 0, and more than
-    _MAX_STEPS steps (t_end/dt, also when it overflows).
+    DomainError refuses, before allocation, an m that _eom_tables refuses, then an hbar
+    whose square is not finite and > 0, then the dt, t_end or step count _time_grid refuses.
     """
     _eom_tables(s0.order, m)  # refuses a bad m
     if hbar is not None and not (hbar > 0 and 0 < hbar * hbar < math.inf):
         raise DomainError(f"hbar must be > 0 with a finite, nonzero square, got {hbar!r}")
-    if not (math.isfinite(dt) and dt > 0):
-        raise DomainError(f"dt must be finite and > 0, got {dt!r}")
-    if not (math.isfinite(t_end) and t_end >= 0):
-        raise DomainError(f"t_end must be finite and >= 0, got {t_end!r}")
-    if not t_end / dt <= _MAX_STEPS:
-        raise DomainError(f"t_end/dt = {t_end / dt:.3g} steps exceeds the limit of {_MAX_STEPS:.0e}")
-    n_steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
-    times = dt * np.arange(n_steps + 1)
-    rows = _affine_rows(s0, V, m, dt, n_steps)
+    times = _time_grid(t_end, dt)
+    rows = _affine_rows(s0, V, m, dt, times.size - 1)
     if not np.isfinite(rows).all():
         step = int(np.argmin(np.isfinite(rows).all(axis=1)))
         raise NumericalError(f"moment state is not finite at step {step} (t = {times[step]:.6g})")

@@ -420,9 +420,24 @@ def _direct_rows(s: SpectralState, t: np.ndarray) -> np.ndarray:
     return np.array([np.einsum("pti,pti->t", ab @ m, ab) for m in mats])
 
 
+def _check_phase(basis: Eigenbasis, t: np.ndarray) -> None:
+    """DomainError unless the largest phase of the durations t is finite as
+    the direct rows and evolve form it, (t/hbar) E_N; the kernel's
+    (E_n - E_m)/hbar k h stays below it.  Checked once a call, before any
+    exponential."""
+    t_max, e_top, hbar = float(np.max(t, initial=0.0)), float(basis.energies[-1]), basis.units.hbar
+    if not t_max / hbar * e_top < math.inf:
+        raise DomainError(f"the phase t E_{basis.n_max}/hbar overflows at t = {t_max!r} "
+                          f"(E_{basis.n_max} = {e_top!r}, hbar = {hbar!r})")
+
+
 def evolve(s: SpectralState, t: float) -> SpectralState:
-    """Advance a state by duration t: c_n -> c_n * exp(-i E_n t / hbar)."""
-    c = np.exp(-1j * (_check_times(t) / s.basis.units.hbar * s.basis.energies)) * s.coefficients
+    """Advance a state by duration t: c_n -> c_n * exp(-i E_n t / hbar).
+    DomainError refuses a t that is negative or not finite, or whose phase
+    t E_N / hbar overflows."""
+    duration = _check_times(t)
+    _check_phase(s.basis, duration)
+    c = np.exp(-1j * (duration / s.basis.units.hbar * s.basis.energies)) * s.coefficients
     return SpectralState(basis=s.basis, coefficients=c, time=s.time + t)
 
 
@@ -438,11 +453,13 @@ def _kept_rows(s: SpectralState, times) -> np.ndarray:
     """Read-only (2, T) rows <x>, <x^2> over times, kept while times equal the
     state's grid.  Rows up to the last at k h (dt * arange, linspace but its
     end) take _uniform_rows if that needs fewer exps (2 _SPREAD + 1 a pair, 1 a
-    row) than _direct_rows (N a row), which takes the rest."""
+    row) than _direct_rows (N a row), which takes the rest.  A grid not kept
+    has its largest phase checked once, before either runs."""
     times = _check_times(times)
     kept = s._rows
     if kept is not None and np.array_equal(kept[0], times):
         return kept[1]
+    _check_phase(s.basis, times)
     t = np.ravel(times)
     h = t[1] if t.size > 1 else 0.0
     off = t != h * np.arange(t.size)
@@ -463,12 +480,16 @@ def _kept_rows(s: SpectralState, times) -> np.ndarray:
 
 
 def expectation_x_evolution(s: SpectralState, times) -> np.ndarray:
-    """<x>(s.time + t) for an array of durations t (see SpectralState)."""
+    """<x>(s.time + t) for an array of durations t (see SpectralState);
+    DomainError refuses a t that is negative or not finite, or whose phase
+    t E_N / hbar overflows (see _check_phase)."""
     return _kept_rows(s, times)[0].copy()
 
 
 def variance_x_evolution(s: SpectralState, times) -> np.ndarray:
-    """Var(x)(s.time + t) for an array of durations t (see SpectralState)."""
+    """Var(x)(s.time + t) for an array of durations t (see SpectralState);
+    DomainError refuses the durations expectation_x_evolution refuses, and
+    NumericalError a variance below -1e-10 l_g^2."""
     return _variance(_kept_rows(s, times), s.basis)
 
 

@@ -451,6 +451,15 @@ class TestConfigHandling:
         assert out == "" and err.startswith("error: the series phase pi t/T overflows at T=")
         assert err.count("\n") == 1 and "t=1e+300" in err and "RuntimeWarning" not in err
 
+    def test_overflowing_spectral_phase_rejected(self, capsys):
+        # t E_26/hbar overflows at t = 1e307: the spectral columns once warned
+        # three times and wrote nan (exit 3); the phase is now refused, exit 2
+        argv = ["quantum", "--x0", "10", "--sigma", "1.5", "--nmax", "26", "--tend", "1e307", "--dt", "1e306"]
+        assert main([*argv, "--out", "-"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: the phase t E_26/hbar overflows at t = 1e+307 ")
+        assert err.count("\n") == 1 and "RuntimeWarning" not in err
+
     @pytest.mark.parametrize("command", [
         ["compare", "--nmax", "0", "--tend", "0.1", "--dt", "0.05"],
         ["moments"],

@@ -233,11 +233,14 @@ class TestEquationsOfMotion:
                 moment_eom(s, V, 0.7)
 
     @pytest.mark.parametrize("coefficients", [(0.0, 0.0, 9e307), (0.0, 0.0, -1e308), (0.0, 0.0, math.nan),
-                                              (0.0, math.inf, 0.5)], ids=["overflow", "negative", "nan", "c1"])
+                                              (0.0, math.inf, 0.5), (0.0, 0.0, 4e307)],
+                             ids=["overflow", "negative", "nan", "c1", "order-overflow"])
     def test_non_finite_curvature_refused(self, coefficients):
         # V'' = 2 c_2 overflows from |c_2| = 9e307 on and once turned the zero
         # weights into nan behind a numpy invalid-value warning (an error in
-        # this suite); integrate's moment_eom call now refuses it the same way
+        # this suite); integrate's moment_eom call now refuses it the same way.
+        # At order 4 the weight 4 V'' overflows from c_2 = 2.3e307 on: 4e307
+        # once warned in moment_eom and failed integrate at step 1
         V = PolynomialPotential(coefficients)
         s = MomentState.make(1.0, 0.3, 4, _gaussian_moments(4))
         for run in (lambda: moment_eom(s, V, 0.7), lambda: integrate(s, V, 0.7, 1.0, 0.01)):

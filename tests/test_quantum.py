@@ -461,6 +461,28 @@ class TestEvolution:
             with pytest.raises(DomainError):
                 func(packet_state, [0.0, -1.0])
 
+    @pytest.mark.parametrize("run", [
+        lambda s: expectation_x_evolution(s, [0.0, 1e307]),
+        lambda s: variance_x_evolution(s, [0.0, 1e307]),
+        lambda s: evolve(s, 1e307),
+    ], ids=["expectation", "variance", "evolve"])
+    def test_overflowing_phase_rejected(self, packet_state, run):
+        # t/hbar E_26 overflows at t = 1e307: each call once wrote nan behind
+        # numpy's overflow warning (an error under this suite); it is now
+        # refused by name before any exponential
+        with pytest.raises(DomainError, match=r"^the phase t E_26/hbar overflows at t = 1e\+307 "):
+            run(packet_state)
+
+    def test_phase_overflowing_only_through_hbar_rejected(self):
+        # in neutron units t/hbar overflows from t ~ 1.9e274 s although
+        # t E_N/hbar is about 1e-3 of it: the direct rows form t/hbar first
+        basis = _basis(26, "neutron")
+        state = project_packet(PacketSpec(x0=10 * basis.units.l_g, sigma=1.5 * basis.units.l_g), basis)
+        for func in (expectation_x_evolution, variance_x_evolution):
+            with pytest.raises(DomainError, match="^the phase t E_26/hbar overflows at t = 1e\\+275 "):
+                func(state, [0.0, 1e275])
+        assert np.isfinite(expectation_x_evolution(state, [0.0, 1e270])).all()
+
     def test_batch_matches_pointwise(self, packet_state):
         # the real-form kernel against the complex form c^dagger X c with the
         # phases written out here; measured gaps 1.8e-15 (<x>) and 4.3e-14
@@ -1157,3 +1179,40 @@ class TestEntryPointsProperty:
             return
         assert state.coefficients.shape == (n_max,) and np.isfinite(state.coefficients).all()
         assert state.truncation_loss <= 1e-3
+
+
+# durations in units of t_g: a uniform h * arange(T), h log-spread up to 1e300,
+# which the kernel takes from a few hundred rows on, or an arbitrary array,
+# unsorted, repeated, negative or not finite
+STEP = st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent, st.floats(1.0, 10.0), st.integers(-6, 299))
+UNIFORM_TIMES = st.builds(lambda h, count: h * np.arange(count), STEP, st.integers(1, 2000) | st.integers(1100, 2000))
+ANY_TIMES = st.lists(st.floats(0.0, 50.0) | st.sampled_from([0.0, 1.0, 1e307]) | ANY_FLOAT, max_size=40).map(np.array)
+
+
+class TestEvolutionProperty:
+    """expectation_x_evolution and variance_x_evolution on drawn packets and
+    time arrays return finite values of the times' shape or raise DomainError,
+    NumericalError or InsufficientBasisError: never a NaN or a numpy warning
+    (an error under this suite's filterwarnings).  A packet (x0, sigma) in
+    units of l_g is either any pair of floats, as in TestEntryPointsProperty,
+    or one with x0/sigma in [3, 10] that most bases of 26 and 64 states take."""
+
+    @pytest.mark.parametrize("func", [expectation_x_evolution, variance_x_evolution],
+                             ids=["expectation", "variance"])
+    @given(packet=st.builds(lambda sigma, ratio: (sigma * ratio, sigma), st.floats(0.75, 2.5), st.floats(3.0, 10.0))
+           | st.tuples(ANY_FLOAT, ANY_FLOAT),
+           times=UNIFORM_TIMES | ANY_TIMES, n_max=st.sampled_from([1, 5, 26, 64]),
+           preset=st.sampled_from(["natural", "neutron"]))
+    # t E_26/hbar overflows at t = 1e307: the phases once overflowed behind
+    # numpy's warning and gave nan
+    @example(packet=(10.0, 1.5), times=np.array([0.0, 1e307]), n_max=26, preset="natural")
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_evolution(self, func, packet, times, n_max, preset):
+        basis = _basis(n_max, preset)
+        u = basis.units
+        try:
+            state = project_packet(PacketSpec(x0=packet[0] * u.l_g, sigma=packet[1] * u.l_g), basis)
+            values = func(state, times * u.t_g)
+        except (DomainError, NumericalError):  # InsufficientBasisError is a NumericalError
+            return
+        assert values.shape == times.shape and np.isfinite(values).all()
