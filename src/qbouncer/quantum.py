@@ -56,8 +56,12 @@ _TRUNCATION_LIMIT = 1e-3
 # the most values one projection table (30 points a panel, one column a state)
 # may hold, 32 MB; the projections tested need at most 94 080
 _MAX_OVERLAP_VALUES = 4_000_000
-# NUFFT Gaussian half-width (12 fails the mpmath test), oversampling, block
-_SPREAD = 16
+# NUFFT kernel exp(beta (sqrt(1 - z^2) - 1)) on _WIDTH points, z in _WIDTH/2
+# cells (Barnett et al. 2019; as accurate as Greengard & Lee's 32-point
+# Gaussian), its samples at the nodes -7 ... 7, oversampling, pair block
+_WIDTH = 16
+_BETA = 2.30 * _WIDTH
+_SAMPLES = np.exp(_BETA * (np.sqrt(1.0 - (np.arange(1 - _WIDTH // 2, _WIDTH // 2) / (_WIDTH // 2)) ** 2) - 1.0))
 _OVERSAMPLE = 2
 _PAIR_BLOCK = 4096
 
@@ -98,9 +102,9 @@ class Eigenbasis(Record):
     """Truncated Airy eigenbasis with its position matrix elements.
 
     After a NUFFT evolution the basis also holds that kernel's buffers, for
-    the last circle only: about the larger of 768 bytes a state pair (at most
-    3.1 MB) and 1.75 times the state's kept rows, 1.5 MB at N = 64 and
-    20 001 times.  The next call on the same circle reuses them.
+    the last circle only: 128 bytes a state pair (of at most 4 096) and 8 a
+    point of the circle's half, plus the larger of 256 and 32 of those, 1.1 MB
+    at N = 64 and 20 001 times.  The next call on the same circle reuses them.
     """
 
     _fields = ("n_max", "units", "zeros", "energies", "norms", "x_matrix")
@@ -334,28 +338,14 @@ def project_packet(p: PacketSpec, basis: Eigenbasis) -> SpectralState:
     return state
 
 
-def _workspace(basis: Eigenbasis, size: int, block: int) -> tuple:
-    """The kernel's buffers for a circle of size points and pair blocks of
-    block: one float buffer that holds a block's Gaussian weights and their
-    products and then the (2, size/2 + 1) Hermitian half, and a block's
-    circle indices.  Taken off the basis by one atomic pop, so a concurrent
-    call finds none and builds its own, and rebuilt when the shape differs;
-    the caller hands it back when it is done."""
-    ws = basis.__dict__.pop("_kernel", None)
-    if ws is None or ws[0] != (size, block):
-        pair = block * 2 * _SPREAD
-        ws = ((size, block), np.empty(max(2 * pair, 4 * (size // 2 + 1))), np.empty((block, 2 * _SPREAD), np.intp))
-    return ws
-
-
 def _uniform_rows(s: SpectralState, count: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """(2, count) rows <x>, <x^2> at times k h, k < count, by a type-1 NUFFT
-    over pairs m < n (Greengard & Lee, SIAM Rev. 46, 2004), written into out
-    if given.  With omega = (E_n - E_m)/hbar, K0 = count // 2 and j = k - K0,
+    over pairs m < n (Greengard & Lee, SIAM Rev. 46, 2004; kernel of Barnett
+    et al., SIAM J. Sci. Comput. 41, 2019), written into out if given.  With
+    omega = (E_n - E_m)/hbar, K0 = count // 2 and j = k - K0,
     <M> = sum_n |c_n|^2 M_nn + 2 Re sum_mn a_mn exp(-i omega h j),
-    a = conj(c_m) c_n M_mn exp(-i omega K0 h).  The pair buffers and the
-    Hermitian half stay on the basis, for the last circle only, and serve
-    the next call on it (see Eigenbasis)."""
+    a = conj(c_m) c_n M_mn exp(-i omega K0 h).  The workspace stays on the
+    basis, for the last circle only, and serves the next call on it."""
     basis, c = s.basis, s.coefficients
     mats = np.stack((basis.x_matrix, basis.x2_matrix()))
     m, n = np.triu_indices(c.size, 1)
@@ -363,32 +353,43 @@ def _uniform_rows(s: SpectralState, count: int, h: float, out: np.ndarray | None
     k0 = count // 2
     amp = np.conj(c[m]) * c[n] * np.exp(-1j * (omega * (k0 * h))) * mats[:, m, n]
     amp = np.concatenate((amp.real, amp.imag))[:, :, None]
-    # Gaussians on 2 _SPREAD points of a circle padded by _SPREAD, of the
-    # least 2^a, 3 2^a or 5 2^a >= least points, one row each for Re a, Im a
-    least = max(_OVERSAMPLE * count, 4 * _SPREAD)
+    # the kernel on _WIDTH points of a circle padded by _WIDTH/2, of the least
+    # 2^a, 3 2^a or 5 2^a >= least points, one row each for Re a, Im a; a pair
+    # at omega h = (q + w) cells, 0 <= w < 1, meets the nodes q - 7 ... q + 8
+    half_width = _WIDTH // 2
+    least = max(_OVERSAMPLE * count, 2 * _WIDTH)
     size = min(f << ((least - 1) // f).bit_length() for f in (1, 3, 5))
-    cell, padded = 2.0 * math.pi / size, size + 2 * _SPREAD
-    tau = math.pi * _SPREAD / (size * (size - 0.5 * count))
-    offsets = np.arange(1, 2 * _SPREAD + 1)
-    shift = cell * (offsets - _SPREAD)
-    ws = _workspace(basis, size, min(omega.size, _PAIR_BLOCK))
-    _, scratch, indices = ws
+    cell, padded = 2.0 * math.pi / size, size + _WIDTH
+    offsets = np.arange(1, _WIDTH + 1)
+    # workspace, popped atomically (a concurrent call builds its own): a block's
+    # weights and products, then the Hermitian half; its indices; 1/DFT(_SAMPLES)
+    block = min(omega.size, _PAIR_BLOCK)
+    ws = basis.__dict__.pop("_kernel", None)
+    if ws is None or ws[0] != (size, block):
+        samples = np.zeros(size)
+        samples[np.arange(1 - half_width, half_width)] = _SAMPLES
+        ws = ((size, block), np.empty(max(2 * block * _WIDTH, 4 * (size // 2 + 1))),
+              np.empty((block, _WIDTH), np.intp), 1.0 / np.fft.rfft(samples).real)
+    _, scratch, indices, inverse = ws
     weights, products = scratch[:2 * indices.size].reshape(2, *indices.shape)
     # the spread is taken anew and let go before the transforms, which reuse
     # its memory; holding it on the basis too measured slower (CHANGES.md)
     spread = np.zeros((4, padded))
     for lo in range(0, omega.size, _PAIR_BLOCK):
         q, w = np.divmod(omega[lo:lo + _PAIR_BLOCK, None] * h, cell)
-        w = np.subtract(w, shift, out=weights[:q.size])
-        w *= w
-        w /= -4.0 * tau
-        np.exp(w, out=w)
+        # z from w in _WIDTH/2 cells less the exact nodes, so |z| <= 1 in floats
+        phi = np.subtract(w / (half_width * cell), (offsets - half_width) / half_width, out=weights[:q.size])
+        phi *= phi
+        np.sqrt(np.subtract(1.0, phi, out=phi), out=phi)
+        phi -= 1.0
+        phi *= _BETA
+        np.exp(phi, out=phi)
         idx = np.add((q % size).astype(np.intp), offsets, out=indices[:q.size]).ravel()
         for row, a in zip(spread, amp[:, lo:lo + _PAIR_BLOCK]):
-            row += np.bincount(idx, np.multiply(w, a, out=products[:q.size]).ravel(), padded)
-    circle = spread[:, _SPREAD:-_SPREAD]
-    circle[:, :_SPREAD] += spread[:, -_SPREAD:]
-    circle[:, -_SPREAD:] += spread[:, :_SPREAD]
+            row += np.bincount(idx, np.multiply(phi, a, out=products[:q.size]).ravel(), padded)
+    circle = spread[:, half_width:-half_width]
+    circle[:, :half_width] += spread[:, -half_width:]
+    circle[:, -half_width:] += spread[:, :half_width]
     # Re F(z), z = re + i im, is F of z's Hermitian part: a real irfft of the
     # conjugate of twice its half, re[k] + re[-k] + i (im[-k] - im[k])
     half = size // 2
@@ -397,16 +398,14 @@ def _uniform_rows(s: SpectralState, count: int, h: float, out: np.ndarray | None
     np.add(circle[:2, 1:half + 1], circle[:2, :half - 1:-1], out=herm.real[:, 1:])
     np.subtract(circle[2:, :half - 1:-1], circle[2:, 1:half + 1], out=herm.imag[:, 1:])
     del spread, circle
-    # rows j = -K0 ... count - K0 - 1, divided by the Gaussian's transform;
-    # one irfft a row: for a batch numpy 2 takes a fresh buffer of several rows
+    # rows j = -K0 ... count - K0 - 1 over the samples' DFT at j; one irfft a
+    # row: for a batch numpy 2 takes a fresh buffer of several rows
     rows = np.empty((2, count)) if out is None else out
     for row, z in zip(rows, herm):
         sums = np.fft.irfft(z, size, norm="forward")
-        row[:k0] = sums[size - k0:]
-        row[k0:] = sums[:count - k0]
+        np.multiply(sums[size - k0:], inverse[k0:0:-1], out=row[:k0])
+        np.multiply(sums[:count - k0], inverse[:count - k0], out=row[k0:])
     basis.__dict__["_kernel"] = ws
-    j = np.arange(-k0, count - k0)
-    rows *= np.exp(tau * j * j) / (size * math.sqrt(tau / math.pi))
     return np.add((mats.diagonal(0, 1, 2) @ (c.real**2 + c.imag**2))[:, None], rows, out=rows)
 
 
@@ -450,9 +449,9 @@ def _variance(rows: np.ndarray, basis: Eigenbasis) -> np.ndarray:
 
 
 def _kept_rows(s: SpectralState, times) -> np.ndarray:
-    """Read-only (2, T) rows <x>, <x^2> over times, kept while times equal the
+    """Read-only (2, *times.shape) rows <x>, <x^2>, kept while times equal the
     state's grid.  Rows up to the last at k h (dt * arange, linspace but its
-    end) take _uniform_rows if that needs fewer exps (2 _SPREAD + 1 a pair, 1 a
+    end) take _uniform_rows if that needs fewer exps (_WIDTH + 1 a pair, 1 a
     row) than _direct_rows (N a row), which takes the rest.  A grid not kept
     has its largest phase checked once, before either runs."""
     times = _check_times(times)
@@ -467,30 +466,31 @@ def _kept_rows(s: SpectralState, times) -> np.ndarray:
     back = int(off[::-1].argmin()) if t.size else 0
     count = 0 if not t.size or off[-1 - back] else t.size - back
     n = s.coefficients.size
-    if n * (n - 1) // 2 * (2 * _SPREAD + 1) + count < count * n:
+    if n * (n - 1) // 2 * (_WIDTH + 1) + count < count * n:
         rows = np.empty((2, t.size))
         _uniform_rows(s, count, h, rows[:, :count])
         rows[:, off] = _direct_rows(s, t[off])
     else:
         rows = _direct_rows(s, t)
-    grid = times.copy()
+    grid, rows = times.copy(), rows.reshape(2, *times.shape)
     grid.flags.writeable = rows.flags.writeable = False
     object.__setattr__(s, "_rows", (grid, rows))
     return rows
 
 
 def expectation_x_evolution(s: SpectralState, times) -> np.ndarray:
-    """<x>(s.time + t) for an array of durations t (see SpectralState);
-    DomainError refuses a t that is negative or not finite, or whose phase
-    t E_N / hbar overflows (see _check_phase)."""
-    return _kept_rows(s, times)[0].copy()
+    """<x>(s.time + t) for durations t, of their shape and a float for a
+    scalar (see SpectralState); DomainError refuses a t that is negative or
+    not finite, or whose phase t E_N / hbar overflows (see _check_phase)."""
+    mean = _kept_rows(s, times)[0].copy()
+    return float(mean) if mean.ndim == 0 else mean
 
 
 def variance_x_evolution(s: SpectralState, times) -> np.ndarray:
-    """Var(x)(s.time + t) for an array of durations t (see SpectralState);
-    DomainError refuses the durations expectation_x_evolution refuses, and
-    NumericalError a variance below -1e-10 l_g^2."""
-    return _variance(_kept_rows(s, times), s.basis)
+    """Var(x)(s.time + t), shaped as expectation_x_evolution, which refuses
+    the same durations; NumericalError refuses a variance below -1e-10 l_g^2."""
+    var = _variance(_kept_rows(s, times), s.basis)
+    return float(var) if var.ndim == 0 else var
 
 
 def expectation_x(s: SpectralState) -> float:

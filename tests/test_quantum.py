@@ -33,6 +33,7 @@ from qbouncer.scaling import make_units, natural_units, neutron_units
 from qbouncer.specfun import airy_ai, airy_ai_prime, airy_zero
 import quadrature_oracle
 from quadrature_oracle import gaussian_projection, norm_integrals, overlap_matrix, weighted_matrix
+from phase_oracle import exact_rows
 from series_tail import truncation_sup
 
 PACKET = PacketSpec(x0=10.0, sigma=1.5)
@@ -611,6 +612,27 @@ class TestPhaseTableReuse:
             monkeypatch.undo()
             assert np.array_equal(var, variance_x_evolution(self.fresh(packet_state), grid))
 
+    def test_shaped_grids_are_kept_by_value(self, packet_state, built):
+        # rows of a 2-D grid take its shape and equal the flat grid's; an
+        # equal grid of that shape reuses them, the flat grid is another grid
+        for grid, path in self.GRIDS:
+            shaped = grid[:grid.size // 4 * 4].reshape(-1, 4)
+            built.clear()
+            state, flat = self.fresh(packet_state), self.fresh(packet_state)
+            mean = expectation_x_evolution(state, shaped)
+            var = variance_x_evolution(state, shaped.copy())
+            assert mean.shape == var.shape == shaped.shape
+            assert np.array_equal(mean.ravel(), expectation_x_evolution(flat, shaped.ravel()))
+            assert np.array_equal(var.ravel(), variance_x_evolution(flat, shaped.ravel()))
+            expectation_x_evolution(state, shaped.ravel())
+            assert built == 3 * [(path, shaped.size)]
+
+    def test_scalar_time_gives_a_float(self, packet_state):
+        state = self.fresh(packet_state)
+        for func in (expectation_x_evolution, variance_x_evolution):
+            value = func(state, 3.7)
+            assert type(value) is float and value == func(self.fresh(packet_state), [3.7])[0]
+
     def test_returned_rows_are_copies(self, packet_state):
         for grid, _ in self.GRIDS:
             state = self.fresh(packet_state)
@@ -659,9 +681,11 @@ class TestBlockedPhaseTable:
     exponentials than direct rows; every other row takes its own exp."""
 
     def test_uniform_grid_takes_blocked_exponentials(self, packet_state, monkeypatch):
-        # the kernel takes one exp per pair for its phase at K0 h, 2 _SPREAD
-        # Gaussian weights per pair and one deconvolution factor per row, the
-        # direct rows N a row; at N = 26 the kernel wins from 430 rows on
+        # the kernel takes one exp per pair for its phase at K0 h and _WIDTH
+        # kernel weights per pair, and no exp a row: its deconvolution factors
+        # come from kernel samples taken once; the direct rows take N a row.
+        # The rule counts a row's deconvolution as 1, so at N = 26 the kernel
+        # wins from 222 rows on
         sizes = []
         real = np.exp
 
@@ -671,18 +695,19 @@ class TestBlockedPhaseTable:
 
         monkeypatch.setattr(quantum.np, "exp", counting)
         n = packet_state.basis.n_max
-        for rows in (101, 429, 430, 1001):
+        pairs = n * (n - 1) // 2
+        for rows in (101, 221, 222, 1001):
             sizes.clear()
             expectation_x_evolution(SpectralState(packet_state.basis, packet_state.coefficients, 0.0),
                                     0.5 * np.arange(rows))
-            kernel = n * (n - 1) // 2 * (1 + 2 * quantum._SPREAD) + rows
-            assert sum(sizes) == min(kernel, n * rows)
-            assert (sizes == [n * rows]) == (rows <= 429)  # direct rows: one exp call
+            assert (pairs * (1 + quantum._WIDTH) + rows < n * rows) == (rows >= 222)
+            assert sum(sizes) == (pairs * (1 + quantum._WIDTH) if rows >= 222 else n * rows)
+            assert (sizes == [n * rows]) == (rows <= 221)  # direct rows: one exp call
 
     @pytest.mark.parametrize("grid", [0.05 * np.arange(1001), np.linspace(0.0, 1000.0, 20001)])
     def test_uniform_grid_matches_direct_table(self, packet_state, grid):
         # the direct rows round the phase E t (to 2.5e4 rad here), the kernel
-        # omega h per pair; measured 1.5e-14 / 4.4e-13 (<x>) and 1.8e-14 /
+        # omega h per pair; measured 1.4e-14 / 4.4e-13 (<x>) and 1.9e-14 /
         # 5.6e-13 (<x^2>) at 1.2e3 and 2.5e4 rad
         bound = 4 * EPS * max(1.0, grid[-1] * packet_state.basis.energies[-1])
         assert relative_gap(grid_rows(packet_state, grid), direct_rows(packet_state, grid)) <= bound
@@ -702,7 +727,7 @@ class TestBlockedPhaseTable:
         grid = np.array([0.0, h, 2 * h, 3 * h, 0.7, 250.0])
         assert np.array_equal(grid_rows(packet_state, grid), direct_rows(packet_state, grid))
         # a 600-row k h prefix takes the kernel, the two rows after it are
-        # direct; measured 9.2e-15 against direct rows at phases to 1.5e3 rad
+        # direct; measured 9.0e-15 against direct rows at phases to 1.5e3 rad
         grid = np.append(h * np.arange(600), [0.7, 250.0])
         rows = grid_rows(packet_state, grid)
         assert np.array_equal(rows[:, 600:], direct_rows(packet_state, grid[600:]))
@@ -729,7 +754,7 @@ class TestBlockedPhaseTable:
     @pytest.mark.parametrize("count", [1, 2, 3, 5, 7, 16, 33, 401])
     def test_short_grids(self, packet_state, count):
         # the kernel stays exact on grids too short to be chosen for;
-        # measured <= 4.1e-15 (count 401), against phases to 20 rad
+        # measured <= 6.1e-15 (count 16), against phases to 20 rad
         h = 0.05
         rows = quantum._uniform_rows(packet_state, count, h)
         assert relative_gap(rows, direct_rows(packet_state, h * np.arange(count))) <= 1e-14
@@ -853,46 +878,56 @@ def basis64(units):
 
 
 class TestPhaseOracle:
-    """<x> on the revival grid (100 bounce periods, 20 001 times, N = 64)
-    against the exact phases exp(-i E_n t_k) of the double E_n and t_k,
-    evaluated by mpmath at 40 digits."""
+    """<x> and <x^2> against the exact phases exp(-i E_n t_k/hbar) of the
+    double E_n and t_k (tests/phase_oracle.py): on the revival grid (100
+    bounce periods, 20 001 times, N = 64), and on README-packet grids at
+    N = 26 just below and just above the kernel's crossover."""
 
     ROWS = [1000, 5003, 7919, 12345, 17777, 19999, 20000]
 
-    @staticmethod
-    def exact_mean(mpmath, state, times):
-        basis = state.basis
-        out = []
-        for t in times:
-            c = np.array([
-                complex(mpmath.mpc(cn.real, cn.imag) * mpmath.expj(-mpmath.mpf(e) * mpmath.mpf(t)))
-                for cn, e in zip(state.coefficients, basis.energies)
-            ])
-            out.append((np.conj(c) @ basis.x_matrix @ c).real)
-        return np.array(out)
-
     @pytest.mark.parametrize("x0", [20.0, 30.0])
     def test_both_row_kinds_match_exact_phases(self, basis64, x0):
-        mpmath = pytest.importorskip("mpmath")
         state = project_packet(PacketSpec(x0=x0, sigma=2.0), basis64)
         grid = np.linspace(0.0, 100 * 2.0 * math.sqrt(x0), 20001)
         rows = np.array(self.ROWS)
         assert (grid[rows] == rows * grid[1]).all()  # kernel rows in the full grid
-        with mpmath.workdps(40):
-            exact = self.exact_mean(mpmath, state, grid[rows])
-        uniform = expectation_x_evolution(state, grid)
+        exact = exact_rows(state, grid[rows])
+        uniform = grid_rows(state, grid)
         # the sampled times alone are no long uniform grid: each row takes its own exp
-        direct = expectation_x_evolution(state, grid[rows])
-        # measured 9.8e-14 / 1.9e-13 kernel and 4.7e-12 / 8.9e-12 direct
-        # (x0 = 20 / 30): the direct rows round phases E t up to 4.5e4 rad
-        assert np.abs(uniform[rows] - exact).max() <= 5e-13
-        assert np.abs(direct - exact).max() <= 1e-11
+        direct = grid_rows(state, grid[rows])
+        # measured 1.1e-13 / 1.2e-13 (<x>) and 2.0e-12 / 3.7e-12 (<x^2>)
+        # kernel, 4.7e-12 / 8.9e-12 and 1.0e-10 / 3.1e-10 direct (x0 = 20 /
+        # 30): the direct rows round phases E t up to 4.9e4 rad
+        assert np.abs(uniform[0, rows] - exact[0]).max() <= 5e-13
+        assert np.abs(uniform[1, rows] - exact[1]).max() <= 2e-11
+        assert np.abs(direct[0] - exact[0]).max() <= 1e-11
+        assert np.abs(direct[1] - exact[1]).max() <= 1e-9
         # the whole grid against the direct rows, relative to each column's
         # maximum; measured 8.0e-13 / 9.0e-13 (<x>) and 9.4e-13 / 1.0e-12 (Var)
         mean, second = direct_rows(state, grid)
         var = second - mean**2
-        assert np.abs(uniform - mean).max() <= 5e-12 * np.abs(mean).max()
+        assert np.abs(uniform[0] - mean).max() <= 5e-12 * np.abs(mean).max()
         assert np.abs(variance_x_evolution(state, grid) - var).max() <= 5e-12 * np.abs(var).max()
+
+    @pytest.mark.parametrize("count, path", [(221, "direct"), (222, "kernel")])
+    def test_readme_grid_paths_match_exact_phases(self, packet_state, count, path, monkeypatch):
+        # the README step 0.05 at N = 26: 221 rows take direct rows, 222 the
+        # kernel.  Every row is held to C eps (largest phase) (largest value);
+        # measured C <= 0.029 (<x>) and 0.037 (<x^2>) direct, 0.014 and 0.019
+        # kernel, against phases up to 6.6e2 rad
+        kernel, taken = quantum._uniform_rows, []
+
+        def counting(s, count, h, out=None):
+            taken.append(count)
+            return kernel(s, count, h, out)
+
+        monkeypatch.setattr(quantum, "_uniform_rows", counting)
+        grid = 0.05 * np.arange(count)
+        rows = grid_rows(packet_state, grid)
+        assert taken == ([count] if path == "kernel" else [])
+        exact = exact_rows(packet_state, grid)
+        bound = 0.1 * EPS * grid[-1] * packet_state.basis.energies[-1] * np.abs(exact).max(axis=1)
+        assert (np.abs(rows - exact).max(axis=1) <= bound).all()
 
 
 class TestObservables:
@@ -1187,6 +1222,10 @@ class TestEntryPointsProperty:
 STEP = st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent, st.floats(1.0, 10.0), st.integers(-6, 299))
 UNIFORM_TIMES = st.builds(lambda h, count: h * np.arange(count), STEP, st.integers(1, 2000) | st.integers(1100, 2000))
 ANY_TIMES = st.lists(st.floats(0.0, 50.0) | st.sampled_from([0.0, 1.0, 1e307]) | ANY_FLOAT, max_size=40).map(np.array)
+# 0-d times, and either kind above cut into rows of 1 to 4 columns
+DURATION = st.floats(0.0, 50.0) | STEP | ANY_FLOAT
+SHAPED_TIMES = DURATION.map(np.array) | st.builds(lambda t, cols: t[:t.size // cols * cols].reshape(-1, cols),
+                                                   UNIFORM_TIMES | ANY_TIMES, st.integers(1, 4))
 
 
 class TestEvolutionProperty:
@@ -1201,7 +1240,7 @@ class TestEvolutionProperty:
                              ids=["expectation", "variance"])
     @given(packet=st.builds(lambda sigma, ratio: (sigma * ratio, sigma), st.floats(0.75, 2.5), st.floats(3.0, 10.0))
            | st.tuples(ANY_FLOAT, ANY_FLOAT),
-           times=UNIFORM_TIMES | ANY_TIMES, n_max=st.sampled_from([1, 5, 26, 64]),
+           times=UNIFORM_TIMES | ANY_TIMES | SHAPED_TIMES, n_max=st.sampled_from([1, 5, 26, 64]),
            preset=st.sampled_from(["natural", "neutron"]))
     # t E_26/hbar overflows at t = 1e307: the phases once overflowed behind
     # numpy's warning and gave nan
@@ -1215,4 +1254,49 @@ class TestEvolutionProperty:
             values = func(state, times * u.t_g)
         except (DomainError, NumericalError):  # InsufficientBasisError is a NumericalError
             return
-        assert values.shape == times.shape and np.isfinite(values).all()
+        assert np.shape(values) == times.shape and np.isfinite(values).all()
+        assert isinstance(values, float) == (times.ndim == 0)
+
+
+class TestEvolveProperty:
+    """evolve on drawn packets and durations a, b (in units of t_g) keeps the
+    norm, composes, evolve(evolve(s, a), b) against evolve(s, a + b), within
+    C eps of the largest phase (a + b) E_N/hbar, and refuses a negative or
+    non-finite duration, or one whose phase overflows, with DomainError and
+    no numpy warning (an error under this suite's filterwarnings)."""
+
+    @staticmethod
+    def refused(t, basis):
+        return not (0.0 <= t < math.inf and t / basis.units.hbar * float(basis.energies[-1]) < math.inf)
+
+    @given(packet=st.builds(lambda sigma, ratio: (sigma * ratio, sigma), st.floats(0.75, 2.5), st.floats(3.0, 10.0)),
+           a=DURATION, b=DURATION, n_max=st.sampled_from([1, 5, 26, 64]), preset=st.sampled_from(["natural", "neutron"]))
+    @example(packet=(10.0, 1.5), a=1e307, b=0.0, n_max=26, preset="natural")  # the phase overflows
+    @example(packet=(10.0, 1.5), a=1e306, b=9e307, n_max=5, preset="natural")  # a + b overflows
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_evolve(self, packet, a, b, n_max, preset):
+        basis = _basis(n_max, preset)
+        u = basis.units
+        try:
+            state = project_packet(PacketSpec(x0=packet[0] * u.l_g, sigma=packet[1] * u.l_g), basis)
+        except (DomainError, NumericalError):  # InsufficientBasisError is a NumericalError
+            return
+        a, b = a * u.t_g, b * u.t_g
+        results = {}
+        for key, run in (("a", lambda: evolve(state, a)), ("a + b", lambda: evolve(state, a + b)),
+                         ("a, b", lambda: evolve(evolve(state, a), b))):
+            try:
+                results[key] = run().coefficients
+            except DomainError:
+                pass
+        assert ("a" not in results) == self.refused(a, basis)
+        assert ("a + b" not in results) == self.refused(a + b, basis)
+        norm = np.sum(np.abs(state.coefficients) ** 2)
+        for c in results.values():
+            assert np.isfinite(c).all()
+            assert abs(np.sum(np.abs(c) ** 2) - norm) <= (n_max + 4) * EPS
+        if "a, b" in results and "a + b" in results:
+            phase = max(1.0, (a + b) / u.hbar * float(basis.energies[-1]))
+            gap = np.abs(results["a, b"] - results["a + b"]).max()
+            # measured <= 0.39 of eps (largest phase) max|c_n|, norms <= 1.5 eps off
+            assert gap <= 4 * EPS * phase * np.abs(state.coefficients).max()
