@@ -4,6 +4,7 @@ Fourier-series representation."""
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -79,7 +80,10 @@ def _bounce_series(x0: float, T: float, t, n_terms: int, damping: float = 0.0):
     The bounce Fourier series (damping = 0) and its Gaussian-damped
     semiclassical form; T > 0 is the drop time.  The coefficients
     a_n = (-1)^(n+1) exp(-damping n^2)/n^2 fall with n, so they stop at the
-    first weight that underflows to 0.  The sum of a_n cos(n theta), with
+    first one below 2^-1022 (subnormals slow every Clenshaw operation): then
+    they fall faster than geometrically, so the dropped terms move the result
+    by less than 2^-1022 (4 x0/pi^2), below half its ulp unless it is within
+    1e-290 x0 of 0.  The sum of a_n cos(n theta), with
     theta = pi t/T, is Clenshaw's backward recurrence (Math. Comp. 9, 118
     (1955)) on c = cos(theta):
 
@@ -99,10 +103,10 @@ def _bounce_series(x0: float, T: float, t, n_terms: int, damping: float = 0.0):
         raise DomainError(f"the series phase pi t/T overflows at T={T!r}, t={t_max!r}")
     coeffs = []
     for n in range(1, n_terms + 1):
-        weight = math.exp(-damping * n * n)
-        if weight == 0.0:
+        a = (1.0 if n % 2 else -1.0) / (n * n) * math.exp(-damping * n * n)
+        if abs(a) < sys.float_info.min:
             break
-        coeffs.append((1.0 if n % 2 else -1.0) / (n * n) * weight)
+        coeffs.append(a)
     c = np.cos((math.pi / T) * t)
     two_c = 2.0 * c
     b1, b2, b0 = np.zeros_like(t), np.zeros_like(t), np.empty_like(t)

@@ -47,6 +47,10 @@ __all__ = [
 # 8e8 (order + 1)(order + 2)/2 bytes.
 _MAX_STEPS = 10**8
 _EPS = float(np.finfo(float).eps)
+# _affine_rows' Taylor blocks Q_r: row r weighs X^i (i < 4) by 1/(4r + i)! for
+# 1 <= 4r + i <= 16 (at norm <= 1/2 the terms past the 16th are below eps/10)
+_TAYLOR_BLOCKS = np.array([[1 / math.factorial(j) if 1 <= j <= 16 else 0.0 for j in range(r, r + 4)]
+                           for r in range(0, 20, 4)])
 
 
 class PolynomialPotential(ValueRecord):
@@ -107,6 +111,12 @@ def _slot(a: int, b: int, order: int) -> int:
     return (a + b) * (a + b + 1) // 2 - 1 + a
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _slots(order: int) -> Mapping[tuple[int, int], int]:
+    """{(a, b): _slot(a, b, order)} over moment_pairs(order), read-only."""
+    return MappingProxyType({key: i for i, key in enumerate(moment_pairs(order), 2)})
+
+
 class _MomentReader:
     """x, p, order and moment(a, b) of one state or of every sample of a
     trajectory: a subclass reads slot i of [x, p, G..., 0] with _read(i)."""
@@ -138,13 +148,13 @@ class MomentState(_MomentReader):
 
     def __init__(self, x: float, p: float, G: Mapping[tuple[int, int], float], order: int = 2):
         """Every moment up to `order` not in G is 0; keys outside it are rejected."""
-        pairs = moment_pairs(order)
-        y = np.zeros(len(pairs) + 3)
+        slots = _slots(order)
+        y = np.zeros(len(slots) + 3)
         y[0], y[1] = x, p
         for key, val in G.items():
-            if key not in pairs:
+            if key not in slots:
                 raise DomainError(f"moment index {key} outside 2 <= a+b <= {order}")
-            y[_slot(*key, order)] = val
+            y[slots[key]] = val
         y.flags.writeable = False
         self._y, self._order = y, order
 
@@ -298,37 +308,38 @@ def _generator(order: int, V: PolynomialPotential, m: float) -> np.ndarray:
 
 def _affine_rows(s0: MomentState, V: PolynomialPotential, m: float, dt: float, n_steps: int) -> np.ndarray:
     """Rows 0..n_steps of the exact flow from s0, allocated once moment_eom has
-    taken V: L steps add D y + c, [[D, c], [0, 0]] = exp(L dt M) - I for
-    M = _generator, by Taylor at norm <= 1/2 up to its first zero term, then
-    D_2L = 2 D_L + D_L^2; apart from I, D keeps its relative precision.
-    The products run on BLAS.  Each fill level goes in chunks of at most
-    2^18 // k^2 rows, so no fill product exceeds 2^18 multiply-adds: OpenBLAS
-    runs a product up to that size on the calling thread, and one past it
-    wakes worker threads that cost more CPU than they save.
+    taken V: L steps add y E + c, [[E, 0], [c, 0]] = exp(L dt M^T) - I for
+    M = _generator, transposed so that fill products take C-ordered operands:
+    sum_{j<=16} X^j/j! at X = dt M^T scaled to norm <= 1/2 in seven products
+    (Paterson & Stockmeyer, SIAM J. Comput. 2, 60 (1973)), then E_2L = 2 E_L +
+    E_L^2; apart from I, E keeps its relative precision.  Fills go in chunks of
+    at most 2^18 // k^2 rows, which OpenBLAS multiplies on the calling thread.
     """
     # an overflow leaves rows that are not finite, which integrate refuses
     with np.errstate(over="ignore", invalid="ignore"):
         k, M = s0._y.size, _generator(s0.order, V, m)
         s = max(0, math.frexp(dt * np.abs(M).sum(axis=0).max())[1] + 1)
-        D = term = M = np.ldexp(dt * M, -s)
-        for j in range(2, 17):  # terms past the 16th are below eps/10 of D
-            term = term @ M / j
-            if not term.any():  # then every later term is 0 too (A nilpotent)
-                break
-            D = D + term
+        X = np.ldexp(dt * M, -s).T.copy()
+        X2 = X @ X
+        X4 = X2 @ X2
+        powers = np.stack((np.eye(k + 1), X, X2, X2 @ X)).reshape(4, -1)
+        Q = (_TAYLOR_BLOCKS @ powers).reshape(5, k + 1, k + 1)
+        E = Q[4]
+        for r in (3, 2, 1, 0):  # E = Q_0 + X^4 (Q_1 + X^4 (Q_2 + X^4 (Q_3 + X^4 Q_4)))
+            E = Q[r] + X4 @ E
         rows = np.empty((n_steps + 1, k))
         rows[0] = s0._y
         chunk = max(1, 2**18 // k**2)
-        for i in range(-s, n_steps.bit_length()):  # D moves a row 2^i steps
+        for i in range(-s, n_steps.bit_length()):  # E moves a row 2^i steps
             if i > -s:
-                D = 2.0 * D + D @ D
+                E = 2.0 * E + E @ E
             if i >= 0:
                 top = min(2**(i + 1), n_steps + 1)
                 for lo in range(2**i, top, chunk):  # row 2^i + r is rows[r] moved
                     block = rows[lo:min(lo + chunk, top)]
                     src = rows[lo - 2**i:][:len(block)]
-                    np.matmul(src, D[:k, :k].T, out=block)
-                    block += D[:k, k]
+                    np.matmul(src, E[:k, :k], out=block)
+                    block += E[k, :k]
                     block += src
     return rows
 

@@ -12,12 +12,12 @@ PolynomialPotential.derivative, so none shares an index table or weight with
 the code under test.  The closed forms share nothing with integrate's exact
 flow either: no generator, exponential or doubling, only binomial sums.
 
-probed_generator and probed_flow are the exact flow as integrate once built
-it, for a bit-for-bit regression check: the generator read off the public
-moment_eom on the zero state and on each unit vector, every Taylor term
-summed, and the same doubling and chunked fill.  They share moment_eom's
-weight table with the code under test; moment_eom itself is held to the dict
-loop.
+probed_generator and probed_flow are the exact flow as integrate builds it,
+for a bit-for-bit regression check: the generator read off the public
+moment_eom on the zero state and on each unit vector, then the same
+Paterson-Stockmeyer Taylor map, doubling and chunked fill.  They share
+moment_eom's weight table with the code under test; moment_eom itself is
+held to the dict loop.
 """
 
 import math
@@ -138,30 +138,40 @@ def probed_generator(order: int, V: PolynomialPotential, m: float) -> np.ndarray
 
 
 def probed_flow(s0: MomentState, V: PolynomialPotential, m: float, dt: float, n_steps: int) -> np.ndarray:
-    """Rows 0..n_steps ([x, p, G..., 0] each) of the exact flow from s0:
-    [[D, c], [0, 0]] = exp(dt M) - I for M = probed_generator, by all 15 terms
-    of its Taylor series at norm <= 1/2, doubled back up with
-    D_2L = 2 D_L + D_L^2; row 2^i + r is row r moved by D for 2^i steps,
-    filled in products of at most 2^18 // k^2 rows."""
+    """Rows 0..n_steps ([x, p, G..., 0] each) of the exact flow from s0,
+    carried transposed: [[E, 0], [c, 0]] = exp(dt M^T) - I for
+    M = probed_generator, as sum_{j=1..16} X^j/j! at X = dt M^T scaled to
+    norm <= 1/2, by Paterson-Stockmeyer: X^2, X^3 and X^4 by three products,
+    the blocks Q_r = sum_{i<4} X^i/(4r + i)! (1 <= 4r + i <= 16) as one
+    product of their weights with the stack (I, X, X^2, X^3), and
+    E = Q_0 + X^4 (Q_1 + X^4 (Q_2 + X^4 (Q_3 + X^4 Q_4))); doubled back up
+    with E_2L = 2 E_L + E_L^2; row 2^i + r is row r times E for 2^i steps,
+    plus c, filled in products of at most 2^18 // k^2 rows."""
     k = len(moment_pairs(s0.order)) + 3
     M = probed_generator(s0.order, V, m)
     s = max(0, math.frexp(dt * np.abs(M).sum(axis=0).max())[1] + 1)
-    D = term = M = np.ldexp(dt * M, -s)
-    for j in range(2, 17):
-        term = term @ M / j
-        D = D + term
+    X = np.ldexp(dt * M, -s).T.copy()
+    powers = [np.eye(k + 1), X, X @ X]
+    powers.append(powers[2] @ X)
+    X4 = powers[2] @ powers[2]
+    weights = np.array([[1 / math.factorial(4 * r + i) if 1 <= 4 * r + i <= 16 else 0.0 for i in range(4)]
+                        for r in range(5)])
+    Q = (weights @ np.stack(powers).reshape(4, -1)).reshape(5, k + 1, k + 1)
+    E = Q[4]
+    for r in (3, 2, 1, 0):
+        E = Q[r] + X4 @ E
     rows = np.empty((n_steps + 1, k))
     rows[0] = np.append(as_vector(s0), 0.0)
     chunk = max(1, 2**18 // k**2)
     for i in range(-s, n_steps.bit_length()):
         if i > -s:
-            D = 2.0 * D + D @ D
+            E = 2.0 * E + E @ E
         if i >= 0:
             top = min(2**(i + 1), n_steps + 1)
             for lo in range(2**i, top, chunk):
                 block = rows[lo:min(lo + chunk, top)]
                 src = rows[lo - 2**i:][:len(block)]
-                np.matmul(src, D[:k, :k].T, out=block)
-                block += D[:k, k]
+                np.matmul(src, E[:k, :k], out=block)
+                block += E[k, :k]
                 block += src
     return rows

@@ -106,6 +106,17 @@ class TestMomentState:
         with pytest.raises(DomainError):
             MomentState.make(0.0, 0.0, order=2, G={(0, 3): 1.0})
 
+    @pytest.mark.parametrize("order", range(2, 9))
+    def test_every_moment_reads_back_from_its_slot(self, order):
+        # the per-order slot map places each G^{a,b} where moment(a, b) and
+        # the weight tables read it; a key outside 2 <= a+b <= order is named
+        G = {key: float(i) for i, key in enumerate(moment_pairs(order), 1)}
+        s = MomentState.make(0.5, -0.5, order, G)
+        assert [s.moment(*key) for key in G] == list(G.values()) and dict(s.G) == G
+        for key in ((0, 1), (order + 1, 0), (2, -1)):
+            with pytest.raises(DomainError, match=rf"moment index \({key[0]}, {key[1]}\) outside 2 <= a\+b <= {order}"):
+                MomentState.make(0.0, 0.0, order, {key: 1.0})
+
     def test_closure_convention(self):
         s = MomentState.make(0.0, 0.0, order=2, G={(1, 1): 0.3})
         assert s.moment(1, 0) == 0.0
@@ -642,6 +653,28 @@ class TestIntegrate:
             want = _exact_flow(s0, V, m, traj.times[picked])
             assert (np.abs(got - want) / np.abs(want).max(axis=0)).max() < bound
 
+    @pytest.mark.parametrize("order,bound", [(2, 24 * EPS), (4, 48 * EPS), (6, 64 * EPS)])
+    @pytest.mark.parametrize("omega", [0.5, 1.5])
+    def test_benchmark_regime_matches_all_order_rotation(self, omega, order, bound):
+        # The moments_long benchmark's flow: V = m w^2 x^2 / 2 with m = 0.5
+        # over 2 000 steps of 0.005 (x and p turn up to 15 radians, an
+        # order-6 moment up to 90), from two non-Gaussian states, held to the
+        # rotation in 50-digit mpmath on every 50th row and the last,
+        # relative to each component's largest value.  Measured 7.1 / 15.9 /
+        # 21.6 eps at orders 2 / 4 / 6 (a Taylor map summed term by term, 15
+        # sequential products, gave 7.1 / 11.3 / 21.8), bounded at about 3x.
+        m = 0.5
+        V = PolynomialPotential.harmonic(m, omega)
+        rng = np.random.default_rng(order)
+        for _ in range(2):
+            G = {key: rng.uniform(-1.0, 1.0) for key in moment_pairs(order)}
+            s0 = MomentState.make(rng.uniform(1.0, 3.0), rng.uniform(-1.0, 1.0), order, G)
+            traj = integrate(s0, V, m, 2000 * 0.005, 0.005)
+            picked = np.r_[0:len(traj):50, len(traj) - 1]
+            got = np.array([moment_oracle.as_vector(traj.states[i]) for i in picked])
+            want = _exact_flow(s0, V, m, traj.times[picked])
+            assert (np.abs(got - want) / np.abs(want).max(axis=0)).max() < bound
+
     @pytest.mark.parametrize("ratio", [1.0, 1e6, 1e10])
     def test_shifted_quadratic_keeps_its_curvature(self, ratio):
         # V = c_1 x + (V''/2) x^2 with c_1/V'' = ratio (c_1 = 1, m = 1): x and
@@ -699,11 +732,12 @@ class TestIntegrate:
     ], ids=["gravity", "zero", "harmonic", "negative-c2", "ratio-1e6", "ratio-1e10", "negative-zero-c2"])
     def test_generator_and_rows_equal_probed_flow(self, order, coefficients, m):
         # The generator read off moment_eom's weight table and the flow built
-        # on it against the flow that probed moment_eom on every unit vector
-        # and summed all 15 Taylor terms: equal bit for bit, as int64 views, so
-        # the sign of every zero counts (row 1 of A is -0.0 off column 0, and
-        # under gravity and V = 0 the Taylor series stops at its first zero
-        # term; c_2 = -0.0 gives V'' = -0.0, which signs the zeros of V'' W[1]).
+        # on it against the flow that probes moment_eom on every unit vector
+        # and evaluates the same transposed Paterson-Stockmeyer Taylor map:
+        # equal bit for bit, as int64 views, so the sign of every zero counts
+        # (row 1 of A is -0.0 off column 0, under gravity and V = 0 A is
+        # nilpotent and most powers are zeros, and c_2 = -0.0 gives
+        # V'' = -0.0, which signs the zeros of V'' W[1]).
         # The ratio cases are test_shifted_quadratic_keeps_its_curvature's
         # c_1/V''; 2000 and 3000 steps split fill levels into several products.
         V = PolynomialPotential(coefficients)
