@@ -10,6 +10,7 @@ import numpy as np
 
 from ._record import ValueRecord
 from .errors import DomainError
+from .specfun import _index
 
 __all__ = ["BounceSpec", "free_fall", "bounce_trajectory", "bounce_fourier"]
 
@@ -92,7 +93,7 @@ def _bounce_series(x0: float, T: float, t, n_terms: int, damping: float = 0.0):
     one cos per time and three array operations per term.  Raises
     DomainError when 4 x0/pi^2 or pi max(t)/T overflows.
     """
-    if n_terms < 1:
+    if _index(n_terms, "n_terms") < 1:
         raise DomainError("n_terms must be >= 1")
     t = _check_times(t)
     amplitude = 4.0 * x0 / math.pi**2

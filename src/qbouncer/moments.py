@@ -24,6 +24,7 @@ from ._record import FrozenRecord, ValueRecord
 from .classical import BounceSpec, _check_times, bounce_trajectory
 from .errors import DomainError, NumericalError
 from .scaling import UnitSystem
+from .specfun import _index
 
 __all__ = [
     "PolynomialPotential",
@@ -70,14 +71,11 @@ class PolynomialPotential(ValueRecord):
         return max((k for k, c in enumerate(self.coefficients) if c != 0), default=0)
 
     def value(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        return self.derivative(x, 0)
 
     def derivative(self, x: float, order: int) -> float:
         """d^order V / dx^order at x (identically 0 beyond the degree)."""
-        if order < 0:
+        if _index(order, "derivative order") < 0:
             raise DomainError("derivative order must be >= 0")
         if order > self.degree:
             return 0.0
@@ -97,7 +95,7 @@ class PolynomialPotential(ValueRecord):
 
 def moment_pairs(order: int) -> list[tuple[int, int]]:
     """Canonical (a, b) ordering for all moments with 2 <= a+b <= order."""
-    if order < 2:
+    if _index(order, "moment truncation order") < 2:
         raise DomainError("moment truncation order must be >= 2")
     return [(a, total - a) for total in range(2, order + 1) for a in range(total + 1)]
 
@@ -129,7 +127,7 @@ class _MomentReader:
     def moment(self, a: int, b: int):
         """G^{a,b} with the closure convention: first moments and moments
         beyond the truncation order read as zero."""
-        if a < 0 or b < 0:
+        if _index(a, "moment index") < 0 or _index(b, "moment index") < 0:
             raise DomainError("moment indices must be >= 0")
         return self._read(_slot(a, b, self._order))
 

@@ -27,7 +27,7 @@ from ._record import FrozenRecord, Record, ValueRecord
 from .classical import _bounce_series, _check_times
 from .errors import DomainError, InsufficientBasisError, NumericalError
 from .scaling import UnitSystem
-from .specfun import airy, airy_ai, airy_ai_smoothed, airy_zeros, integrate_1d
+from .specfun import _index, airy, airy_ai, airy_ai_smoothed, airy_zeros, integrate_1d
 
 __all__ = [
     "PacketSpec",
@@ -118,7 +118,7 @@ class Eigenbasis(Record):
 
     def eigenfunction(self, n: int, x):
         """psi_n evaluated at physical heights x (n is 1-based); 0 below the mirror."""
-        if not 1 <= n <= self.n_max:
+        if not 1 <= _index(n, "eigenfunction index") <= self.n_max:
             raise DomainError(f"eigenfunction index {n} outside 1..{self.n_max}")
         l_g = self.units.l_g
         x = np.asarray(x, dtype=float)
@@ -211,7 +211,7 @@ def build_basis(n_max: int, u: UnitSystem) -> Eigenbasis:
     n_max above 10 000, past the tested range, raises DomainError before any
     zero is computed; an energy e_g x_n that overflows raises it too.
     """
-    if n_max < 1:
+    if _index(n_max, "n_max") < 1:
         raise DomainError("n_max must be >= 1")
     if n_max > _N_MAX_CHECKED:
         raise DomainError(f"n_max {n_max} above {_N_MAX_CHECKED}, the largest basis checked against mpmath")
@@ -411,9 +411,11 @@ def _uniform_rows(s: SpectralState, count: int, h: float, out: np.ndarray | None
 
 def _direct_rows(s: SpectralState, t: np.ndarray) -> np.ndarray:
     """(2, T) rows <x>, <x^2>, each by its own exp: a^T M a + b^T M b,
-    c = a + ib."""
-    basis = s.basis
-    ph = np.exp(-1j * np.outer(t / basis.units.hbar, basis.energies)) * s.coefficients
+    c = a + ib.  The phases are taken from E_n - sum |c_m|^2 E_m: the global
+    phase drops out of both rows, and the centred phases round less."""
+    basis, c = s.basis, s.coefficients
+    centred = basis.energies - (c.real**2 + c.imag**2) @ basis.energies
+    ph = np.exp(-1j * np.outer(t / basis.units.hbar, centred)) * c
     ab = np.stack((ph.real, ph.imag))
     mats = (basis.x_matrix, basis.x2_matrix())
     return np.array([np.einsum("pti,pti->t", ab @ m, ab) for m in mats])

@@ -116,8 +116,8 @@ _K_ASYMP = 26
 
 
 def _asymptotic_tables():
-    # (-1)^k u_k and (-1)^k v_k as rows in powers of 1/zeta (x > 0), and their
-    # even (P) and odd (Q) terms as rows in powers of 1/zeta^2 (x < 0).
+    # (-1)^k u_k and (-1)^k v_k in powers of 1/zeta (x > 0), and their even (P)
+    # and odd (Q) terms in powers of 1/zeta^2 (x < 0): (rows, powers, 1) each
     u = np.empty(_K_ASYMP)
     v = np.empty(_K_ASYMP)
     u[0] = v[0] = 1.0
@@ -126,38 +126,35 @@ def _asymptotic_tables():
         v[k] = u[k] * (6 * k + 1) / (1.0 - 6 * k)
     sign = np.where(np.arange(_K_ASYMP) % 2, -1.0, 1.0)
     even_odd = np.stack((u[0::2], u[1::2], v[0::2], v[1::2]))
-    return sign * np.stack((u, v)), sign[: _K_ASYMP // 2] * even_odd
+    return (sign * np.stack((u, v)))[..., None], (sign[: _K_ASYMP // 2] * even_odd)[..., None]
 
 
 _ASYMP_POSITIVE, _ASYMP_NEGATIVE = _asymptotic_tables()
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def _horner(table, t):
-    """Each row of table (one column per power) as a polynomial at t; Horner
-    from the top coefficient (no top coefficient is zero, so this equals
-    Horner from zeros bit for bit: 0 t + c = c)."""
-    acc = np.repeat(table[:, -1:], t.size, axis=1)
-    for col in table.T[-2::-1]:
-        acc *= t
-        acc += col[:, None]
-    return acc
+def _horner(coef, t, out=None):
+    """Each row of coef (rows, powers, points or 1) as a polynomial at the
+    points t, into out (rows, points) if given; Horner from the top power,
+    equal to Horner from zeros bit for bit (no top coefficient is zero)."""
+    out = np.empty((len(coef), t.size)) if out is None else out
+    out[...] = coef[:, -1]
+    for j in range(coef.shape[1] - 2, -1, -1):
+        out *= t
+        out += coef[:, j]
+    return out
 
 
 def _eval_anchor(x, prime):
     # each point has its own anchor: one gather a block of points takes all
-    # its powers, and Horner starts from the top one, as _horner does
+    # its powers, and h Ai' is divided by h back to Ai'
     idx = np.searchsorted(_ANCHOR_SPLIT, x)
     h = x - _ANCHOR_X[idx]
     table = _ANCHOR_TABLE if prime else _ANCHOR_TABLE[:1]
     acc = np.empty((len(table), x.size))
     for lo in range(0, x.size, _ANCHOR_BLOCK):
         part = slice(lo, lo + _ANCHOR_BLOCK)
-        coef, step, a = table[:, :, idx[part]], h[part], acc[:, part]
-        a[...] = coef[:, -1]
-        for j in range(_K_ANCHOR - 2, -1, -1):
-            a *= step
-            a += coef[:, j]
+        _horner(table[:, :, idx[part]], h[part], out=acc[:, part])
     if not prime:
         return (acc[0],)
     return acc[0], np.where(h == 0.0, table[0, 1, idx], acc[1] / np.where(h == 0.0, 1.0, h))
@@ -342,7 +339,7 @@ def airy_zero(n: int) -> float:
 
 def airy_zeros(n_max: int) -> np.ndarray:
     """First n_max zero magnitudes, ascending; DomainError unless n_max >= 1."""
-    n_max = _index(n_max)
+    n_max = _index(n_max, "number of zeros")
     if n_max < 1:
         raise DomainError(f"number of zeros must be >= 1, got {n_max}")
     return _newton_zeros(range(1, n_max + 1))

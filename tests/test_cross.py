@@ -6,7 +6,8 @@ solver and the linear-potential moment closed form must agree on Var(x)(t)
 through entirely different code paths.
 
 Every entry point that takes times shares one check, so the rejection of
-negative and non-finite times is tested here across all three.
+negative and non-finite times is tested here across all three; so is the
+refusal of a non-integer where an integer argument is due.
 """
 
 import math
@@ -17,7 +18,15 @@ from bounce_ensemble import ensemble_width
 
 from qbouncer.classical import BounceSpec, bounce_fourier, bounce_trajectory, free_fall
 from qbouncer.errors import DomainError
-from qbouncer.moments import SaturatedIC, closed_form_linear, envelope
+from qbouncer.moments import (
+    MomentState,
+    PolynomialPotential,
+    SaturatedIC,
+    closed_form_linear,
+    envelope,
+    initial_state,
+    moment_pairs,
+)
 from qbouncer.quantum import (
     PacketSpec,
     build_basis,
@@ -27,6 +36,7 @@ from qbouncer.quantum import (
     project_packet,
     variance_x_evolution,
 )
+from qbouncer.specfun import airy_zeros
 
 X0 = 10.0
 SIGMA = 1.5
@@ -154,3 +164,31 @@ TIME_ENTRY_POINTS = {
 def test_bad_times_rejected(packet_state, units, entry, t):
     with pytest.raises(DomainError, match="finite and >= 0"):
         TIME_ENTRY_POINTS[entry](packet_state, units, t)
+
+
+# each integer argument and the name its refusal gives it, as calls on
+# (basis, units, n)
+INTEGER_ENTRY_POINTS = {
+    "moment_pairs": ("moment truncation order", lambda b, u, n: moment_pairs(n)),
+    "MomentState.make": ("moment truncation order", lambda b, u, n: MomentState.make(1.0, 0.0, order=n)),
+    "initial_state": ("moment truncation order", lambda b, u, n: initial_state(matched_ic(u), 1.0, order=n)),
+    "MomentState.moment(n, 0)": ("moment index", lambda b, u, n: MomentState.make(1.0, 0.0).moment(n, 0)),
+    "MomentState.moment(0, n)": ("moment index", lambda b, u, n: MomentState.make(1.0, 0.0).moment(0, n)),
+    "PolynomialPotential.derivative": ("derivative order",
+                                       lambda b, u, n: PolynomialPotential((1.0, 2.0)).derivative(1.0, n)),
+    "bounce_fourier": ("n_terms", lambda b, u, n: bounce_fourier(BounceSpec(X0, u.g), [0.0, 1.0], n)),
+    "expectation_x_series": ("n_terms", lambda b, u, n: expectation_x_series(PacketSpec(X0, SIGMA), 1.0, n)),
+    "Eigenbasis.eigenfunction": ("eigenfunction index", lambda b, u, n: b.eigenfunction(n, [1.0, 2.0])),
+    "build_basis": ("n_max", lambda b, u, n: build_basis(n, u)),
+    "airy_zeros": ("number of zeros", lambda b, u, n: airy_zeros(n)),
+}
+
+
+@pytest.mark.parametrize("n", [2.0, 2.5, math.nan, "2"])
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRY_POINTS))
+def test_non_integer_arguments_rejected(basis26, units, entry, n):
+    # refused by name before any range check; an np.int64 is an integer
+    what, call = INTEGER_ENTRY_POINTS[entry]
+    with pytest.raises(DomainError, match=f"^{what} must be an integer, got {n!r}$"):
+        call(basis26, units, n)
+    call(basis26, units, np.int64(2))

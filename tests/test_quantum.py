@@ -653,11 +653,14 @@ def grid_rows(state, times):
     return quantum._kept_rows(fresh, times).copy()
 
 
-def direct_table(state, times):
-    """Reference phase table, every row from its own exp: c_n exp(-i E_n t / hbar)."""
-    basis = state.basis
-    arg = np.outer(np.asarray(times, dtype=float) / basis.units.hbar, basis.energies)
-    return np.exp(-1j * arg) * state.coefficients
+def direct_table(state, times, centred=True):
+    """Reference phase table, every row from its own exp: c_n exp(-i e_n t / hbar)
+    with the centred e_n = E_n - sum |c_m|^2 E_m of the direct rows, or with
+    evolve's absolute e_n = E_n."""
+    basis, c = state.basis, state.coefficients
+    energies = basis.energies - (c.real**2 + c.imag**2) @ basis.energies if centred else basis.energies
+    arg = np.outer(np.asarray(times, dtype=float) / basis.units.hbar, energies)
+    return np.exp(-1j * arg) * c
 
 
 def direct_rows(state, times):
@@ -706,9 +709,9 @@ class TestBlockedPhaseTable:
 
     @pytest.mark.parametrize("grid", [0.05 * np.arange(1001), np.linspace(0.0, 1000.0, 20001)])
     def test_uniform_grid_matches_direct_table(self, packet_state, grid):
-        # the direct rows round the phase E t (to 2.5e4 rad here), the kernel
-        # omega h per pair; measured 1.4e-14 / 4.4e-13 (<x>) and 1.9e-14 /
-        # 5.6e-13 (<x^2>) at 1.2e3 and 2.5e4 rad
+        # the direct rows round the centred phase (E - <E>) t (to 2.5e4 rad
+        # here), the kernel omega h per pair; measured 2.6e-15 / 4.8e-14 (<x>)
+        # and 3.8e-15 / 5.7e-14 (<x^2>) at 1.2e3 and 2.5e4 rad
         bound = 4 * EPS * max(1.0, grid[-1] * packet_state.basis.energies[-1])
         assert relative_gap(grid_rows(packet_state, grid), direct_rows(packet_state, grid)) <= bound
 
@@ -727,7 +730,7 @@ class TestBlockedPhaseTable:
         grid = np.array([0.0, h, 2 * h, 3 * h, 0.7, 250.0])
         assert np.array_equal(grid_rows(packet_state, grid), direct_rows(packet_state, grid))
         # a 600-row k h prefix takes the kernel, the two rows after it are
-        # direct; measured 9.0e-15 against direct rows at phases to 1.5e3 rad
+        # direct; measured 4.5e-15 against direct rows at phases to 1.5e3 rad
         grid = np.append(h * np.arange(600), [0.7, 250.0])
         rows = grid_rows(packet_state, grid)
         assert np.array_equal(rows[:, 600:], direct_rows(packet_state, grid[600:]))
@@ -737,7 +740,7 @@ class TestBlockedPhaseTable:
     @pytest.mark.parametrize("t", [0.0, 3.7])
     def test_one_row_grid(self, packet_state, t):
         assert np.array_equal(grid_rows(packet_state, [t]), direct_rows(packet_state, [t]))
-        assert np.array_equal(evolve(packet_state, t).coefficients, direct_table(packet_state, [t])[0])
+        assert np.array_equal(evolve(packet_state, t).coefficients, direct_table(packet_state, [t], False)[0])
 
     def test_empty_grid(self, packet_state):
         fresh = SpectralState(packet_state.basis, packet_state.coefficients, 0.0)
@@ -765,7 +768,7 @@ class TestBlockedPhaseTable:
         # odd count (K0 = count // 2 centres the rows); the real transform
         # pairs circle point k with -k, its own partner at k = 0 and size/2.
         # Held to the direct rows with the bound of the long uniform grids;
-        # measured <= 2.2e-14 (<x>) and 2.7e-14 (<x^2>), bounds >= 7.6e-13
+        # measured <= 4.3e-15 (<x>) and 4.5e-15 (<x^2>), bounds >= 7.6e-13
         h = 0.05
         rows = quantum._uniform_rows(packet_state, count, h)
         bound = 4 * EPS * max(1.0, (count - 1) * h * packet_state.basis.energies[-1])
@@ -780,7 +783,7 @@ class TestBlockedPhaseTable:
         assert u.hbar != 1.0
         state = project_packet(PacketSpec(x0=10.0 * u.l_g, sigma=1.5 * u.l_g), neutron_basis)
         grid = 0.05 * u.t_g * np.arange(2001)
-        # measured 3.0e-14 (<x>) and 3.9e-14 (<x^2>) of each row's maximum
+        # measured 4.0e-15 (<x>) and 4.5e-15 (<x^2>) of each row's maximum
         assert relative_gap(grid_rows(state, grid), direct_rows(state, grid)) <= 1e-12
 
     def test_long_grid_keeps_o_t_memory(self, basis64):
@@ -896,25 +899,25 @@ class TestPhaseOracle:
         # the sampled times alone are no long uniform grid: each row takes its own exp
         direct = grid_rows(state, grid[rows])
         # measured 1.1e-13 / 1.2e-13 (<x>) and 2.0e-12 / 3.7e-12 (<x^2>)
-        # kernel, 4.7e-12 / 8.9e-12 and 1.0e-10 / 3.1e-10 direct (x0 = 20 /
-        # 30): the direct rows round phases E t up to 4.9e4 rad
+        # kernel, 1.4e-13 / 3.8e-13 and 2.9e-12 / 1.4e-11 direct (x0 = 20 /
+        # 30): the direct rows round centred phases (E - <E>) t up to 4.9e4 rad
         assert np.abs(uniform[0, rows] - exact[0]).max() <= 5e-13
         assert np.abs(uniform[1, rows] - exact[1]).max() <= 2e-11
-        assert np.abs(direct[0] - exact[0]).max() <= 1e-11
-        assert np.abs(direct[1] - exact[1]).max() <= 1e-9
+        assert np.abs(direct[0] - exact[0]).max() <= 1.2e-12
+        assert np.abs(direct[1] - exact[1]).max() <= 4e-11
         # the whole grid against the direct rows, relative to each column's
-        # maximum; measured 8.0e-13 / 9.0e-13 (<x>) and 9.4e-13 / 1.0e-12 (Var)
+        # maximum; measured 2.6e-14 / 3.3e-14 (<x>) and 5.6e-14 / 5.4e-14 (Var)
         mean, second = direct_rows(state, grid)
         var = second - mean**2
-        assert np.abs(uniform[0] - mean).max() <= 5e-12 * np.abs(mean).max()
-        assert np.abs(variance_x_evolution(state, grid) - var).max() <= 5e-12 * np.abs(var).max()
+        assert np.abs(uniform[0] - mean).max() <= 1e-13 * np.abs(mean).max()
+        assert np.abs(variance_x_evolution(state, grid) - var).max() <= 1.7e-13 * np.abs(var).max()
 
     @pytest.mark.parametrize("count, path", [(221, "direct"), (222, "kernel")])
     def test_readme_grid_paths_match_exact_phases(self, packet_state, count, path, monkeypatch):
         # the README step 0.05 at N = 26: 221 rows take direct rows, 222 the
         # kernel.  Every row is held to C eps (largest phase) (largest value);
-        # measured C <= 0.029 (<x>) and 0.037 (<x^2>) direct, 0.014 and 0.019
-        # kernel, against phases up to 6.6e2 rad
+        # measured C <= 0.0089 (<x>) and 0.0094 (<x^2>) direct, 0.014 and
+        # 0.019 kernel, against phases up to 6.6e2 rad
         kernel, taken = quantum._uniform_rows, []
 
         def counting(s, count, h, out=None):
@@ -926,7 +929,7 @@ class TestPhaseOracle:
         rows = grid_rows(packet_state, grid)
         assert taken == ([count] if path == "kernel" else [])
         exact = exact_rows(packet_state, grid)
-        bound = 0.1 * EPS * grid[-1] * packet_state.basis.energies[-1] * np.abs(exact).max(axis=1)
+        bound = {"direct": 0.03, "kernel": 0.1}[path] * EPS * grid[-1] * packet_state.basis.energies[-1] * np.abs(exact).max(axis=1)
         assert (np.abs(rows - exact).max(axis=1) <= bound).all()
 
 
@@ -1267,7 +1270,8 @@ class TestEvolutionProperty:
     """expectation_x_evolution and variance_x_evolution on drawn packets and
     time arrays return finite values of the times' shape or raise DomainError,
     NumericalError or InsufficientBasisError: never a NaN or a numpy warning
-    (an error under this suite's filterwarnings).  A packet (x0, sigma) in
+    (an error under this suite's filterwarnings).  Up to N = 26 their rows
+    also stay within a stated bound of the exact phases (phase_oracle).  A packet (x0, sigma) in
     units of l_g is either any pair of floats, as in TestEntryPointsProperty,
     or one with x0/sigma in [3, 10] that most bases of 26 and 64 states take."""
 
@@ -1280,17 +1284,36 @@ class TestEvolutionProperty:
     # t E_26/hbar overflows at t = 1e307: the phases once overflowed behind
     # numpy's warning and gave nan
     @example(packet=(10.0, 1.5), times=np.array([0.0, 1e307]), n_max=26, preset="natural")
+    # the README grid (kernel), direct rows up to 7e3 rad, and the kernel at N = 5
+    @example(packet=(10.0, 1.5), times=0.05 * np.arange(401), n_max=26, preset="natural")
+    @example(packet=(10.0, 1.5), times=np.array([0.0, 0.3, 1.1, 2.0, 7.5, 250.0]), n_max=26, preset="neutron")
+    @example(packet=(5.25, 2.2), times=0.05 * np.arange(401), n_max=5, preset="natural")
     @settings(derandomize=True, max_examples=200, deadline=None)
     def test_evolution(self, func, packet, times, n_max, preset):
         basis = _basis(n_max, preset)
         u = basis.units
+        t = times * u.t_g
         try:
             state = project_packet(PacketSpec(x0=packet[0] * u.l_g, sigma=packet[1] * u.l_g), basis)
-            values = func(state, times * u.t_g)
+            values = func(state, t)
         except (DomainError, NumericalError):  # InsufficientBasisError is a NumericalError
             return
         assert np.shape(values) == times.shape and np.isfinite(values).all()
         assert isinstance(values, float) == (times.ndim == 0)
+        if n_max > 26 or not t.size:
+            return
+        # the kept rows at up to 8 of the times against the exact phases,
+        # within (a + b phase) eps max|row| for the grid's largest phase
+        # t E_N/hbar; N = 1 admits no packet (truncation loss >= 1e-3).
+        # Over 2 082 unseeded draws of these strategies at N = 5 and 26,
+        # C = error/(eps max|row|) measured <= 5.3 below 100 rad, and
+        # (C - 5.3)/phase <= 0.025 above
+        pick = np.unique(np.linspace(0, t.size - 1, 8).astype(int))
+        rows = quantum._kept_rows(state, t).reshape(2, -1)[:, pick]
+        exact = exact_rows(state, np.ravel(t)[pick])
+        phase = float(np.max(t)) / u.hbar * float(basis.energies[-1])
+        bound = (16.0 + 0.075 * phase) * EPS * np.abs(exact).max(axis=1)
+        assert (np.abs(rows - exact).max(axis=1) <= bound).all()
 
 
 class TestEvolveProperty:

@@ -194,12 +194,13 @@ class TestAiryAbsoluteAccuracy:
         assert np.array_equal(specfun._ANCHOR_TABLE, want.transpose(0, 2, 1))
 
 
-def _per_power_horner(table, t):
-    # Horner from zeros, as the evaluation once ran it
-    acc = np.zeros((len(table), t.size))
-    for col in table.T[::-1]:
+def _per_power_horner(coef, t, out=None):
+    # Horner from zeros, as the evaluation once ran it, on _horner's layout
+    acc = np.zeros((len(coef), t.size)) if out is None else out
+    acc[...] = 0.0
+    for j in range(coef.shape[1] - 1, -1, -1):
         acc *= t
-        acc += col[:, None]
+        acc += coef[:, j]
     return acc
 
 
