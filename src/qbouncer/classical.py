@@ -110,12 +110,14 @@ def _bounce_series(x0: float, T: float, t, n_terms: int, damping: float = 0.0):
         coeffs.append(a)
     c = np.cos((math.pi / T) * t)
     two_c = 2.0 * c
-    b1, b2, b0 = np.zeros_like(t), np.zeros_like(t), np.empty_like(t)
+    # b_N = 2 c 0 - 0 + a_N is exactly a_N; arrays are taken, then reused, as needed
+    b1, b2, spare = (coeffs.pop() if coeffs else 0.0), 0.0, None
     for a in reversed(coeffs):
-        np.multiply(two_c, b1, out=b0)
+        b0 = np.multiply(two_c, b1, out=spare)
         b0 -= b2
         b0 += a
-        b0, b1, b2 = b2, b0, b1
+        spare = b2 if isinstance(b2, np.ndarray) else None
+        b1, b2 = b0, b1
     out = (2.0 / 3.0) * x0 + amplitude * (c * b1 - b2)
     return float(out) if out.ndim == 0 else out
 

@@ -58,10 +58,13 @@ _TRUNCATION_LIMIT = 1e-3
 _MAX_OVERLAP_VALUES = 4_000_000
 # NUFFT kernel exp(beta (sqrt(1 - z^2) - 1)) on _WIDTH points, z in _WIDTH/2
 # cells (Barnett et al. 2019; as accurate as Greengard & Lee's 32-point
-# Gaussian), its samples at the nodes -7 ... 7, oversampling, pair block
+# Gaussian): a pair's points from its cell q - 8 and their nodes z, the
+# samples at the nodes -7 ... 7, oversampling, pair block
 _WIDTH = 16
 _BETA = 2.30 * _WIDTH
-_SAMPLES = np.exp(_BETA * (np.sqrt(1.0 - (np.arange(1 - _WIDTH // 2, _WIDTH // 2) / (_WIDTH // 2)) ** 2) - 1.0))
+_OFFSETS = np.arange(1, _WIDTH + 1)
+_NODES = (_OFFSETS - _WIDTH // 2) / (_WIDTH // 2)
+_SAMPLES = np.exp(_BETA * (np.sqrt(1.0 - _NODES[:-1] ** 2) - 1.0))
 _OVERSAMPLE = 2
 _PAIR_BLOCK = 4096
 
@@ -105,6 +108,9 @@ class Eigenbasis(Record):
     the last circle only: 128 bytes a state pair (of at most 4 096) and 8 a
     point of the circle's half, plus the larger of 256 and 32 of those, 1.1 MB
     at N = 64 and 20 001 times.  The next call on the same circle reuses them.
+    It also keeps the kernel's pair table, which serves every circle
+    (_pair_table): 40 bytes a pair plus the 16 N^2 of the stacked (x, x^2)
+    matrices its diagonals view, 146 kB at N = 64.
     """
 
     _fields = ("n_max", "units", "zeros", "energies", "norms", "x_matrix")
@@ -114,7 +120,7 @@ class Eigenbasis(Record):
         # zeros x_n (dimensionless, ascending), energies e_g x_n, norms
         # N_n = 1/|Ai'(-x_n)|, x_matrix <m|x|n> in length units
         self.__dict__.update(n_max=n_max, units=units, zeros=zeros, energies=energies,
-                             norms=norms, x_matrix=x_matrix, _x2=None)
+                             norms=norms, x_matrix=x_matrix, _x2=None, _pairs=None)
 
     def eigenfunction(self, n: int, x):
         """psi_n evaluated at physical heights x (n is 1-based); 0 below the mirror."""
@@ -338,20 +344,33 @@ def project_packet(p: PacketSpec, basis: Eigenbasis) -> SpectralState:
     return state
 
 
+def _pair_table(basis: Eigenbasis) -> tuple:
+    """The kernel's read-only basis data: pairs m < n, (E_n - E_m)/hbar, the
+    (observables, pairs) elements of x and x^2, and their diagonals as a view
+    of the stacked matrices (a copy would take another BLAS path and round)."""
+    mats = np.stack((basis.x_matrix, basis.x2_matrix()))
+    m, n = np.triu_indices(basis.n_max, 1)
+    table = (m, n, (basis.energies[n] - basis.energies[m]) / basis.units.hbar, mats[:, m, n], mats.diagonal(0, 1, 2))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
 def _uniform_rows(s: SpectralState, count: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """(2, count) rows <x>, <x^2> at times k h, k < count, by a type-1 NUFFT
     over pairs m < n (Greengard & Lee, SIAM Rev. 46, 2004; kernel of Barnett
     et al., SIAM J. Sci. Comput. 41, 2019), written into out if given.  With
     omega = (E_n - E_m)/hbar, K0 = count // 2 and j = k - K0,
     <M> = sum_n |c_n|^2 M_nn + 2 Re sum_mn a_mn exp(-i omega h j),
-    a = conj(c_m) c_n M_mn exp(-i omega K0 h).  The workspace stays on the
-    basis, for the last circle only, and serves the next call on it."""
+    a = conj(c_m) c_n M_mn exp(-i omega K0 h).  The pair table is built on the
+    basis's first call and kept; the workspace stays on the basis, for the
+    last circle only, and serves the next call on it."""
     basis, c = s.basis, s.coefficients
-    mats = np.stack((basis.x_matrix, basis.x2_matrix()))
-    m, n = np.triu_indices(c.size, 1)
-    omega = (basis.energies[n] - basis.energies[m]) / basis.units.hbar
+    if basis._pairs is None:
+        basis._pairs = _pair_table(basis)
+    m, n, omega, elements, diagonals = basis._pairs
     k0 = count // 2
-    amp = np.conj(c[m]) * c[n] * np.exp(-1j * (omega * (k0 * h))) * mats[:, m, n]
+    amp = np.conj(c[m]) * c[n] * np.exp(-1j * (omega * (k0 * h))) * elements
     amp = np.concatenate((amp.real, amp.imag))[:, :, None]
     # the kernel on _WIDTH points of a circle padded by _WIDTH/2, of the least
     # 2^a, 3 2^a or 5 2^a >= least points, one row each for Re a, Im a; a pair
@@ -360,7 +379,6 @@ def _uniform_rows(s: SpectralState, count: int, h: float, out: np.ndarray | None
     least = max(_OVERSAMPLE * count, 2 * _WIDTH)
     size = min(f << ((least - 1) // f).bit_length() for f in (1, 3, 5))
     cell, padded = 2.0 * math.pi / size, size + _WIDTH
-    offsets = np.arange(1, _WIDTH + 1)
     # workspace, popped atomically (a concurrent call builds its own): a block's
     # weights and products, then the Hermitian half; its indices; 1/DFT(_SAMPLES)
     block = min(omega.size, _PAIR_BLOCK)
@@ -373,20 +391,24 @@ def _uniform_rows(s: SpectralState, count: int, h: float, out: np.ndarray | None
     _, scratch, indices, inverse = ws
     weights, products = scratch[:2 * indices.size].reshape(2, *indices.shape)
     # the spread is taken anew and let go before the transforms, which reuse
-    # its memory; holding it on the basis too measured slower (CHANGES.md)
-    spread = np.zeros((4, padded))
-    for lo in range(0, omega.size, _PAIR_BLOCK):
+    # its memory; holding it on the basis too measured slower (CHANGES.md).
+    # No zero fill: the first block adds its counts to 0, and no name keeps a
+    # count past its row (two alive at once raised peak RSS); one block runs
+    # even with no pairs (N = 1)
+    spread = np.empty((4, padded))
+    for lo in range(0, omega.size or 1, _PAIR_BLOCK):
         q, w = np.divmod(omega[lo:lo + _PAIR_BLOCK, None] * h, cell)
         # z from w in _WIDTH/2 cells less the exact nodes, so |z| <= 1 in floats
-        phi = np.subtract(w / (half_width * cell), (offsets - half_width) / half_width, out=weights[:q.size])
+        phi = np.subtract(w / (half_width * cell), _NODES, out=weights[:q.size])
         phi *= phi
         np.sqrt(np.subtract(1.0, phi, out=phi), out=phi)
         phi -= 1.0
         phi *= _BETA
         np.exp(phi, out=phi)
-        idx = np.add((q % size).astype(np.intp), offsets, out=indices[:q.size]).ravel()
+        idx = np.add((q % size).astype(np.intp), _OFFSETS, out=indices[:q.size]).ravel()
         for row, a in zip(spread, amp[:, lo:lo + _PAIR_BLOCK]):
-            row += np.bincount(idx, np.multiply(phi, a, out=products[:q.size]).ravel(), padded)
+            terms = np.multiply(phi, a, out=products[:q.size]).ravel()
+            np.add(row if lo else 0.0, np.bincount(idx, terms, padded), out=row)
     circle = spread[:, half_width:-half_width]
     circle[:, :half_width] += spread[:, -half_width:]
     circle[:, -half_width:] += spread[:, :half_width]
@@ -406,7 +428,7 @@ def _uniform_rows(s: SpectralState, count: int, h: float, out: np.ndarray | None
         np.multiply(sums[size - k0:], inverse[k0:0:-1], out=row[:k0])
         np.multiply(sums[:count - k0], inverse[:count - k0], out=row[k0:])
     basis.__dict__["_kernel"] = ws
-    return np.add((mats.diagonal(0, 1, 2) @ (c.real**2 + c.imag**2))[:, None], rows, out=rows)
+    return np.add((diagonals @ (c.real**2 + c.imag**2))[:, None], rows, out=rows)
 
 
 def _direct_rows(s: SpectralState, t: np.ndarray) -> np.ndarray:
@@ -471,7 +493,8 @@ def _kept_rows(s: SpectralState, times) -> np.ndarray:
     if n * (n - 1) // 2 * (_WIDTH + 1) + count < count * n:
         rows = np.empty((2, t.size))
         _uniform_rows(s, count, h, rows[:, :count])
-        rows[:, off] = _direct_rows(s, t[off])
+        if off.any():
+            rows[:, off] = _direct_rows(s, t[off])
     else:
         rows = _direct_rows(s, t)
     grid, rows = times.copy(), rows.reshape(2, *times.shape)

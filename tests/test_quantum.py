@@ -1,5 +1,6 @@
 """Airy eigenbasis, packet projection, spectral evolution, observables."""
 
+import collections
 import functools
 import math
 import tracemalloc
@@ -38,6 +39,31 @@ from series_tail import truncation_sup
 
 PACKET = PacketSpec(x0=10.0, sigma=1.5)
 EPS = np.finfo(float).eps
+
+
+def clenshaw_from_zeros(x0, T, t, coeffs):
+    """(2/3) x0 + (4 x0/pi^2) sum_n a_n cos(n pi t/T) by Clenshaw's recurrence
+    from b = 0 arrays, over the given coefficients a_1 ... a_N."""
+    c = np.cos((math.pi / T) * t)
+    b1, b2 = np.zeros_like(t), np.zeros_like(t)
+    for a in reversed(coeffs):
+        b1, b2 = 2.0 * c * b1 - b2 + a, b1
+    return (2.0 / 3.0) * x0 + 4.0 * x0 / math.pi**2 * (c * b1 - b2)
+
+
+def series_coefficients(n_terms, damping):
+    """a_n = (-1)^(n+1) exp(-damping n^2)/n^2 up to the first below 2^-1022."""
+    coeffs = [(1.0 if n % 2 else -1.0) / (n * n) * math.exp(-damping * n * n) for n in range(1, n_terms + 1)]
+    normal = [abs(a) >= 2.0**-1022 for a in coeffs]
+    return coeffs[:normal.index(False)] if False in normal else coeffs
+
+
+# the revival box, x0 in [20, 30] and sigma in [1.5, 2.5] on 20 001 times over
+# 100 periods, and the README quantum (x0 = 10, sigma = 1.5) and compare
+# (sigma = 2) packets on their grids
+SERIES_PACKETS = ([(x0, sigma, np.linspace(0.0, 200.0 * math.sqrt(x0), 20001))
+                   for x0 in np.linspace(20.0, 30.0, 11) for sigma in np.linspace(1.5, 2.5, 11)]
+                  + [(10.0, 1.5, 0.05 * np.arange(401)), (10.0, 2.0, 0.05 * np.arange(241))])
 
 
 def _series_mpmath(x0, T, ts, n_terms, damping):
@@ -515,8 +541,8 @@ class TestPhaseTableReuse:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """(path, rows) of every row evaluation with rows, kernel or direct
-        (a grid all at k h still hands an empty remainder to the direct rows)."""
+        """(path, rows) of every row evaluation, kernel or direct (a grid all
+        at k h hands no empty remainder to the direct rows)."""
         calls = []
         kernel, direct = quantum._uniform_rows, quantum._direct_rows
 
@@ -525,8 +551,7 @@ class TestPhaseTableReuse:
             return kernel(s, count, h, out)
 
         def counting_direct(s, t):
-            if t.size:
-                calls.append(("direct", t.size))
+            calls.append(("direct", t.size))
             return direct(s, t)
 
         monkeypatch.setattr(quantum, "_uniform_rows", counting_kernel)
@@ -806,7 +831,8 @@ class TestBlockedPhaseTable:
 
 class TestKernelWorkspace:
     """The NUFFT kernel keeps its pair buffers and Hermitian half on the basis,
-    for the last circle only, and reuses them on the next call; no output bit
+    for the last circle only, and reuses them on the next call; it builds its
+    read-only pair table once a basis, for every circle.  No output bit
     depends on what an earlier call left there."""
 
     REVIVAL = PacketSpec(x0=25.0, sigma=2.0)
@@ -873,6 +899,72 @@ class TestKernelWorkspace:
         with ThreadPoolExecutor(max_workers=2) as pool:
             concurrent = list(pool.map(run, calls))
         assert all(np.array_equal(a, b) for a, b in zip(serial, concurrent))
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """Every pair table the kernel builds."""
+        built, real = [], quantum._pair_table
+
+        def counting(basis):
+            built.append(real(basis))
+            return built[-1]
+
+        monkeypatch.setattr(quantum, "_pair_table", counting)
+        return built
+
+    def test_pair_table_built_once_per_basis(self, units, tables):
+        # two packets on each of two circles, then a second basis
+        basis = build_basis(64, units)
+        for packet in (self.REVIVAL, PacketSpec(x0=21.0, sigma=1.5)):
+            for count in (3001, 1201):
+                grid_rows(project_packet(packet, basis), 0.05 * np.arange(count))
+        assert len(tables) == 1 and basis._pairs is tables[0]
+        self.rows_on(build_basis(64, units), 0.05 * np.arange(3001))
+        assert len(tables) == 2
+
+    def test_pair_table_is_read_only(self, units):
+        basis = build_basis(26, units)
+        state = project_packet(PACKET, basis)
+        grid_rows(state, 0.05 * np.arange(221))  # direct rows build no table
+        assert basis._pairs is None
+        grid_rows(state, 0.05 * np.arange(401))
+        m, n, omega, elements, diagonals = basis._pairs
+        pairs = 26 * 25 // 2
+        assert m.shape == n.shape == omega.shape == (pairs,) and (m < n).all()
+        assert elements.shape == (2, pairs) and diagonals.shape == (2, 26)
+        assert np.array_equal(elements, [basis.x_matrix[m, n], basis.x2_matrix()[m, n]])
+        assert np.array_equal(diagonals, [basis.x_matrix.diagonal(), basis.x2_matrix().diagonal()])
+        assert not diagonals.flags.c_contiguous  # a copy takes BLAS, which rounds the product apart
+        for a in basis._pairs:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    def test_reused_table_matches_fresh_basis_bits(self, units):
+        # rows after other packets and circles have used the table equal, as
+        # int64 views, rows from a basis built for them alone
+        basis = build_basis(64, units)
+        self.rows_on(basis, 0.05 * np.arange(1201))
+        grid_rows(project_packet(PacketSpec(x0=21.0, sigma=1.5), basis), 0.05 * np.arange(4001))
+        for grid in (0.05 * np.arange(3001), np.linspace(0.0, 1000.0, 20001)):
+            reused, fresh = self.rows_on(basis, grid), self.rows_on(build_basis(64, units), grid)
+            assert np.array_equal(reused.view(np.int64), fresh.view(np.int64))
+
+    def test_direct_rows_only_for_off_grid_rows(self, packet_state, monkeypatch):
+        # a kept grid all on its k h prefix takes no direct rows; the mixed grid
+        # of TestBlockedPhaseTable hands exactly its two off-grid rows to them
+        taken, direct = [], quantum._direct_rows
+
+        def counting(s, t):
+            taken.append(t.copy())
+            return direct(s, t)
+
+        monkeypatch.setattr(quantum, "_direct_rows", counting)
+        for grid in (0.05 * np.arange(600), np.linspace(0.0, 1000.0, 20001)):
+            grid_rows(packet_state, grid)
+        assert taken == []
+        grid_rows(packet_state, np.append(0.05 * np.arange(600), [0.7, 250.0]))
+        assert len(taken) == 1 and np.array_equal(taken[0], [0.7, 250.0])
 
 
 @pytest.fixture(scope="module")
@@ -1084,29 +1176,39 @@ class TestSeries:
         # The box holds packets with a subnormal weight, such as n = 4 at
         # x0 = 27.76, sigma = 1.73, and with a normal weight whose
         # coefficient is subnormal, such as n = 4 at x0 = 27, sigma = 1.736
-        def through_subnormals(x0, T, t, n_terms, damping):
-            weights = [math.exp(-damping * n * n) for n in range(1, n_terms + 1)]
-            coeffs = [(1.0 if n % 2 else -1.0) / (n * n) * w for n, w in enumerate(weights, 1)]
-            coeffs = coeffs[:weights.index(0.0)] if 0.0 in weights else coeffs
-            c = np.cos((math.pi / T) * t)
-            b1, b2 = np.zeros_like(t), np.zeros_like(t)
-            for a in reversed(coeffs):
-                b1, b2 = 2.0 * c * b1 - b2 + a, b1
-            return (2.0 / 3.0) * x0 + 4.0 * x0 / math.pi**2 * (c * b1 - b2), coeffs[-1]
-
-        packets = [(x0, sigma, np.linspace(0.0, 200.0 * math.sqrt(x0), 20001))
-                   for x0 in np.linspace(20.0, 30.0, 11) for sigma in np.linspace(1.5, 2.5, 11)]
-        packets += [(27.76, 1.73, np.linspace(0.0, 200.0 * math.sqrt(27.76), 20001)),
-                    (27.0, 1.736, np.linspace(0.0, 200.0 * math.sqrt(27.0), 20001)),
-                    (10.0, 1.5, 0.05 * np.arange(401)), (10.0, 2.0, 0.05 * np.arange(241))]
+        packets = SERIES_PACKETS + [(27.76, 1.73, np.linspace(0.0, 200.0 * math.sqrt(27.76), 20001)),
+                                    (27.0, 1.736, np.linspace(0.0, 200.0 * math.sqrt(27.0), 20001))]
         subnormal = 0
         for x0, sigma, ts in packets:
             damping = math.pi**2 * x0 / (2.0 * sigma**2)
+            weights = [math.exp(-damping * n * n) for n in range(1, 201)]
+            coeffs = [(1.0 if n % 2 else -1.0) / (n * n) * w for n, w in enumerate(weights, 1)]
+            coeffs = coeffs[:weights.index(0.0)] if 0.0 in weights else coeffs
             got = expectation_x_series(PacketSpec(x0=x0, sigma=sigma), ts, 200)
-            want, last = through_subnormals(x0, math.sqrt(x0), ts, 200, damping)
+            want = clenshaw_from_zeros(x0, math.sqrt(x0), ts, coeffs)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
-            subnormal += abs(last) < 2.0**-1022
+            subnormal += abs(coeffs[-1]) < 2.0**-1022
         assert subnormal >= 15  # 22 of the 125 packets
+
+    @pytest.mark.parametrize("n_terms", [1, 2, 200])
+    def test_recurrence_starts_from_its_top_coefficient(self, n_terms):
+        # the kernel starts Clenshaw's recurrence at b_N = a_N, which the
+        # first step from zeros, 2 c 0 - 0 + a_N, gives exactly: equal bits
+        # (int64 views) to the recurrence from zero arrays over the same
+        # coefficients, on the packets of SERIES_PACKETS, the undamped bounce
+        # series and, where no coefficient is normal, (2/3) x0 alone
+        for x0, sigma, ts in SERIES_PACKETS[::6] + [(1.0, math.inf, np.linspace(0.0, 40.0, 2001))]:
+            packet = PacketSpec(x0=x0, sigma=sigma)
+            damping = 0.0 if sigma == math.inf else math.pi**2 * x0 / (2.0 * sigma**2)
+            coeffs = series_coefficients(n_terms, damping)
+            for t in (ts, ts[np.arange(8) * (ts.size // 8)].reshape(4, 2), np.array(ts[5])):
+                got = np.asarray(expectation_x_series(packet, t, n_terms))
+                want = np.asarray(clenshaw_from_zeros(x0, math.sqrt(x0), t, coeffs))
+                assert got.shape == t.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+        ts = np.linspace(0.0, 10.0, 101)
+        assert series_coefficients(n_terms, 800.0) == []
+        assert (_bounce_series(4.0, 2.0, ts, n_terms, 800.0) == clenshaw_from_zeros(4.0, 2.0, ts, [])).all()
+        assert (_bounce_series(4.0, 2.0, ts, n_terms, 800.0) == 8.0 / 3.0).all()
 
     def test_series_next_to_contact_kink(self):
         # the recurrence loses most where cos(pi t/T) is near -1, at the
@@ -1266,54 +1368,85 @@ SHAPED_TIMES = DURATION.map(np.array) | st.builds(lambda t, cols: t[:t.size // c
                                                    UNIFORM_TIMES | ANY_TIMES, st.integers(1, 4))
 
 
+def _evolution_cases(n_max):
+    """(n_max, packet) with the packet (x0, sigma) in units of l_g: any pair
+    of floats, as in TestEntryPointsProperty, or one the basis takes.  At
+    N = 26 and 64 that is most x0/sigma in [3, 10]; at N = 5 only x0/sigma
+    near 2.4 (every one of 8 000 draws of sigma in [1.65, 2.1], x0/sigma in
+    [2.39, 2.45] projected, in both presets).  N = 1 takes no packet
+    (truncation loss >= 1e-3), so None, the ground state itself, stands in
+    for the basis's packets."""
+    if n_max == 5:
+        sigma, ratio = st.floats(1.65, 2.1), st.floats(2.39, 2.45)
+    else:
+        sigma, ratio = st.floats(0.75, 2.5), st.floats(3.0, 10.0)
+    packet = st.builds(lambda sigma, ratio: (sigma * ratio, sigma), sigma, ratio)
+    return st.tuples(st.just(n_max), (st.none() if n_max == 1 else packet) | st.tuples(ANY_FLOAT, ANY_FLOAT))
+
+
 class TestEvolutionProperty:
-    """expectation_x_evolution and variance_x_evolution on drawn packets and
+    """expectation_x_evolution and variance_x_evolution on drawn states and
     time arrays return finite values of the times' shape or raise DomainError,
     NumericalError or InsufficientBasisError: never a NaN or a numpy warning
     (an error under this suite's filterwarnings).  Up to N = 26 their rows
-    also stay within a stated bound of the exact phases (phase_oracle).  A packet (x0, sigma) in
-    units of l_g is either any pair of floats, as in TestEntryPointsProperty,
-    or one with x0/sigma in [3, 10] that most bases of 26 and 64 states take."""
+    also stay within a stated bound of the exact phases (phase_oracle), and
+    each of N = 1, 5 and 26 reaches that check in a stated share of the
+    examples (_evolution_cases draws states each basis takes)."""
 
     @pytest.mark.parametrize("func", [expectation_x_evolution, variance_x_evolution],
                              ids=["expectation", "variance"])
-    @given(packet=st.builds(lambda sigma, ratio: (sigma * ratio, sigma), st.floats(0.75, 2.5), st.floats(3.0, 10.0))
-           | st.tuples(ANY_FLOAT, ANY_FLOAT),
-           times=UNIFORM_TIMES | ANY_TIMES | SHAPED_TIMES, n_max=st.sampled_from([1, 5, 26, 64]),
-           preset=st.sampled_from(["natural", "neutron"]))
-    # t E_26/hbar overflows at t = 1e307: the phases once overflowed behind
-    # numpy's warning and gave nan
-    @example(packet=(10.0, 1.5), times=np.array([0.0, 1e307]), n_max=26, preset="natural")
-    # the README grid (kernel), direct rows up to 7e3 rad, and the kernel at N = 5
-    @example(packet=(10.0, 1.5), times=0.05 * np.arange(401), n_max=26, preset="natural")
-    @example(packet=(10.0, 1.5), times=np.array([0.0, 0.3, 1.1, 2.0, 7.5, 250.0]), n_max=26, preset="neutron")
-    @example(packet=(5.25, 2.2), times=0.05 * np.arange(401), n_max=5, preset="natural")
-    @settings(derandomize=True, max_examples=200, deadline=None)
-    def test_evolution(self, func, packet, times, n_max, preset):
-        basis = _basis(n_max, preset)
-        u = basis.units
-        t = times * u.t_g
-        try:
-            state = project_packet(PacketSpec(x0=packet[0] * u.l_g, sigma=packet[1] * u.l_g), basis)
-            values = func(state, t)
-        except (DomainError, NumericalError):  # InsufficientBasisError is a NumericalError
-            return
-        assert np.shape(values) == times.shape and np.isfinite(values).all()
-        assert isinstance(values, float) == (times.ndim == 0)
-        if n_max > 26 or not t.size:
-            return
-        # the kept rows at up to 8 of the times against the exact phases,
-        # within (a + b phase) eps max|row| for the grid's largest phase
-        # t E_N/hbar; N = 1 admits no packet (truncation loss >= 1e-3).
-        # Over 2 082 unseeded draws of these strategies at N = 5 and 26,
-        # C = error/(eps max|row|) measured <= 5.3 below 100 rad, and
-        # (C - 5.3)/phase <= 0.025 above
-        pick = np.unique(np.linspace(0, t.size - 1, 8).astype(int))
-        rows = quantum._kept_rows(state, t).reshape(2, -1)[:, pick]
-        exact = exact_rows(state, np.ravel(t)[pick])
-        phase = float(np.max(t)) / u.hbar * float(basis.energies[-1])
-        bound = (16.0 + 0.075 * phase) * EPS * np.abs(exact).max(axis=1)
-        assert (np.abs(rows - exact).max(axis=1) <= bound).all()
+    def test_evolution(self, func):
+        checked = collections.Counter()
+
+        @given(case=st.sampled_from([1, 5, 26, 64]).flatmap(_evolution_cases),
+               times=UNIFORM_TIMES | ANY_TIMES | SHAPED_TIMES, preset=st.sampled_from(["natural", "neutron"]))
+        # t E_26/hbar overflows at t = 1e307: the phases once overflowed behind
+        # numpy's warning and gave nan
+        @example(case=(26, (10.0, 1.5)), times=np.array([0.0, 1e307]), preset="natural")
+        # the README grid (kernel), direct rows up to 7e3 rad, and the kernel at N = 5
+        @example(case=(26, (10.0, 1.5)), times=0.05 * np.arange(401), preset="natural")
+        @example(case=(26, (10.0, 1.5)), times=np.array([0.0, 0.3, 1.1, 2.0, 7.5, 250.0]), preset="neutron")
+        @example(case=(5, (5.25, 2.2)), times=0.05 * np.arange(401), preset="natural")
+        @settings(derandomize=True, max_examples=200, deadline=None)
+        def evolution(case, times, preset):
+            n_max, packet = case
+            basis = _basis(n_max, preset)
+            u = basis.units
+            t = times * u.t_g
+            try:
+                if packet is None:
+                    state = SpectralState(basis, np.ones(1, complex), 0.0)
+                else:
+                    state = project_packet(PacketSpec(x0=packet[0] * u.l_g, sigma=packet[1] * u.l_g), basis)
+                values = func(state, t)
+            except (DomainError, NumericalError):  # InsufficientBasisError is a NumericalError
+                return
+            assert np.shape(values) == times.shape and np.isfinite(values).all()
+            assert isinstance(values, float) == (times.ndim == 0)
+            if n_max > 26 or not t.size:
+                return
+            # the kept rows at up to 8 of the times against the exact phases,
+            # within (a + b phase) eps max|row| for the grid's largest phase
+            # t E_N/hbar.  Over 2 082 unseeded draws of the earlier strategies
+            # at N = 5 and 26, C = error/(eps max|row|) measured <= 5.3 below
+            # 100 rad, and (C - 5.3)/phase <= 0.025 above; over 1 191 of N = 5's
+            # window, <= 4.9 and <= 0.038, at most 0.44 of the bound
+            pick = np.unique(np.linspace(0, t.size - 1, 8).astype(int))
+            rows = quantum._kept_rows(state, t).reshape(2, -1)[:, pick]
+            exact = exact_rows(state, np.ravel(t)[pick])
+            phase = float(np.max(t)) / u.hbar * float(basis.energies[-1])
+            bound = (16.0 + 0.075 * phase) * EPS * np.abs(exact).max(axis=1)
+            assert (np.abs(rows - exact).max(axis=1) <= bound).all()
+            if packet is None:  # the ground state's rows are its diagonal elements
+                assert (rows == [[basis.x_matrix[0, 0]], [basis.x2_matrix()[0, 0]]]).all()
+            checked[n_max] += 1
+
+        evolution()
+        # of the 204 examples (200 drawn, 4 given), N = 1, 5 and 26 took 31,
+        # 45 and 67 and reached the exact-phase check in 7, 29 and 29, for
+        # both functions (measured with hypothesis 6.155); before the cases
+        # were drawn per basis, N = 1 never reached it and N = 5 only by example
+        assert checked[1] >= 4 and checked[5] >= 15 and checked[26] >= 15, checked
 
 
 class TestEvolveProperty:
